@@ -590,14 +590,6 @@ def module_cokernel(f_map: ModuleMap) -> FinModule:
     return _cokernel_pair(f_map)[0]
 
 
-def zero_map_into(m: FinModule) -> ModuleMap:
-    alg = m.alg
-    zero = FinModule(alg, {}, {aid: [] for aid, _, _ in alg.quiver.arrows},
-                     note="0", check=False)
-    mats = {v: [[] for _ in range(m.dims[v])] for v in alg.quiver.vertices}
-    return ModuleMap(zero, m, mats, check=False)
-
-
 def radical_submodule_spans(m: FinModule) -> dict[int, SpanBasis]:
     """Per-vertex span of the radical ``sum of images of arrow actions``."""
     f = m.alg.field

@@ -46,7 +46,6 @@ from .homspaces import (
     hom_basis,
     is_indecomposable,
     rad2_basis,
-    _combine,
     _iso_indecomposable,
 )
 from .linalg import SpanBasis, nullspace, rank
@@ -114,10 +113,7 @@ class _Ctx:
         if (i, j) not in self._rad:
             if i == j:
                 end = self.hom(i, i)
-                vecs = end_radical_coords(self.reps[i], end)
-                basis = [_combine(end.basis, v) for v in vecs]
-                self._rad[(i, j)] = HomSpace(self.reps[i], self.reps[j], basis,
-                                             len(basis), end._layout, end._free)
+                self._rad[(i, j)] = end.subspace(end_radical_coords(self.reps[i], end))
             else:
                 self._rad[(i, j)] = self.hom(i, j)
         return self._rad[(i, j)]

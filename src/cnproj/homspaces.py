@@ -1,14 +1,27 @@
-"""Linear algebra on morphism spaces of windowed complexes.
+"""Morphism spaces of windowed complexes, read off the Hom complex.
 
-Chain-map spaces are solved exactly in path coordinates: one scalar unknown
-per admissible path per matrix entry, with the chain equations
-``d_Y f = f d_X`` expanded path by path.  Everything downstream
-(endomorphism radicals, isomorphism tests, Krull-Schmidt splitting, degree-1
-extension classes) reduces to these coordinates.
+For complexes X and Y in window n, the Hom complex Hom^*(X, Y) has in degree k
+the families h = (h^i : X^i -> Y^{i+k}) and the differential
+
+    D^k(h) = d_Y h - (-1)^k h d_X.
+
+Families are solved exactly in path coordinates: one scalar unknown per
+admissible path per matrix entry (``_VarLayout``), and ``_differential`` is
+the matrix of D^k in those coordinates.  The public solves read its
+cohomology:
+
+* ``hom_basis``: Z^0 = ker D^0, the chain maps X -> Y;
+* ``null_homotopy_span``: B^0 = im D^-1, the null-homotopic chain maps;
+* ``ext_classes(z, x)``: Z^1 / B^1 of Hom^*(Z, X), the degree-1 extension
+  classes, which inside the window coincide with Hom_K(Z, X[1]).
+
+Everything downstream (endomorphism radicals, isomorphism tests,
+Krull-Schmidt splitting, conflations) works in these coordinates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .algebra import AlgElement
@@ -30,6 +43,7 @@ from .errors import (
 )
 from .linalg import (
     SpanBasis,
+    kernel,
     minimal_polynomial,
     nullspace,
     poly_divmod,
@@ -43,44 +57,48 @@ from .linalg import (
 
 
 class _VarLayout:
-    """Scalar coordinates for a family of AlgElement matrices.
+    """Path coordinates of the degree-k families h^i : X^i -> Y^{i+k}.
 
-    ``slots[k] = (i, r, c, paths)`` describes the entry matrices: component i,
-    row r, column c, with one unknown per admissible path.
+    ``slots`` lists ``(j, r, c, paths)``: component j is h^{j + lo}, entry row
+    r, column c, with one unknown per admissible path; ``offset[(j, r, c)]``
+    is the index of the slot's first unknown.
     """
 
-    def __init__(self, alg, shapes):
-        # shapes: list of (tgt_cell, src_cell) per component
+    def __init__(self, x: Complex, y: Complex, k: int):
+        alg = x.alg
+        n = x.window
         self.alg = alg
-        self.shapes = shapes
+        self.lo = max(0, -k)
+        self.shapes = [(y.cells[i + k], x.cells[i]) for i in range(self.lo, min(n, n - k))]
         self.slots = []
         self.offset = {}
-        n = 0
-        for i, (tgt, src) in enumerate(shapes):
+        nvars = 0
+        for j, (tgt, src) in enumerate(self.shapes):
             for r, tv in enumerate(tgt):
                 for c, sv in enumerate(src):
                     paths = alg.paths_between(tv, sv)
                     if paths:
-                        self.offset[(i, r, c)] = n
-                        self.slots.append((i, r, c, paths))
-                        n += len(paths)
-        self.nvars = n
-        self._path_index = {}
-        for i, r, c, paths in self.slots:
-            for k, p in enumerate(paths):
-                self._path_index[(i, r, c, p)] = self.offset[(i, r, c)] + k
+                        self.offset[(j, r, c)] = nvars
+                        self.slots.append((j, r, c, paths))
+                        nvars += len(paths)
+        self.nvars = nvars
+        self._path_index = None  # most layouts never look a path up
 
-    def var(self, i, r, c, path):
-        return self._path_index.get((i, r, c, path))
+    def var(self, j, r, c, path):
+        if self._path_index is None:
+            self._path_index = {(j, r, c, p): self.offset[(j, r, c)] + t
+                                for j, r, c, paths in self.slots
+                                for t, p in enumerate(paths)}
+        return self._path_index.get((j, r, c, path))
 
     def vectorize(self, mats) -> list:
         f = self.alg.field
         vec = [f.zero] * self.nvars
-        for i, (tgt, src) in enumerate(self.shapes):
+        for j, (tgt, src) in enumerate(self.shapes):
             for r in range(len(tgt)):
                 for c in range(len(src)):
-                    for p, coeff in mats[i][r][c].coeffs.items():
-                        idx = self.var(i, r, c, p)
+                    for p, coeff in mats[j][r][c].coeffs.items():
+                        idx = self.var(j, r, c, p)
                         if idx is None:
                             raise ShapeMismatch("entry outside the layout")
                         vec[idx] = vec[idx] + coeff
@@ -89,36 +107,64 @@ class _VarLayout:
     def materialize(self, vec):
         alg = self.alg
         mats = []
-        for i, (tgt, src) in enumerate(self.shapes):
+        for tgt, src in self.shapes:
             mats.append([[alg.zero_element(tv, sv) for sv in src] for tv in tgt])
-        for (i, r, c, paths) in self.slots:
-            off = self.offset[(i, r, c)]
-            coeffs = {p: vec[off + k] for k, p in enumerate(paths) if vec[off + k]}
+        for (j, r, c, paths) in self.slots:
+            off = self.offset[(j, r, c)]
+            coeffs = {p: vec[off + t] for t, p in enumerate(paths) if vec[off + t]}
             if coeffs:
-                mats[i][r][c] = AlgElement(alg, self.shapes[i][0][r], self.shapes[i][1][c],
+                mats[j][r][c] = AlgElement(alg, self.shapes[j][0][r], self.shapes[j][1][c],
                                            coeffs, _checked=True)
         return mats
 
 
-def _left_mul_rows(alg, known: AlgElement, slot_paths, out_paths_index, out_rows, var_off, sign):
-    """Accumulate coefficients of known . (unknown slot) into equation rows."""
-    for p, cp in known.coeffs.items():
-        for k, q in enumerate(slot_paths):
-            pq = alg.mult_path(p, q)
-            if pq is None:
-                continue
-            row = out_rows[out_paths_index[pq]]
-            row[var_off + k] = row[var_off + k] + (cp if sign > 0 else -cp)
+def _differential(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: int):
+    """Matrix of D^k(h) = d_Y h - (-1)^k h d_X, rows ``tgt`` and columns ``src``.
+
+    ``src`` and ``tgt`` are the degree-k and degree-(k+1) layouts of (x, y).
+    """
+    alg = x.alg
+    n = x.window
+    mat = [[alg.field.zero] * src.nvars for _ in range(tgt.nvars)]
+    negate = k % 2 == 0  # the sign -(-1)^k of h d_X
+    for j, r, c, paths in src.slots:
+        i = j + src.lo  # these unknowns are h^i[r][c]: X^i[c] -> Y^{i+k}[r]
+        off = src.offset[(j, r, c)]
+        if i + k + 1 < n:
+            # (d_Y h)^i[r2][c] gets d_Y^{i+k}[r2][r] . h^i[r][c]
+            for r2, drow in enumerate(y.diffs[i + k]):
+                for dp, dc in drow[r].coeffs.items():
+                    for t, q in enumerate(paths):
+                        pq = alg.mult_path(dp, q)
+                        if pq is not None:
+                            row = mat[tgt.var(i - tgt.lo, r2, c, pq)]
+                            row[off + t] = row[off + t] + dc
+        if i >= 1:
+            # (h d_X)^{i-1}[r][c2] gets h^i[r][c] . d_X^{i-1}[c][c2]
+            for c2, de in enumerate(x.diffs[i - 1][c]):
+                for dp, dc in de.coeffs.items():
+                    if negate:
+                        dc = -dc
+                    for t, q in enumerate(paths):
+                        qp = alg.mult_path(q, dp)
+                        if qp is not None:
+                            row = mat[tgt.var(i - 1 - tgt.lo, r, c2, qp)]
+                            row[off + t] = row[off + t] + dc
+    return mat
 
 
-def _right_mul_rows(alg, slot_paths, known: AlgElement, out_paths_index, out_rows, var_off, sign):
-    for k, q in enumerate(slot_paths):
-        for p, cp in known.coeffs.items():
-            qp = alg.mult_path(q, p)
-            if qp is None:
-                continue
-            row = out_rows[out_paths_index[qp]]
-            row[var_off + k] = row[var_off + k] + (cp if sign > 0 else -cp)
+def _cocycles(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: int):
+    """ker D^k as (basis in ``src`` coordinates, free columns)."""
+    rows = [row for row in _differential(x, y, src, tgt, k) if any(row)]
+    return kernel(x.alg.field, rows, src.nvars)
+
+
+def _boundaries(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: int) -> SpanBasis:
+    """im D^k in ``tgt`` coordinates, spanned column by column."""
+    span = SpanBasis(x.alg.field, tgt.nvars)
+    for col in zip(*_differential(x, y, src, tgt, k)):
+        span.add(col)
+    return span
 
 
 @dataclass
@@ -137,71 +183,25 @@ class HomSpace:
         vec = self._layout.vectorize(f.comps)
         return [vec[j] for j in self._free]
 
+    def subspace(self, coords) -> "HomSpace":
+        """Span of the given combinations of this basis; coordinates stay this space's."""
+        basis = [_combine(self.basis, v) for v in coords]
+        return HomSpace(self.source, self.target, basis, len(basis), self._layout, self._free)
+
 
 def hom_basis(x: Complex, y: Complex) -> HomSpace:
-    """Solve the chain equations d_Y f = f d_X for all maps x -> y."""
+    """The chain maps X -> Y: Z^0 = ker D^0 of the Hom complex."""
     if x.window != y.window:
         raise WindowMismatch("hom between different windows")
-    alg = x.alg
-    f = alg.field
-    n = x.window
-    layout = _VarLayout(alg, [(y.cells[i], x.cells[i]) for i in range(n)])
+    layout = _VarLayout(x, y, 0)
     if layout.nvars == 0:
         return HomSpace(x, y, [], 0, layout, [])
-    rows_by_slot = {}
-
-    def eq_rows(i, r, c):
-        # equations live in paths y.cells[i+1][r] -> x.cells[i][c]
-        key = (i, r, c)
-        if key not in rows_by_slot:
-            paths = alg.paths_between(y.cells[i + 1][r], x.cells[i][c])
-            idx = {p: k for k, p in enumerate(paths)}
-            rows_by_slot[key] = (idx, [[f.zero] * layout.nvars for _ in paths])
-        return rows_by_slot[key]
-
-    for i in range(n - 1):
-        for r in range(len(y.cells[i + 1])):
-            for c in range(len(x.cells[i])):
-                idx, rows = eq_rows(i, r, c)
-                if not rows:
-                    continue
-                # + d_Y^i[r][w] * f^i[w][c]
-                for w in range(len(y.cells[i])):
-                    off = layout.offset.get((i, w, c))
-                    if off is None:
-                        continue
-                    slot_paths = alg.paths_between(y.cells[i][w], x.cells[i][c])
-                    _left_mul_rows(alg, y.diffs[i][r][w], slot_paths, idx, rows, off, +1)
-                # - f^{i+1}[r][v] * d_X^i[v][c]
-                for v in range(len(x.cells[i + 1])):
-                    off = layout.offset.get((i + 1, r, v))
-                    if off is None:
-                        continue
-                    slot_paths = alg.paths_between(y.cells[i + 1][r], x.cells[i + 1][v])
-                    _right_mul_rows(alg, slot_paths, x.diffs[i][v][c], idx, rows, off, -1)
-    all_rows = [row for _, (_, rows) in sorted(rows_by_slot.items()) for row in rows
-                if any(row)]
-    vecs = nullspace(f, all_rows, layout.nvars) if all_rows else \
-        [[f.one if j == k else f.zero for j in range(layout.nvars)]
-         for k in range(layout.nvars)]
-    free = _free_columns(f, all_rows, layout.nvars)
+    vecs, free = _cocycles(x, y, layout, _VarLayout(x, y, 1), 0)
     maps = [ChainMap(x, y, layout.materialize(v), check=False) for v in vecs]
     return HomSpace(x, y, maps, len(maps), layout, free)
 
 
-def _free_columns(f, rows, ncols):
-    work = [list(r) for r in rows]
-    pivots = set(rref(f, work, ncols))
-    return [c for c in range(ncols) if c not in pivots]
-
-
 # -- endomorphism rings, radicals, indecomposability ---------------------------
-
-
-def _end_data(x: Complex):
-    end = hom_basis(x, x)
-    coords = end.coordinates
-    return end, coords
 
 
 def end_radical_coords(x: Complex, end: HomSpace | None = None) -> list[list]:
@@ -246,27 +246,30 @@ def is_indecomposable(x: Complex, idempotent_cap: int = 1 << 16) -> bool:
     if f.char == 0:
         rad = end_radical_coords(x, end)
         return end.dimension - len(rad) == 1
-    # finite field: exhaust End(X) for nontrivial idempotents
+    return _scan_idempotent(x, end, idempotent_cap) is None
+
+
+def _scan_idempotent(x: Complex, end: HomSpace, cap: int):
+    """First nontrivial idempotent of End(X) over GF(p), exhausting all p^m elements.
+
+    Raises SearchSpaceTooLarge when p^m exceeds ``cap``, even for m <= 1.
+    """
+    f = x.alg.field
     m = end.dimension
-    if f.char ** m > idempotent_cap:
+    if f.char ** m > cap:
         raise SearchSpaceTooLarge(f.char ** m)
-    if m == 1:
-        return True
+    if m <= 1:
+        return None
     ident = ChainMap.identity(x)
-    elems = f.elements()
-    import itertools
-    for combo in itertools.product(elems, repeat=m):
+    for combo in itertools.product(f.elements(), repeat=m):
         if not any(combo):
             continue
-        e = None
-        for c, b in zip(combo, end.basis):
-            t = b.scale(c)
-            e = t if e is None else e + t
+        e = _combine(end.basis, combo)
         if e.comps == ident.comps:
             continue
         if compose(e, e).comps == e.comps:
-            return False
-    return True
+            return e
+    return None
 
 
 def is_isomorphic(x: Complex, y: Complex) -> bool:
@@ -367,34 +370,16 @@ def decompose_with_maps(x: Complex):
 
 def _splitting_idempotent(x: Complex):
     """A nontrivial idempotent of End(X), or None when End(X) is local."""
-    alg = x.alg
-    f = alg.field
     end = hom_basis(x, x)
     m = end.dimension
     if m <= 1:
         return None
-    if f.char == 0:
+    if x.alg.field.char == 0:
         rad = end_radical_coords(x, end)
         if m - len(rad) == 1:
             return None
         return _idempotent_char0(x, end)
-    # finite field fallback: exhaustive scan
-    import itertools
-    ident = ChainMap.identity(x)
-    if f.char ** m > (1 << 16):
-        raise SearchSpaceTooLarge(f.char ** m)
-    for combo in itertools.product(f.elements(), repeat=m):
-        if not any(combo):
-            continue
-        e = None
-        for c, b in zip(combo, end.basis):
-            t = b.scale(c)
-            e = t if e is None else e + t
-        if e.comps == ident.comps:
-            continue
-        if compose(e, e).comps == e.comps:
-            return e
-    return None
+    return _scan_idempotent(x, end, 1 << 16)
 
 
 def _idempotent_char0(x: Complex, end: HomSpace):
@@ -655,9 +640,7 @@ def rad_basis(x: Complex, y: Complex, universe) -> HomSpace:
         raise IncompleteUniverse("radical quantifies over a closed universe")
     if x is y or x == y:
         end = hom_basis(x, x)
-        rad_vecs = end_radical_coords(x, end)
-        basis = [_combine(end.basis, v) for v in rad_vecs]
-        return HomSpace(x, y, basis, len(basis), end._layout, end._free)
+        return end.subspace(end_radical_coords(x, end))
     return hom_basis(x, y)
 
 
@@ -696,36 +679,13 @@ def _combine(basis, coeffs):
 
 
 def null_homotopy_span(hs: HomSpace) -> SpanBasis:
-    """Span (in the hom layout coordinates) of the null-homotopic maps X -> Y.
+    """B^0 = im D^-1 in the hom layout coordinates: the null-homotopic maps X -> Y.
 
-    Generated by f = d_Y h + h d_X over degree -1 families h; used to decide
-    whether a chain map vanishes in the homotopy category.
+    Spanned by D^-1(h) = d_Y h + h d_X over degree -1 families h; used to
+    decide whether a chain map vanishes in the homotopy category.
     """
-    from .complexes import mat_add, mat_mul
-
     x, y = hs.source, hs.target
-    alg = x.alg
-    f = alg.field
-    n = x.window
-    layout = hs._layout
-    span = SpanBasis(f, layout.nvars)
-    h_layout = _VarLayout(alg, [(y.cells[i - 1], x.cells[i]) for i in range(1, n)])
-    for hv in range(h_layout.nvars):
-        hvec = [f.zero] * h_layout.nvars
-        hvec[hv] = f.one
-        h_mats = h_layout.materialize(hvec)  # h_mats[i-1]: X^i -> Y^{i-1}, 0-based i in 1..n-1
-        comps = []
-        for i in range(n):
-            m = [[alg.zero_element(tv, sv) for sv in x.cells[i]] for tv in y.cells[i]]
-            if i >= 1:
-                m = mat_add(m, mat_mul(alg, y.diffs[i - 1], h_mats[i - 1],
-                                       y.cells[i], y.cells[i - 1], x.cells[i]))
-            if i + 1 < n:
-                m = mat_add(m, mat_mul(alg, h_mats[i], x.diffs[i],
-                                       y.cells[i], x.cells[i + 1], x.cells[i]))
-            comps.append(m)
-        span.add(layout.vectorize(comps))
-    return span
+    return _boundaries(x, y, _VarLayout(x, y, -1), hs._layout, -1)
 
 
 def is_null_homotopic(hs: HomSpace, f_map: ChainMap, span: SpanBasis | None = None) -> bool:
@@ -761,7 +721,8 @@ class DegreeOneMap:
 
 @dataclass
 class ExtClassSpace:
-    """Degree-1 maps with d_X sigma + sigma d_Z = 0, modulo h d_Z - d_X h."""
+    """Z^1 / B^1 of Hom^*(Z, X): degree-1 maps with d_X sigma + sigma d_Z = 0,
+    modulo d_X h - h d_Z for degree-0 families h."""
 
     source: Complex  # Z, the quotient term
     target: Complex  # X, the sub term
@@ -787,74 +748,21 @@ class ExtClassSpace:
             raise InvalidClass("vector outside cocycle span")
         return sol[:self.dimension]
 
-    def is_boundary(self, sigma: DegreeOneMap) -> bool:
-        return not any(self.reduce(sigma))
-
 
 def ext_classes(z: Complex, x: Complex) -> ExtClassSpace:
     """Extension classes of conflations X -> Y -> Z within the window.
 
-    Coincides with Hom_{K^b}(Z, X[1]) for complexes supported in the window.
+    Z^1 / B^1 of Hom^*(Z, X), which coincides with Hom_{K^b}(Z, X[1]) for
+    complexes supported in the window.
     """
     if z.window != x.window:
         raise WindowMismatch("ext between different windows")
-    alg = z.alg
-    f = alg.field
-    n = z.window
-    layout = _VarLayout(alg, [(x.cells[i + 1], z.cells[i]) for i in range(n - 1)])
-    empty_span = SpanBasis(f, layout.nvars)
+    f = z.alg.field
+    layout = _VarLayout(z, x, 1)
     if layout.nvars == 0:
-        return ExtClassSpace(z, x, [], 0, layout, empty_span, [])
-    # cocycle equations: d_X^{i+1} sigma^i + sigma^{i+1} d_Z^i = 0
-    rows_by_slot = {}
-
-    def eq_rows(i, r, c):
-        key = (i, r, c)
-        if key not in rows_by_slot:
-            paths = alg.paths_between(x.cells[i + 2][r], z.cells[i][c])
-            idx = {p: k for k, p in enumerate(paths)}
-            rows_by_slot[key] = (idx, [[f.zero] * layout.nvars for _ in paths])
-        return rows_by_slot[key]
-
-    for i in range(n - 2):
-        for r in range(len(x.cells[i + 2])):
-            for c in range(len(z.cells[i])):
-                idx, rows = eq_rows(i, r, c)
-                if not rows:
-                    continue
-                for w in range(len(x.cells[i + 1])):
-                    off = layout.offset.get((i, w, c))
-                    if off is None:
-                        continue
-                    slot_paths = alg.paths_between(x.cells[i + 1][w], z.cells[i][c])
-                    _left_mul_rows(alg, x.diffs[i + 1][r][w], slot_paths, idx, rows, off, +1)
-                for v in range(len(z.cells[i + 1])):
-                    off = layout.offset.get((i + 1, r, v))
-                    if off is None:
-                        continue
-                    slot_paths = alg.paths_between(x.cells[i + 2][r], z.cells[i + 1][v])
-                    _right_mul_rows(alg, slot_paths, z.diffs[i][v][c], idx, rows, off, +1)
-    all_rows = [row for _, (_, rows) in sorted(rows_by_slot.items()) for row in rows
-                if any(row)]
-    cocycles = nullspace(f, all_rows, layout.nvars) if all_rows else \
-        [[f.one if j == k else f.zero for j in range(layout.nvars)]
-         for k in range(layout.nvars)]
-    # boundaries: h^{i+1} d_Z^i - d_X^i h^i for degree-0 families h
-    h_layout = _VarLayout(alg, [(x.cells[i], z.cells[i]) for i in range(n)])
-    boundary = SpanBasis(f, layout.nvars)
-    for hv in range(h_layout.nvars):
-        hvec = [f.zero] * h_layout.nvars
-        hvec[hv] = f.one
-        h_mats = h_layout.materialize(hvec)
-        from .complexes import mat_add, mat_mul, mat_neg
-        comps = []
-        for i in range(n - 1):
-            t1 = mat_mul(alg, h_mats[i + 1], z.diffs[i],
-                         x.cells[i + 1], z.cells[i + 1], z.cells[i])
-            t2 = mat_mul(alg, [list(r) for r in x.diffs[i]], h_mats[i],
-                         x.cells[i + 1], x.cells[i], z.cells[i])
-            comps.append(mat_add(t1, mat_neg(t2)))
-        boundary.add(layout.vectorize(comps))
+        return ExtClassSpace(z, x, [], 0, layout, SpanBasis(f, 0), [])
+    cocycles, _ = _cocycles(z, x, layout, _VarLayout(z, x, 2), 1)
+    boundary = _boundaries(z, x, _VarLayout(z, x, 0), layout, 0)
     qreps = []
     basis = []
     probe = SpanBasis(f, layout.nvars)

@@ -13,10 +13,6 @@ def mat_copy(rows):
     return [list(r) for r in rows]
 
 
-def zero_vector(field, n):
-    return [field.zero] * n
-
-
 def identity_matrix(field, n):
     rows = [[field.zero] * n for _ in range(n)]
     for i in range(n):
@@ -39,17 +35,6 @@ def matmul(field, a, b, inner: int, out_cols: int):
                 if y:
                     acc[j] = acc[j] + x * y
         out.append(acc)
-    return out
-
-
-def mat_vec(field, a, v):
-    out = []
-    for row in a:
-        s = field.zero
-        for x, y in zip(row, v):
-            if x and y:
-                s = s + x * y
-        out.append(s)
     return out
 
 
@@ -84,8 +69,12 @@ def rank(field, rows, ncols: int) -> int:
     return len(rref(field, work, ncols))
 
 
-def nullspace(field, rows, ncols: int):
-    """Basis of the right nullspace, one vector per free column."""
+def kernel(field, rows, ncols: int):
+    """Right nullspace from one row reduction: (basis, free columns).
+
+    One basis vector per free column, with a 1 there and 0 at the other free
+    columns, so a kernel vector's coordinates are its free-column entries.
+    """
     work = mat_copy(rows)
     pivots = rref(field, work, ncols)
     pivot_set = set(pivots)
@@ -97,7 +86,12 @@ def nullspace(field, rows, ncols: int):
         for r, p in enumerate(pivots):
             v[p] = -work[r][f]
         basis.append(v)
-    return basis
+    return basis, free
+
+
+def nullspace(field, rows, ncols: int):
+    """Basis of the right nullspace, one vector per free column."""
+    return kernel(field, rows, ncols)[0]
 
 
 def solve(field, rows, ncols: int, rhs):
@@ -191,17 +185,6 @@ def poly_divmod(field, a, b):
     return poly_trim(field, q), poly_trim(field, a)
 
 
-def poly_gcd(field, a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = poly_divmod(field, a, b)
-        a, b = b, r
-    if a:
-        inv = field.inv(a[-1])
-        a = [x * inv for x in a]
-    return a
-
-
 def poly_xgcd(field, a, b):
     """(g, u, v) with u a + v b = g, g monic."""
     r0, r1 = list(a), list(b)
@@ -225,10 +208,6 @@ def _zip_pad(field, a, b):
     a = list(a) + [field.zero] * (n - len(a))
     b = list(b) + [field.zero] * (n - len(b))
     return zip(a, b)
-
-
-def poly_derivative(field, p):
-    return poly_trim(field, [field.of(i) * p[i] for i in range(1, len(p))])
 
 
 def poly_eval(field, p, x):

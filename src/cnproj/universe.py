@@ -3,8 +3,9 @@
 The main path is a cone-closure engine: seed with the stalk and contractible
 complexes, then repeatedly apply the three growth rules
 
-  (a) one-cell support extensions by an indecomposable projective, over a
-      basis of the admissible extension morphisms;
+  (a) one-cell support extensions by an indecomposable projective P_v: the
+      new end cell attaches by a basis chain map from the stalk complex P_v
+      into X (new first cell) or from X to the stalk (new last cell);
   (b) cones of basis homs f: A -> B between known classes whenever
       Hom_{K^b}(B, A[1]) vanishes, which guarantees the cone stays
       indecomposable, re-windowed at every fitting shift;
@@ -45,7 +46,6 @@ from .homspaces import (
     null_homotopy_span,
     _iso_indecomposable,
 )
-from .linalg import nullspace
 
 
 @dataclass
@@ -121,95 +121,36 @@ def _seeds(alg: MonomialAlgebra, n: int):
 
 
 def _support_extensions(alg: MonomialAlgebra, x: Complex):
-    """Rule (a): grow the support by one cell on either side, inside the window."""
+    """Rule (a): grow the support by one cell on either side, inside the window.
+
+    With support lo..hi, a new first cell P_v at lo - 1 has as its
+    differential a basis chain map from the stalk P_v at lo into X; a new
+    last cell P_v at hi + 1 has a basis chain map from X to the stalk at hi.
+    """
     out = []
     sup = x.support()
     if sup is None:
         return out
     lo, hi = sup
     n = x.window
-    f = alg.field
-    # left: new summand P_v at position lo-1, column u with d^(lo) . u = 0
+    vertices = sorted(alg.quiver.vertices)
     if lo >= 2:
-        tgt = x.cells[lo - 1]
-        for v in sorted(alg.quiver.vertices):
-            paths = [(r, p) for r in range(len(tgt))
-                     for p in alg.paths_between(tgt[r], v)]
-            if not paths:
-                continue
-            rows = []
-            if lo < n and x.cells[lo]:
-                nxt = x.cells[lo]
-                eq_paths = {(r2, q): i for i, (r2, q) in enumerate(
-                    (r2, q) for r2 in range(len(nxt))
-                    for q in alg.paths_between(nxt[r2], v))}
-                rows = [[f.zero] * len(paths) for _ in eq_paths]
-                for k, (r, p) in enumerate(paths):
-                    for r2 in range(len(nxt)):
-                        for dp, dc in x.diffs[lo - 1][r2][r].coeffs.items():
-                            comp = alg.mult_path(dp, p)
-                            if comp is None:
-                                continue
-                            rows[eq_paths[(r2, comp)]][k] = \
-                                rows[eq_paths[(r2, comp)]][k] + dc
-            vecs = nullspace(f, [r for r in rows if any(r)], len(paths)) if rows else \
-                [[f.one if i == k else f.zero for i in range(len(paths))]
-                 for k in range(len(paths))]
-            for vec in vecs:
-                col = [alg.zero_element(tv, v) for tv in tgt]
-                ok = False
-                for k, (r, p) in enumerate(paths):
-                    if vec[k]:
-                        col[r] = col[r] + alg.element(tgt[r], v, {p: 1}).scale(vec[k])
-                        ok = True
-                if not ok:
-                    continue
+        for v in vertices:
+            for g in hom_basis(make_stalk(alg, v, lo, n), x).basis:
                 cells = list(x.cells)
                 cells[lo - 2] = (v,)
-                diffs = [list(map(list, m)) for m in x.diffs]
-                diffs[lo - 2] = [[e] for e in col]
-                if lo - 3 >= 0:
+                diffs = list(x.diffs)
+                diffs[lo - 2] = g.comps[lo - 1]
+                if lo >= 3:
                     diffs[lo - 3] = [[]]  # one empty row into the new single summand
                 out.append(Complex(alg, cells, diffs))
-    # right: new summand P_v at position hi+1, row u with u . d^(hi-1) = 0
     if hi <= n - 1:
-        src = x.cells[hi - 1]
-        for v in sorted(alg.quiver.vertices):
-            paths = [(c, p) for c in range(len(src))
-                     for p in alg.paths_between(v, src[c])]
-            if not paths:
-                continue
-            rows = []
-            if hi >= 2 and x.cells[hi - 2]:
-                prv = x.cells[hi - 2]
-                eq_paths = {(c2, q): i for i, (c2, q) in enumerate(
-                    (c2, q) for c2 in range(len(prv))
-                    for q in alg.paths_between(v, prv[c2]))}
-                rows = [[f.zero] * len(paths) for _ in eq_paths]
-                for k, (c, p) in enumerate(paths):
-                    for c2 in range(len(prv)):
-                        for dp, dc in x.diffs[hi - 2][c][c2].coeffs.items():
-                            comp = alg.mult_path(p, dp)
-                            if comp is None:
-                                continue
-                            rows[eq_paths[(c2, comp)]][k] = \
-                                rows[eq_paths[(c2, comp)]][k] + dc
-            vecs = nullspace(f, [r for r in rows if any(r)], len(paths)) if rows else \
-                [[f.one if i == k else f.zero for i in range(len(paths))]
-                 for k in range(len(paths))]
-            for vec in vecs:
-                row = [alg.zero_element(v, sv) for sv in src]
-                ok = False
-                for k, (c, p) in enumerate(paths):
-                    if vec[k]:
-                        row[c] = row[c] + alg.element(v, src[c], {p: 1}).scale(vec[k])
-                        ok = True
-                if not ok:
-                    continue
+        for v in vertices:
+            for g in hom_basis(x, make_stalk(alg, v, hi, n)).basis:
                 cells = list(x.cells)
                 cells[hi] = (v,)
-                diffs = [list(map(list, m)) for m in x.diffs]
-                diffs[hi - 1] = [row]
+                diffs = list(x.diffs)
+                diffs[hi - 1] = g.comps[hi - 1]
                 out.append(Complex(alg, cells, diffs))
     return out
 

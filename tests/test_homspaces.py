@@ -233,3 +233,69 @@ def test_assemble_rejects_mismatched_class(point_alg):
     sigma = ext_classes(s, t).basis[0]
     with pytest.raises(InvalidClass):
         assemble_extension(j, t, sigma)
+
+
+# (dim Hom, dim B^0, dim Ext^1) of Hom^*(X_i, X_j) over the a3 universe at
+# n = 3: row i, entry j, three digits.  Pinned from the hand-written chain,
+# homotopy and cocycle solvers that the one Hom-complex differential
+# replaced; Q and GF(2) give the same table and the same class order.
+_A3_N3_HOM_COMPLEX = (
+    "100 000 000 001 000 000 000 000 000 000 000 000 000 000 000 001 000 000 000 000",
+    "100 100 000 001 001 000 000 000 000 000 000 000 000 000 000 000 000 001 000 000",
+    "000 100 100 000 001 001 000 000 000 000 000 000 000 000 000 100 001 000 000 000",
+    "000 000 000 100 000 000 001 000 000 110 000 000 000 000 000 100 001 000 000 001",
+    "000 000 000 100 100 000 001 001 000 110 110 000 000 000 000 110 000 100 001 000",
+    "000 000 000 000 100 100 000 001 001 000 110 110 000 000 000 000 100 110 000 110",
+    "000 000 000 000 000 000 100 000 000 000 000 000 110 000 000 000 100 000 000 100",
+    "000 000 000 000 000 000 100 100 000 000 000 000 110 110 000 000 110 000 100 110",
+    "000 000 000 000 000 000 000 100 100 000 000 000 000 110 110 000 000 000 110 000",
+    "110 000 000 000 000 000 000 000 000 110 000 000 000 000 000 000 000 000 000 000",
+    "110 110 000 000 000 000 000 000 000 110 110 000 000 000 000 110 000 000 000 000",
+    "000 110 110 000 000 000 000 000 000 000 110 110 000 000 000 110 000 110 000 110",
+    "000 000 000 110 000 000 000 000 000 110 000 000 110 000 000 110 000 000 000 000",
+    "000 000 000 110 110 000 000 000 000 110 110 000 110 110 000 110 110 110 000 110",
+    "000 000 000 000 110 110 000 000 000 000 110 110 000 110 110 000 110 110 110 110",
+    "110 100 000 000 001 000 000 000 000 110 000 000 000 000 000 100 001 001 000 001",
+    "000 000 000 110 100 000 000 001 000 110 110 000 110 000 000 110 100 100 001 100",
+    "000 110 100 100 000 001 001 000 000 110 110 000 000 000 000 210 001 100 001 000",
+    "000 000 000 000 110 100 100 000 001 000 110 110 110 110 000 000 210 110 100 220",
+    "000 110 100 110 000 001 000 000 000 110 110 000 110 000 000 220 000 100 001 100",
+)
+
+
+@pytest.mark.parametrize("field_tag", ["rational", "gf2"])
+def test_hom_complex_dimensions_a3(field_tag):
+    from cnproj.algebra import Quiver, build_algebra
+    from cnproj.homspaces import null_homotopy_span
+
+    alg = build_algebra(Quiver((1, 2, 3), (("a", 1, 2), ("b", 2, 3))), [("a", "b")],
+                        field_tag)
+    reps = enumerate_indecomposables(alg, 3).representatives
+    table = []
+    for x in reps:
+        row = []
+        for y in reps:
+            hs = hom_basis(x, y)
+            b0 = null_homotopy_span(hs).dim if hs.dimension else 0
+            row.append(f"{hs.dimension}{b0}{ext_classes(x, y).dimension}")
+        table.append(" ".join(row))
+    assert tuple(table) == _A3_N3_HOM_COMPLEX
+
+
+def test_gf2_splitting_of_a_direct_sum():
+    from cnproj.algebra import Quiver, build_algebra
+    from cnproj.homspaces import _iso_indecomposable, _splitting_idempotent
+
+    alg = build_algebra(Quiver((1, 2, 3), (("a", 1, 2), ("b", 2, 3))), [("a", "b")], "gf2")
+    s = make_stalk(alg, 2, 2, 2)
+    w = two_cell(alg)
+    assert not is_isomorphic(s, w)
+    x = direct_sum(w, s)
+    parts = decompose_with_maps(x)
+    assert len(parts) == 2
+    summands = [p for p, _, _ in parts]
+    for y in (s, w):
+        assert sum(_iso_indecomposable(p, y) for p in summands) == 1
+    for y in [x, s, w] + summands:
+        assert is_indecomposable(y) == (_splitting_idempotent(y) is None)
+    assert not is_indecomposable(x)

@@ -23,7 +23,8 @@ from cnproj.complexes import (
     shift_window,
     strip_contractible,
 )
-from cnproj.homspaces import decompose, is_isomorphic
+from cnproj.homspaces import _differential, _VarLayout, decompose, is_isomorphic
+from cnproj.linalg import matmul
 from cnproj.universe import enumerate_indecomposables
 
 _ALGEBRAS = {}
@@ -50,9 +51,12 @@ def _reps(tag, n):
     return _REPS[(tag, n)]
 
 
+_TAGS = ["point", "a2", "a3"]
+
+
 @st.composite
-def complexes(draw, window=3):
-    tag = draw(st.sampled_from(["point", "a2", "a3"]))
+def complexes(draw, window=3, tag=None):
+    tag = tag or draw(st.sampled_from(_TAGS))
     reps = _reps(tag, window)
     count = draw(st.integers(min_value=1, max_value=3))
     picks = [draw(st.sampled_from(reps)) for _ in range(count)]
@@ -125,3 +129,15 @@ def test_d_squared_after_functors(x, k):
     for _ in range(k):
         y = drop_last(y)
     Complex(y.alg, y.cells, y.diffs, check=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_TAGS).flatmap(lambda t: st.tuples(complexes(tag=t), complexes(tag=t))),
+       st.sampled_from([-1, 0, 1]))
+def test_hom_complex_differential_squares_to_zero(pair, k):
+    x, y = pair
+    src, mid, tgt = (_VarLayout(x, y, k + t) for t in range(3))
+    first = _differential(x, y, src, mid, k)
+    second = _differential(x, y, mid, tgt, k + 1)
+    product = matmul(x.alg.field, second, first, mid.nvars, src.nvars)
+    assert not any(any(row) for row in product)
