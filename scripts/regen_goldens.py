@@ -19,6 +19,7 @@ CASES = [
     ("point.alg", 2, "point_n2.dot"),
     ("a2.alg", 2, "a2_n2.dot"),
     ("a3_relation.alg", 2, "a3_n2.dot"),
+    ("a6_relations.alg", 3, "a6_n3.dot"),
 ]
 
 

@@ -118,6 +118,11 @@ class _Ctx:
                 self._rad[(i, j)] = self.hom(i, j)
         return self._rad[(i, j)]
 
+    def rad2(self, i, j) -> HomSpace:
+        """rad^2(i, j) from the cached Hom and radical spaces."""
+        return rad2_basis(self.reps[i], self.reps[j], self.universe, self.hom(i, j),
+                          ((self.rad(i, w), self.rad(w, j)) for w in range(len(self.reps))))
+
 
 def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
                     universe: Universe | None = None) -> ARQuiver:
@@ -140,7 +145,7 @@ def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
             r1 = ctx.rad(i, j)
             if r1.dimension == 0:
                 continue
-            r2 = rad2_basis(reps[i], reps[j], universe)
+            r2 = ctx.rad2(i, j)
             mult = r1.dimension - r2.dimension
             if mult <= 0:
                 continue

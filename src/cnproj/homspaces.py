@@ -55,6 +55,9 @@ from .linalg import (
     solve,
 )
 
+# Default cap on the p^m elements an idempotent scan of End(X) over GF(p) visits.
+IDEMPOTENT_CAP = 1 << 16
+
 
 class _VarLayout:
     """Path coordinates of the degree-k families h^i : X^i -> Y^{i+k}.
@@ -92,16 +95,20 @@ class _VarLayout:
         return self._path_index.get((j, r, c, path))
 
     def vectorize(self, mats) -> list:
-        f = self.alg.field
-        vec = [f.zero] * self.nvars
-        for j, (tgt, src) in enumerate(self.shapes):
-            for r in range(len(tgt)):
-                for c in range(len(src)):
-                    for p, coeff in mats[j][r][c].coeffs.items():
-                        idx = self.var(j, r, c, p)
-                        if idx is None:
-                            raise ShapeMismatch("entry outside the layout")
-                        vec[idx] = vec[idx] + coeff
+        # reads the slots, not ``var``: its path index would stay on every
+        # cached Hom space whose coordinates are ever taken
+        vec = [self.alg.field.zero] * self.nvars
+        found = 0
+        for j, r, c, paths in self.slots:
+            coeffs = mats[j][r][c].coeffs
+            if coeffs:
+                off = self.offset[(j, r, c)]
+                for t, p in enumerate(paths):
+                    if p in coeffs:
+                        vec[off + t] = coeffs[p]
+                        found += 1
+        if found != sum(len(e.coeffs) for m in mats for row in m for e in row):
+            raise ShapeMismatch("entry outside the layout")
         return vec
 
     def materialize(self, vec):
@@ -237,7 +244,7 @@ def end_radical_coords(x: Complex, end: HomSpace | None = None) -> list[list]:
     return nullspace(f, gram, m)
 
 
-def is_indecomposable(x: Complex, idempotent_cap: int = 1 << 16) -> bool:
+def is_indecomposable(x: Complex, idempotent_cap: int = IDEMPOTENT_CAP) -> bool:
     """End(X) local?  Trace-form radical in char 0; idempotent scan over GF(p)."""
     if x.is_zero():
         raise ZeroComplex("the zero complex is not indecomposable")
@@ -379,7 +386,7 @@ def _splitting_idempotent(x: Complex):
         if m - len(rad) == 1:
             return None
         return _idempotent_char0(x, end)
-    return _scan_idempotent(x, end, 1 << 16)
+    return _scan_idempotent(x, end, IDEMPOTENT_CAP)
 
 
 def _idempotent_char0(x: Complex, end: HomSpace):
@@ -644,19 +651,23 @@ def rad_basis(x: Complex, y: Complex, universe) -> HomSpace:
     return hom_basis(x, y)
 
 
-def rad2_basis(x: Complex, y: Complex, universe) -> HomSpace:
-    """Span of composites of two radical morphisms through the universe."""
+def rad2_basis(x: Complex, y: Complex, universe, hom: HomSpace | None = None,
+               factors=None) -> HomSpace:
+    """Span of composites of two radical morphisms through the universe.
+
+    ``hom`` is Hom(X, Y) and ``factors`` yields the pairs (rad(X, W), rad(W, Y))
+    over the universe classes W, in universe order; callers that cache these
+    spaces pass them, and by default both are solved afresh.
+    """
     if not universe.closed:
         raise IncompleteUniverse("rad^2 quantifies over a closed universe")
-    hs = hom_basis(x, y)
+    hs = hom if hom is not None else hom_basis(x, y)
+    if factors is None:
+        factors = _fresh_rad_factors(x, y, universe)
     span = SpanBasis(x.alg.field, len(hs._free))
     picked = []
-    for w in universe.representatives:
-        first = rad_basis(x, w, universe)
-        if first.dimension == 0:
-            continue
-        second = rad_basis(w, y, universe)
-        if second.dimension == 0:
+    for first, second in factors:
+        if first.dimension == 0 or second.dimension == 0:
             continue
         for f_ in first.basis:
             for g in second.basis:
@@ -665,6 +676,13 @@ def rad2_basis(x: Complex, y: Complex, universe) -> HomSpace:
                 if span.add(coords):
                     picked.append(comp)
     return HomSpace(x, y, picked, len(picked), hs._layout, hs._free)
+
+
+def _fresh_rad_factors(x: Complex, y: Complex, universe):
+    for w in universe.representatives:
+        first = rad_basis(x, w, universe)
+        if first.dimension:
+            yield first, rad_basis(w, y, universe)
 
 
 def _combine(basis, coeffs):

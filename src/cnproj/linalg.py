@@ -240,7 +240,7 @@ def minimal_polynomial(field, mat, n: int):
 
 
 def rational_roots(poly):
-    """All rational roots of a polynomial with Fraction coefficients.
+    """All rational roots of a polynomial with int or Fraction coefficients.
 
     Clears denominators and tries divisor quotients p/q; refuses (returns
     None) when the constant or leading integer is too large to factor at desk

@@ -1,9 +1,15 @@
 """Exact scalar fields: arbitrary-precision rationals and small prime fields.
 
-Every coefficient in the package is either a ``fractions.Fraction`` or a
-``PrimeFieldElement``; both support ``+ - *`` and truthiness (zero is falsy),
-so downstream code never branches on the field except through the field
-objects defined here.
+Every coefficient in the package is either an ``int`` or
+``fractions.Fraction``, or a ``PrimeFieldElement``; all support ``+ - *`` and
+truthiness (zero is falsy), so downstream code never branches on the field
+except through the field objects defined here.
+
+Rationals are integer-first: almost every coefficient is a small integer, and
+Python's ``int``/``Fraction`` mixing keeps every result exact, so a
+``Fraction`` appears only once a real denominator does.  ``str(1)`` and
+``str(Fraction(1))`` agree, so serial keys do not depend on which one a
+coefficient happens to be.
 """
 
 from __future__ import annotations
@@ -58,15 +64,20 @@ class RationalField:
     char = 0
     tag = "rational"
 
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of(self, n) -> Fraction:
-        return Fraction(n)
+    def of(self, n) -> int | Fraction:
+        if type(n) is int:
+            return n
+        q = Fraction(n)
+        return q.numerator if q.denominator == 1 else q
 
-    def inv(self, x: Fraction) -> Fraction:
-        return 1 / x
+    def inv(self, x: int | Fraction) -> int | Fraction:
+        # never 1 / int: that is a float
+        if x == 1 or x == -1:
+            return int(x)
+        return Fraction(1) / x
 
     def elements(self):
         raise ValueError("rational field is infinite")

@@ -37,6 +37,7 @@ from .complexes import (
 )
 from .errors import NotClosed, SearchSpaceTooLarge
 from .homspaces import (
+    IDEMPOTENT_CAP,
     assemble_extension,
     decompose_with_maps,
     ext_classes,
@@ -54,35 +55,40 @@ class EnumConfig:
     max_total_summands: int = 24
     verify: bool = True
     oracle_space_cap: int = 4_000_000
-    idempotent_cap: int = 1 << 16
+    idempotent_cap: int = IDEMPOTENT_CAP
 
 
 class _Registry:
-    """Iso-class registry with signature buckets and deterministic insertion."""
+    """Iso-class registry with signature buckets and deterministic insertion.
+
+    A bucket holds ``(index, serial key)`` pairs of the representatives with
+    one signature, so a lookup computes only the candidate's key.
+    """
 
     def __init__(self):
         self.representatives: list[Complex] = []
-        self.buckets: dict[tuple, list[int]] = {}
+        self.buckets: dict[tuple, list[tuple[int, tuple]]] = {}
+
+    def _lookup(self, x: Complex):
+        """(canonical x, its signature and key, index of its class or None)."""
+        x = canonical_sort(x)
+        sig = x.signature()
+        key = x.serial_key()
+        for idx, rep_key in self.buckets.get(sig, ()):
+            if rep_key == key or _iso_indecomposable(self.representatives[idx], x):
+                return x, sig, key, idx
+        return x, sig, key, None
 
     def find(self, x: Complex) -> int | None:
-        x = canonical_sort(x)
-        sig = x.signature()
-        for idx in self.buckets.get(sig, []):
-            rep = self.representatives[idx]
-            if rep.serial_key() == x.serial_key() or _iso_indecomposable(rep, x):
-                return idx
-        return None
+        return self._lookup(x)[3]
 
     def add(self, x: Complex) -> tuple[int, bool]:
-        x = canonical_sort(x)
-        sig = x.signature()
-        for idx in self.buckets.get(sig, []):
-            rep = self.representatives[idx]
-            if rep.serial_key() == x.serial_key() or _iso_indecomposable(rep, x):
-                return idx, False
+        x, sig, key, idx = self._lookup(x)
+        if idx is not None:
+            return idx, False
         idx = len(self.representatives)
         self.representatives.append(x)
-        self.buckets.setdefault(sig, []).append(idx)
+        self.buckets.setdefault(sig, []).append((idx, key))
         return idx, True
 
 
@@ -165,7 +171,7 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
     j_idx: set[int] = set()
 
     def admit(x: Complex, rule: str) -> list[int]:
-        """Strip, re-window at every fitting shift, dedup; returns new indices."""
+        """Strip, re-window, dedup, verify new classes; returns new indices."""
         stats["candidates"] += 1
         if rule != "seed":
             x = strip_contractible(x)
@@ -180,15 +186,21 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             return []
         new = []
         for start in range(1, n - width + 2):
-            shifted = shift_window(x, start - sup[0], n)
+            idx, added = reg.add(shift_window(x, start - sup[0], n))
+            if not added:
+                continue
+            # Only a new class needs the indecomposability proof.  A registry
+            # hit is either an equal serial key or an equal signature with a
+            # composite rep -> cand -> rep that is an automorphism; then rep
+            # is a summand of cand, equal cell multisets leave a zero
+            # complement, so cand is isomorphic to the indecomposable rep.
             if config.verify and rule != "seed":
-                if not is_indecomposable(shifted, config.idempotent_cap):
+                rep = reg.representatives[idx]
+                if not is_indecomposable(rep, config.idempotent_cap):
                     raise AssertionError(
-                        f"rule {rule} produced a decomposable candidate {shifted!r}")
-            idx, added = reg.add(shifted)
-            if added:
-                stats["added_by_rule"][rule] += 1
-                new.append(idx)
+                        f"rule {rule} produced a decomposable candidate {rep!r}")
+            stats["added_by_rule"][rule] += 1
+            new.append(idx)
         return new
 
     for s in _seeds(alg, n):

@@ -163,6 +163,25 @@ def test_prime_field_build():
     assert (a + a).is_zero()
 
 
+def test_rational_field_is_integer_first():
+    from fractions import Fraction
+
+    from cnproj.scalars import RationalField
+
+    qq = RationalField()
+    assert type(qq.zero) is int and type(qq.one) is int
+    assert type(qq.of(3)) is int and qq.of(3) == 3
+    assert type(qq.of(Fraction(6, 2))) is int
+    assert qq.of(Fraction(1, 2)) == Fraction(1, 2)
+    for x in (1, -1, Fraction(1), Fraction(-1)):
+        assert type(qq.inv(x)) is int and qq.inv(x) == x
+    assert qq.inv(2) == Fraction(1, 2) and type(qq.inv(2)) is Fraction
+    assert qq.inv(Fraction(2, 3)) == Fraction(3, 2)
+    for x in (2, -3, 7, Fraction(2, 3), Fraction(-5, 4)):
+        assert not isinstance(qq.inv(x), float)
+        assert x * qq.inv(x) == 1
+
+
 def test_products_through_relations_vanish(a3_alg, a6_alg):
     # any composable chain that threads a forbidden path dies, whatever is
     # glued on either side

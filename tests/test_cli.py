@@ -101,7 +101,8 @@ def test_dot_deterministic(fixtures_dir, tmp_path):
 def test_golden_dot_files(fixtures_dir, tmp_path):
     golden_dir = fixtures_dir.parent / "golden"
     cases = [("point.alg", 2, "point_n2.dot"), ("a2.alg", 2, "a2_n2.dot"),
-             ("a3_relation.alg", 2, "a3_n2.dot")]
+             ("a3_relation.alg", 2, "a3_n2.dot"),
+             ("a6_relations.alg", 3, "a6_n3.dot")]
     for alg_name, n, golden_name in cases:
         out = tmp_path / golden_name
         rc = main(["ar-quiver", path(fixtures_dir, alg_name), "--n", str(n),

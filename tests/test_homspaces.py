@@ -12,7 +12,7 @@ from cnproj.complexes import (
     mat_zero,
     strip_contractible,
 )
-from cnproj.errors import WindowMismatch, ZeroComplex
+from cnproj.errors import ShapeMismatch, WindowMismatch, ZeroComplex
 from cnproj.homspaces import (
     assemble_extension,
     decompose,
@@ -60,6 +60,14 @@ def test_hom_two_cell_end_is_one(a3_alg):
 def test_hom_window_mismatch(a3_alg):
     with pytest.raises(WindowMismatch):
         hom_basis(make_stalk(a3_alg, 1, 1, 2), make_stalk(a3_alg, 1, 1, 3))
+
+
+def test_coordinates_reject_entries_outside_the_layout(point_alg):
+    s1, s2 = make_stalk(point_alg, 1, 1, 2), make_stalk(point_alg, 1, 2, 2)
+    hs = hom_basis(s1, s2)
+    assert hs.dimension == 0
+    with pytest.raises(ShapeMismatch):
+        hs.coordinates(ChainMap.identity(s1))
 
 
 def test_is_isomorphic(a3_alg, point_alg):
@@ -299,3 +307,20 @@ def test_gf2_splitting_of_a_direct_sum():
     for y in [x, s, w] + summands:
         assert is_indecomposable(y) == (_splitting_idempotent(y) is None)
     assert not is_indecomposable(x)
+
+
+@pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
+def test_cached_rad2_matches_standalone(alg_name, request):
+    from cnproj.arquiver import _Ctx
+
+    uni = enumerate_indecomposables(request.getfixturevalue(alg_name), 3)
+    ctx = _Ctx(uni)
+    reps = uni.representatives
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            cached = ctx.rad2(i, j)
+            fresh = rad2_basis(x, y, uni)
+            assert cached.dimension == fresh.dimension
+            hs = ctx.hom(i, j)
+            assert ([hs.coordinates(g) for g in cached.basis]
+                    == [hs.coordinates(g) for g in fresh.basis])

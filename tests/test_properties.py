@@ -6,6 +6,8 @@ the d^2 = 0 invariant is re-checked by the Complex constructor on every
 functor application.
 """
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,8 @@ from cnproj.complexes import (
     strip_contractible,
 )
 from cnproj.homspaces import _differential, _VarLayout, decompose, is_isomorphic
-from cnproj.linalg import matmul
+from cnproj.linalg import kernel, matmul
+from cnproj.scalars import RationalField
 from cnproj.universe import enumerate_indecomposables
 
 _ALGEBRAS = {}
@@ -141,3 +144,25 @@ def test_hom_complex_differential_squares_to_zero(pair, k):
     second = _differential(x, y, mid, tgt, k + 1)
     product = matmul(x.alg.field, second, first, mid.nvars, src.nvars)
     assert not any(any(row) for row in product)
+
+
+@st.composite
+def int_matrices(draw):
+    nrows = draw(st.integers(min_value=0, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-3, max_value=3)
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)], ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices())
+def test_kernel_stays_exact_on_integer_matrices(mat):
+    rows, ncols = mat
+    qq = RationalField()
+    basis, free = kernel(qq, rows, ncols)
+    for v in basis:
+        assert all(type(e) in (int, Fraction) for e in v)
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+    # the same matrix with every entry a Fraction gives the same basis
+    assert kernel(qq, [[Fraction(e) for e in row] for row in rows], ncols) == (basis, free)

@@ -1,6 +1,7 @@
 import pytest
 
-from cnproj.complexes import drop_first, length, strip_contractible
+from cnproj import universe as universe_mod
+from cnproj.complexes import direct_sum, drop_first, length, make_stalk, strip_contractible
 from cnproj.errors import NotClosed, SearchSpaceTooLarge
 from cnproj.homspaces import is_isomorphic
 from cnproj.universe import (
@@ -127,3 +128,32 @@ def test_round_cap_leaves_unclosed(a3_alg):
     cfg = EnumConfig(max_rounds=1)
     uni = enumerate_indecomposables(a3_alg, 3, cfg)
     assert not uni.closed
+
+
+@pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
+def test_admit_verifies_each_new_class_once(alg_name, request, monkeypatch):
+    alg = request.getfixturevalue(alg_name)
+    calls = []
+    real = universe_mod.is_indecomposable
+
+    def counting(x, cap):
+        calls.append(x)
+        return real(x, cap)
+
+    monkeypatch.setattr(universe_mod, "is_indecomposable", counting)
+    uni = enumerate_indecomposables(alg, 4)
+    added = uni.stats["added_by_rule"]
+    assert len(calls) == len(uni.representatives) - added["seed"]
+    assert len(calls) == added["ext"] + added["cone"] + added["summand"] > 0
+    # integer-first rationals: no coefficient of these classes needs a denominator
+    assert all(type(c) is int for rep in uni.representatives for m in rep.diffs
+               for row in m for e in row for c in e.coeffs.values())
+
+
+def test_new_decomposable_candidate_still_raises(point_alg, monkeypatch):
+    def split_candidate(alg, x):
+        return [direct_sum(make_stalk(alg, 1, 1, 2), make_stalk(alg, 1, 2, 2))]
+
+    monkeypatch.setattr(universe_mod, "_support_extensions", split_candidate)
+    with pytest.raises(AssertionError, match="decomposable"):
+        enumerate_indecomposables(point_alg, 2)
