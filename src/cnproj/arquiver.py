@@ -261,20 +261,21 @@ def is_right_almost_split(universe: Universe, d: ChainMap, _ctx: _Ctx | None = N
     z = d.target
     y = d.source
     z_idx = universe.find(z)
+    exact = z_idx is not None and ctx.reps[z_idx] == z
     # not a retraction: the identity of Z must not factor through d
-    hz = hom_basis(z, z)
+    hz = ctx.hom(z_idx, z_idx) if exact else hom_basis(z, z)
     img = SpanBasis(z.alg.field, len(hz._free))
     for s in hom_basis(z, y).basis:
         img.add(hz.coordinates(compose(d, s)))
     if img.contains(hz.coordinates(ChainMap.identity(z))):
         return False
-    exact = z_idx is not None and ctx.reps[z_idx] == z
     for w_idx in range(len(ctx.reps)):
         w = ctx.reps[w_idx]
         gs = ctx.rad(w_idx, z_idx) if exact else _rad_generic(ctx, w, z)
         if gs.dimension == 0:
             continue
-        hw = hom_basis(w, z)
+        # off the representative, gs is all of Hom(W, Z) with its coordinates
+        hw = ctx.hom(w_idx, z_idx) if exact else gs
         span = SpanBasis(z.alg.field, len(hw._free))
         for s in hom_basis(w, y).basis:
             span.add(hw.coordinates(compose(d, s)))
@@ -293,19 +294,19 @@ def is_left_almost_split(universe: Universe, i_map: ChainMap, _ctx: _Ctx | None 
     x = i_map.source
     y = i_map.target
     x_idx = universe.find(x)
-    hx = hom_basis(x, x)
+    exact = x_idx is not None and ctx.reps[x_idx] == x
+    hx = ctx.hom(x_idx, x_idx) if exact else hom_basis(x, x)
     img = SpanBasis(x.alg.field, len(hx._free))
     for s in hom_basis(y, x).basis:
         img.add(hx.coordinates(compose(s, i_map)))
     if img.contains(hx.coordinates(ChainMap.identity(x))):
         return False
-    exact = x_idx is not None and ctx.reps[x_idx] == x
     for w_idx in range(len(ctx.reps)):
         w = ctx.reps[w_idx]
         gs = ctx.rad(x_idx, w_idx) if exact else _rad_generic(ctx, x, w)
         if gs.dimension == 0:
             continue
-        hw = hom_basis(x, w)
+        hw = ctx.hom(x_idx, w_idx) if exact else gs
         span = SpanBasis(x.alg.field, len(hw._free))
         for s in hom_basis(y, w).basis:
             span.add(hw.coordinates(compose(s, i_map)))
@@ -357,15 +358,6 @@ def is_left_minimal(universe: Universe, i_map: ChainMap, summands=None,
             if is_left_almost_split(universe, restricted, _ctx=ctx):
                 return False
     return True
-
-
-def is_minimal(universe: Universe, m: ChainMap, side: str) -> bool:
-    """Minimality of an almost split map on the named side."""
-    if side == "right":
-        return is_right_minimal(universe, m)
-    if side == "left":
-        return is_left_minimal(universe, m)
-    raise ValueError("side must be 'left' or 'right'")
 
 
 def _sum_with_projection(whole: Complex, parts):

@@ -15,8 +15,13 @@ cohomology:
 * ``ext_classes(z, x)``: Z^1 / B^1 of Hom^*(Z, X), the degree-1 extension
   classes, which inside the window coincide with Hom_K(Z, X[1]).
 
-Everything downstream (endomorphism radicals, isomorphism tests,
-Krull-Schmidt splitting, conflations) works in these coordinates.
+Isomorphism tests and conflations work in these coordinates.  Endomorphism
+radicals and Krull-Schmidt splitting go through the scalar image
+``_scalar_image``: phi(f) keeps the trivial-path coefficients of an
+endomorphism, one small matrix per (position, vertex).  phi is an algebra
+map with nilpotent kernel, so rad End(X) is the kernel of the trace form
+tr(phi(a) phi(b)) in characteristic 0, and idempotents are found as
+projections of phi-matrices and lifted to End(X).
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .complexes import (
     Complex,
     canonical_sort,
     compose,
+    mat_is_zero,
+    mat_mul,
     mat_zero,
 )
 from .errors import (
@@ -43,19 +50,17 @@ from .errors import (
 )
 from .linalg import (
     SpanBasis,
+    identity_matrix,
     kernel,
+    matmul,
     minimal_polynomial,
     nullspace,
-    poly_divmod,
-    poly_mul,
-    poly_trim,
-    poly_xgcd,
     rational_roots,
     rref,
     solve,
 )
 
-# Default cap on the p^m elements an idempotent scan of End(X) over GF(p) visits.
+# Cap on the p^m elements an idempotent scan of End(X) over GF(p) visits.
 IDEMPOTENT_CAP = 1 << 16
 
 
@@ -211,59 +216,68 @@ def hom_basis(x: Complex, y: Complex) -> HomSpace:
 # -- endomorphism rings, radicals, indecomposability ---------------------------
 
 
+def _vertex_groups(x: Complex):
+    """(position, summand indices) of each vertex in each cell, in vertex order."""
+    return [(i, [j for j, w in enumerate(cell) if w == v])
+            for i, cell in enumerate(x.cells) for v in sorted(set(cell))]
+
+
+def _scalar_image(f: ChainMap) -> list:
+    """phi(f) for an endomorphism f of X: one matrix of trivial-path
+    coefficients per (position, vertex), over ``_vertex_groups(X)``.
+
+    phi is an algebra map End(X) -> prod M_m(k).  Its kernel, the maps with
+    every entry in the arrow ideal, is nilpotent, so rad End(X) is the
+    preimage of the radical of phi(End(X)) and idempotents lift along phi.
+    """
+    return [[[f.comps[i][r][c].unit_coeff() for c in idxs] for r in idxs]
+            for i, idxs in _vertex_groups(f.source)]
+
+
+def _trace_of_product(field_, a, b):
+    tr = field_.zero
+    for blk_a, blk_b in zip(a, b):
+        for r, row in enumerate(blk_a):
+            for c, v in enumerate(row):
+                if v and blk_b[c][r]:
+                    tr = tr + v * blk_b[c][r]
+    return tr
+
+
 def end_radical_coords(x: Complex, end: HomSpace | None = None) -> list[list]:
     """Coordinates (in End basis) of a basis of rad End(X).
 
-    Characteristic zero only: the radical is the kernel of the trace form
-    ``(a, b) -> tr(L_{ab})`` of the regular representation.
+    Characteristic zero only: by Dickson's trace criterion the radical is the
+    kernel of the form ``(a, b) -> tr(phi(a) phi(b))`` on the scalar images.
     """
-    alg = x.alg
-    f = alg.field
+    f = x.alg.field
     if f.char != 0:
         raise ShapeMismatch("trace-form radical needs characteristic zero")
     if end is None:
         end = hom_basis(x, x)
-    m = end.dimension
-    if m == 0:
-        return []
-    basis = end.basis
-    # L_c in the End basis, one column per basis element
-    def l_trace(c_map):
-        tr = f.zero
-        for k in range(m):
-            col = end.coordinates(compose(c_map, basis[k]))
-            tr = tr + col[k]
-        return tr
-
-    gram = [[f.zero] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            t = l_trace(compose(basis[i], basis[j]))
-            gram[i][j] = t
-            gram[j][i] = t
-    return nullspace(f, gram, m)
+    images = [_scalar_image(b) for b in end.basis]
+    gram = [[_trace_of_product(f, a, b) for b in images] for a in images]
+    return nullspace(f, gram, end.dimension)
 
 
-def is_indecomposable(x: Complex, idempotent_cap: int = IDEMPOTENT_CAP) -> bool:
+def is_indecomposable(x: Complex) -> bool:
     """End(X) local?  Trace-form radical in char 0; idempotent scan over GF(p)."""
     if x.is_zero():
         raise ZeroComplex("the zero complex is not indecomposable")
     end = hom_basis(x, x)
-    f = x.alg.field
-    if f.char == 0:
-        rad = end_radical_coords(x, end)
-        return end.dimension - len(rad) == 1
-    return _scan_idempotent(x, end, idempotent_cap) is None
+    if x.alg.field.char == 0:
+        return end.dimension - len(end_radical_coords(x, end)) == 1
+    return _scan_idempotent(x, end) is None
 
 
-def _scan_idempotent(x: Complex, end: HomSpace, cap: int):
+def _scan_idempotent(x: Complex, end: HomSpace):
     """First nontrivial idempotent of End(X) over GF(p), exhausting all p^m elements.
 
-    Raises SearchSpaceTooLarge when p^m exceeds ``cap``, even for m <= 1.
+    Raises SearchSpaceTooLarge when p^m exceeds ``IDEMPOTENT_CAP``, even for m <= 1.
     """
     f = x.alg.field
     m = end.dimension
-    if f.char ** m > cap:
+    if f.char ** m > IDEMPOTENT_CAP:
         raise SearchSpaceTooLarge(f.char ** m)
     if m <= 1:
         return None
@@ -376,210 +390,124 @@ def decompose_with_maps(x: Complex):
 
 
 def _splitting_idempotent(x: Complex):
-    """A nontrivial idempotent of End(X), or None when End(X) is local."""
+    """A nontrivial idempotent of End(X), or None when End(X) is local.
+
+    Over GF(p) all p^m elements are scanned.  In characteristic 0 the
+    candidates b (basis elements, their pairwise sums and products) are tried
+    through their scalar images: the Fitting projection of phi(b) onto a
+    rational generalised eigenspace lies in phi(End(X)), is pulled back by one
+    linear solve and lifted to an idempotent of End(X) by e -> 3e^2 - 2e^3.
+    """
     end = hom_basis(x, x)
     m = end.dimension
     if m <= 1:
         return None
-    if x.alg.field.char == 0:
-        rad = end_radical_coords(x, end)
-        if m - len(rad) == 1:
-            return None
-        return _idempotent_char0(x, end)
-    return _scan_idempotent(x, end, IDEMPOTENT_CAP)
-
-
-def _idempotent_char0(x: Complex, end: HomSpace):
-    """Find a nontrivial idempotent via minimal polynomials of candidates."""
     f = x.alg.field
-    basis = end.basis
-    candidates = list(basis)
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            candidates.append(basis[i] + basis[j])
-            candidates.append(compose(basis[i], basis[j]))
-    ident = ChainMap.identity(x)
-    for b in candidates:
-        e = _idempotent_from_element(x, b, ident)
-        if e is not None:
-            return e
+    if f.char != 0:
+        return _scan_idempotent(x, end)
+    if m - len(end_radical_coords(x, end)) == 1:
+        return None
+    images = [_scalar_image(b) for b in end.basis]
+    candidates = list(images)
+    for i in range(m):
+        for j in range(i, m):
+            pairs = list(zip(images[i], images[j]))
+            candidates.append([[[u + v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+                               for a, b in pairs])
+            candidates.append([matmul(f, a, b, len(a), len(a)) for a, b in pairs])
+    for cand in candidates:
+        proj = _fitting_projection(f, cand)
+        if proj is None:
+            continue
+        flat = [[v for blk in img for row in blk for v in row] for img in images]
+        coeffs = solve(f, [list(col) for col in zip(*flat)], m,
+                       [v for blk in proj for row in blk for v in row])
+        assert coeffs is not None, "a polynomial in phi(b) lies in phi(End(X))"
+        e = _combine(end.basis, coeffs)
+        while True:
+            e2 = compose(e, e)
+            if e2.comps == e.comps:
+                return e
+            e = e2.scale(f.of(3)) + compose(e2, e).scale(f.of(-2))
     raise DecompositionFailure(
         "End(X) is not local but no candidate element produced a rational "
         "spectral split; an irrational field extension is involved")
 
 
-def _idempotent_from_element(x: Complex, b: ChainMap, ident: ChainMap):
-    f = x.alg.field
-    mat, dim = _total_matrix(x, b)
-    if dim == 0:
-        return None
-    mp = minimal_polynomial(f, mat, dim)
-    if len(mp) <= 2:
-        return None
-    roots = rational_roots(mp)
-    if not roots:
-        return None
-    for root in roots:
-        # g = (t - root)^mult, h = mp / g, coprime by construction
-        g = [f.one]
-        rest = list(mp)
-        while True:
-            q, r = poly_divmod(f, rest, [-f.of(root), f.one])
-            if r:
-                break
-            rest = q
-            g = poly_mul(f, g, [-f.of(root), f.one])
-        h = rest
-        if len(g) <= 1 or len(h) <= 1:
-            continue
-        _, u, v = poly_xgcd(f, g, h)
-        # e = (u g)(b) is idempotent: 1 on the h-primary part, 0 on the g-part
-        e = _poly_apply(x, poly_trim(f, poly_mul(f, u, g)), b, ident)
-        if e.is_zero() or e.comps == ident.comps:
-            continue
-        assert compose(e, e).comps == e.comps
-        return e
+def _fitting_projection(f, blocks):
+    """Blockwise projection onto the generalised eigenspace of a rational
+    eigenvalue of ``blocks`` along the other ones; None when every such
+    projection is 0 or 1 (one eigenvalue, or no rational one)."""
+    eigen = set()
+    for blk in blocks:
+        if len(blk) == 1:
+            eigen.add(blk[0][0])
+        else:
+            eigen.update(rational_roots(minimal_polynomial(f, blk, len(blk))) or ())
+    ident = [identity_matrix(f, len(blk)) for blk in blocks]
+    for lam in sorted(eigen):
+        proj = [_fitting_part(f, blk, lam) for blk in blocks]
+        if proj != ident and any(any(row) for p in proj for row in p):
+            return proj
     return None
 
 
-def _poly_apply(x: Complex, poly, b: ChainMap, ident: ChainMap) -> ChainMap:
-    acc = None
-    power = ident
-    for k, c in enumerate(poly):
-        if k > 0:
-            power = compose(power, b)
-        if c:
-            term = power.scale(c)
-            acc = term if acc is None else acc + term
-    if acc is None:
-        acc = ident.scale(x.alg.field.zero)
-    return acc
-
-
-def _total_matrix(x: Complex, b: ChainMap):
-    """Scalar matrix of an endomorphism on the total path-coordinate space."""
-    from .complexes import realize_entry_blocks
-
-    alg = x.alg
-    f = alg.field
-    blocks = []
-    for i in range(x.window):
-        for w in alg.quiver.vertices:
-            blocks.append(realize_entry_blocks(alg, b.comps[i], x.cells[i], x.cells[i], w))
-    dim = sum(len(blk) for blk in blocks)
-    mat = [[f.zero] * dim for _ in range(dim)]
-    off = 0
-    for blk in blocks:
-        for r, row in enumerate(blk):
-            for c, v in enumerate(row):
-                mat[off + r][off + c] = v
-        off += len(blk)
-    return mat, dim
+def _fitting_part(f, blk, lam):
+    """Projection onto ker (B - lam)^d along im (B - lam)^d on k^d."""
+    d = len(blk)
+    shifted = [[v - lam if r == c else v for c, v in enumerate(row)]
+               for r, row in enumerate(blk)]
+    power = identity_matrix(f, d)
+    for _ in range(d):
+        power = matmul(f, power, shifted, d, d)
+    ker = nullspace(f, power, d)
+    if not ker:
+        return [[f.zero] * d for _ in range(d)]
+    image = [[row[c] for row in power] for c in rref(f, [list(r) for r in power], d)]
+    if not image:
+        return identity_matrix(f, d)
+    basis = ker + image
+    inv = _invert_scalar(f, [[v[r] for v in basis] for r in range(d)], d)
+    return [[sum((ker[j][r] * inv[j][c] for j in range(len(ker))), f.zero)
+             for c in range(d)] for r in range(d)]
 
 
 def _split_by_idempotent(x: Complex, e: ChainMap):
-    """Conjugate e to a 0/1 diagonal and split the complex along the pattern."""
+    """X = im e (+) im (1 - e), each summand with its inclusion and projection."""
+    rest = ChainMap.identity(x) + e.scale(-x.alg.field.one)
+    return _image_summand(x, e), _image_summand(x, rest)
+
+
+def _image_summand(x: Complex, e: ChainMap):
+    """(W, i, p) with W = im e for an idempotent e of End(X).
+
+    Per cell, rows R and columns C pick an invertible scalar minor of e of
+    full rank in each vertex block; i = e[:, C] and p = e[R, C]^-1 e[R, :].
+    Then p i = 1 and i p = e, so d_W = p d_X i makes i and p chain maps.
+    """
     alg = x.alg
     f = alg.field
-    n = x.window
-    e_mats = [[list(row) for row in m] for m in e.comps]
-    g_mats = []
-    ginv_mats = []
-    patterns = []
-    for i in range(n):
-        cell = x.cells[i]
-        k = len(cell)
-        # scalar part per vertex group, diagonalised by [im basis | ker basis]
-        a = [[alg.zero_element(tv, sv) for sv in cell] for tv in cell]
-        ainv = [[alg.zero_element(tv, sv) for sv in cell] for tv in cell]
-        pattern = [0] * k
-        for v in sorted(set(cell)):
-            idxs = [j for j, w in enumerate(cell) if w == v]
-            s = [[e_mats[i][r][c].unit_coeff() for c in idxs] for r in idxs]
-            d = len(idxs)
-            cols = []
-            span = SpanBasis(f, d)
-            for j in range(d):
-                col = [s[r][j] for r in range(d)]
-                if span.add(col):
-                    cols.append(col)
-            rank_im = len(cols)
-            ker = nullspace(f, s, d)
-            basis_cols = cols + ker
-            assert len(basis_cols) == d
-            # C^{-1} has basis_cols as columns; C = inverse
-            cinv = [[basis_cols[j][r] for j in range(d)] for r in range(d)]
-            cmat = _invert_scalar(f, cinv, d)
-            for bi, gi in enumerate(idxs):
-                pattern[gi] = 1 if bi < rank_im else 0
-                for bj, gj in enumerate(idxs):
-                    if cmat[bi][bj]:
-                        a[gi][gj] = alg.unit(v).scale(cmat[bi][bj])
-                    if cinv[bi][bj]:
-                        ainv[gi][gj] = alg.unit(v).scale(cinv[bi][bj])
-        g_mats.append(a)
-        ginv_mats.append(ainv)
-        patterns.append(pattern)
-    # conjugate e by the scalar change, then correct by u = ef + (1-e)(1-f)
-    from .complexes import mat_add, mat_identity, mat_mul, mat_neg
-
-    def conj(mats, g, ginv):
-        return [mat_mul(alg, mat_mul(alg, g[i], mats[i], x.cells[i], x.cells[i], x.cells[i]),
-                        ginv[i], x.cells[i], x.cells[i], x.cells[i]) for i in range(n)]
-
-    e1 = conj(e_mats, g_mats, ginv_mats)
-    total_g = list(g_mats)
-    f_mats = []
-    for i in range(n):
-        cell = x.cells[i]
-        fm = [[alg.unit(cell[r]) if r == c and patterns[i][r] else alg.zero_element(cell[r], cell[c])
-               for c in range(len(cell))] for r in range(len(cell))]
-        f_mats.append(fm)
-    for i in range(n):
-        cell = x.cells[i]
-        one = mat_identity(alg, cell)
-        ef = mat_mul(alg, e1[i], f_mats[i], cell, cell, cell)
-        one_e = mat_add(one, mat_neg(e1[i]))
-        one_f = mat_add(one, mat_neg(f_mats[i]))
-        u = mat_add(ef, mat_mul(alg, one_e, one_f, cell, cell, cell))
-        uinv = _invert_unipotent(alg, u, cell)
-        # total change of basis: u^{-1} . g
-        total_g[i] = mat_mul(alg, uinv, total_g[i], cell, cell, cell)
-    total_ginv = [_invert_unit_matrix(alg, total_g[i], x.cells[i]) for i in range(n)]
-    new_diffs = [mat_mul(alg, mat_mul(alg, total_g[i + 1], [list(r) for r in x.diffs[i]],
-                                      x.cells[i + 1], x.cells[i + 1], x.cells[i]),
-                         total_ginv[i], x.cells[i + 1], x.cells[i], x.cells[i])
-                 for i in range(n - 1)]
-    # verify the conjugated idempotent is the exact 0/1 diagonal
-    e2 = [mat_mul(alg, mat_mul(alg, total_g[i], e.comps[i], x.cells[i], x.cells[i], x.cells[i]),
-                  total_ginv[i], x.cells[i], x.cells[i], x.cells[i]) for i in range(n)]
-    for i in range(n):
-        if e2[i] != f_mats[i]:
-            raise DecompositionFailure("idempotent failed to diagonalise")
-    parts = []
-    for keep in (1, 0):
-        cells = []
-        sel = []
-        for i in range(n):
-            idxs = [j for j in range(len(x.cells[i])) if patterns[i][j] == keep]
-            sel.append(idxs)
-            cells.append(tuple(x.cells[i][j] for j in idxs))
-        diffs = []
-        for i in range(n - 1):
-            diffs.append([[new_diffs[i][r][c] for c in sel[i]] for r in sel[i + 1]])
-            for r in sel[i + 1]:
-                for c in range(len(x.cells[i])):
-                    if patterns[i][c] != keep and not new_diffs[i][r][c].is_zero():
-                        raise DecompositionFailure("differential not block diagonal")
-        w = Complex(alg, cells, diffs)
-        # inclusion: columns of g^{-1} at kept indices; projection: rows of g
-        incl = [ [[total_ginv[i][r][c] for c in sel[i]] for r in range(len(x.cells[i]))]
-                 for i in range(n)]
-        proj = [ [[total_g[i][r][c] for c in range(len(x.cells[i]))] for r in sel[i]]
-                 for i in range(n)]
-        parts.append((w, ChainMap(w, x, incl, check=False),
-                      ChainMap(x, w, proj, check=False)))
-    return parts[0], parts[1]
+    rows = [[] for _ in x.cells]
+    cols = [[] for _ in x.cells]
+    for (i, idxs), s in zip(_vertex_groups(x), _scalar_image(e)):
+        pivots = rref(f, [list(r) for r in s], len(s))
+        rows[i] += [idxs[r] for r in rref(f, [[row[c] for row in s] for c in pivots], len(s))]
+        cols[i] += [idxs[c] for c in pivots]
+    cells, incl, proj = [], [], []
+    for i, cell in enumerate(x.cells):
+        comp = e.comps[i]
+        sub = tuple(cell[c] for c in cols[i])
+        minor = [[comp[r][c] for c in cols[i]] for r in rows[i]]
+        cells.append(sub)
+        incl.append([[row[c] for c in cols[i]] for row in comp])
+        proj.append(mat_mul(alg, _invert_unit_matrix(alg, minor, sub),
+                            [comp[r] for r in rows[i]], sub, sub, cell))
+    diffs = [mat_mul(alg, proj[i + 1],
+                     mat_mul(alg, x.diffs[i], incl[i], x.cells[i + 1], x.cells[i], cells[i]),
+                     cells[i + 1], x.cells[i + 1], cells[i])
+             for i in range(x.window - 1)]
+    w = Complex(alg, cells, diffs)
+    return w, ChainMap(w, x, incl, check=False), ChainMap(x, w, proj, check=False)
 
 
 def _invert_scalar(f, mat, n):
@@ -590,48 +518,23 @@ def _invert_scalar(f, mat, n):
     return [row[n:] for row in work[:n]]
 
 
-def _invert_unipotent(alg, u, cell):
-    """Inverse of a matrix whose scalar part is the identity: 1 + nilpotent."""
-    from .complexes import mat_add, mat_identity, mat_mul, mat_neg
-
-    one = mat_identity(alg, cell)
-    nu = mat_add(u, mat_neg(one))
-    acc = one
-    term = one
-    for _ in range(len(cell) * (alg._max_path_len + 1) + 1):
-        term = mat_mul(alg, mat_neg(nu), term, cell, cell, cell)
-        if all(x.is_zero() for row in term for x in row):
-            break
-        acc = mat_add(acc, term)
-    else:
-        if not all(x.is_zero() for row in term for x in row):
-            raise DecompositionFailure("unipotent inversion did not terminate")
-    return acc
-
-
 def _invert_unit_matrix(alg, mat, cell):
-    """Inverse of an invertible AlgElement matrix (scalar part regular)."""
-    from .complexes import mat_mul
+    """Inverse of a square matrix over ``cell`` with invertible scalar part s:
+    s^-1 (1 + q + q^2 + ...), where q = 1 - mat s^-1 is nilpotent."""
+    from .complexes import mat_add, mat_identity, mat_neg
 
-    f = alg.field
     n = len(cell)
-    if n == 0:
-        return []
-    # invert the scalar part per vertex, then correct unipotently
-    sinv_scalar = {}
-    for v in sorted(set(cell)):
-        idxs = [j for j, w in enumerate(cell) if w == v]
-        s = [[mat[r][c].unit_coeff() for c in idxs] for r in idxs]
-        sinv_scalar[v] = (idxs, _invert_scalar(f, s, len(idxs)))
-    sinv = [[alg.zero_element(cell[r], cell[c]) for c in range(n)] for r in range(n)]
-    for v, (idxs, inv) in sinv_scalar.items():
-        for bi, gi in enumerate(idxs):
-            for bj, gj in enumerate(idxs):
-                if inv[bi][bj]:
-                    sinv[gi][gj] = alg.unit(v).scale(inv[bi][bj])
-    u = mat_mul(alg, sinv, mat, cell, cell, cell)  # unipotent
-    uinv = _invert_unipotent(alg, u, cell)
-    return mat_mul(alg, uinv, sinv, cell, cell, cell)
+    s = _invert_scalar(alg.field, [[v.unit_coeff() for v in row] for row in mat], n)
+    s_inv = [[alg.unit(v).scale(s[r][c]) if s[r][c] else alg.zero_element(v, cell[c])
+              for c in range(n)] for r, v in enumerate(cell)]
+    one = mat_identity(alg, cell)
+    q = mat_add(one, mat_neg(mat_mul(alg, mat, s_inv, cell, cell, cell)))
+    acc = term = one
+    while True:
+        term = mat_mul(alg, term, q, cell, cell, cell)
+        if mat_is_zero(term):
+            return mat_mul(alg, s_inv, acc, cell, cell, cell)
+        acc = mat_add(acc, term)
 
 
 # -- category radical -----------------------------------------------------------
@@ -727,8 +630,6 @@ class DegreeOneMap:
 
     def compose_right(self, g: ChainMap) -> "DegreeOneMap":
         """sigma . g for a chain map g: W -> Z."""
-        from .complexes import mat_mul
-
         alg = self.z.alg
         w = g.source
         comps = [mat_mul(alg, self.comps[i], g.comps[i],

@@ -157,59 +157,6 @@ def poly_trim(field, p):
     return p
 
 
-def poly_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return poly_trim(field, out)
-
-
-def poly_divmod(field, a, b):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    inv = field.inv(b[-1])
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = a[i + j] - c * y
-    return poly_trim(field, q), poly_trim(field, a)
-
-
-def poly_xgcd(field, a, b):
-    """(g, u, v) with u a + v b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [field.one], []
-    v0, v1 = [], [field.one]
-    while r1:
-        q, r = poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, poly_trim(field, [x - y for x, y in _zip_pad(field, u0, poly_mul(field, q, u1))])
-        v0, v1 = v1, poly_trim(field, [x - y for x, y in _zip_pad(field, v0, poly_mul(field, q, v1))])
-    if r0:
-        inv = field.inv(r0[-1])
-        r0 = [x * inv for x in r0]
-        u0 = [x * inv for x in u0]
-        v0 = [x * inv for x in v0]
-    return r0, u0, v0
-
-
-def _zip_pad(field, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [field.zero] * (n - len(a))
-    b = list(b) + [field.zero] * (n - len(b))
-    return zip(a, b)
-
-
 def poly_eval(field, p, x):
     acc = field.zero if field is not None else 0 * x
     for c in reversed(p):

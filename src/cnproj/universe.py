@@ -37,7 +37,6 @@ from .complexes import (
 )
 from .errors import NotClosed, SearchSpaceTooLarge
 from .homspaces import (
-    IDEMPOTENT_CAP,
     assemble_extension,
     decompose_with_maps,
     ext_classes,
@@ -53,9 +52,7 @@ from .homspaces import (
 class EnumConfig:
     max_rounds: int = 50
     max_total_summands: int = 24
-    verify: bool = True
     oracle_space_cap: int = 4_000_000
-    idempotent_cap: int = IDEMPOTENT_CAP
 
 
 class _Registry:
@@ -194,9 +191,9 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             # composite rep -> cand -> rep that is an automorphism; then rep
             # is a summand of cand, equal cell multisets leave a zero
             # complement, so cand is isomorphic to the indecomposable rep.
-            if config.verify and rule != "seed":
+            if rule != "seed":
                 rep = reg.representatives[idx]
-                if not is_indecomposable(rep, config.idempotent_cap):
+                if not is_indecomposable(rep):
                     raise AssertionError(
                         f"rule {rule} produced a decomposable candidate {rep!r}")
             stats["added_by_rule"][rule] += 1
@@ -269,7 +266,7 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                                 added.extend(admit(w, "summand"))
                         else:
                             # no exact splitting over GF(p); keep indecomposables only
-                            if not y.is_zero() and is_indecomposable(y, config.idempotent_cap):
+                            if not y.is_zero() and is_indecomposable(y):
                                 added.extend(admit(y, "summand"))
         if not added:
             closed = stats["cap_skips"] == 0
@@ -357,7 +354,7 @@ def brute_force_indecomposables(alg: MonomialAlgebra, n: int, bound: int, p: int
             x = Complex(gf, shape, diffs, check=False)
             if _obviously_decomposable(x):
                 continue
-            if not is_indecomposable(x, config.idempotent_cap):
+            if not is_indecomposable(x):
                 continue
             reg.add(x)
     reps = reg.representatives

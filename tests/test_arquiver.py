@@ -189,13 +189,11 @@ def test_top_window_conflation_is_new(a3_alg):
 
 
 def test_is_minimal_sides(a2_quiver):
-    from cnproj.arquiver import is_minimal
+    from cnproj.arquiver import is_left_minimal, is_right_minimal
 
     conf = next(iter(a2_quiver.conflations.values()))
-    assert is_minimal(a2_quiver.universe, conf.d, "right")
-    assert is_minimal(a2_quiver.universe, conf.i, "left")
-    with pytest.raises(ValueError):
-        is_minimal(a2_quiver.universe, conf.d, "sideways")
+    assert is_right_minimal(a2_quiver.universe, conf.d)
+    assert is_left_minimal(a2_quiver.universe, conf.i)
 
 
 def test_gamma_bar_window_one_is_eta_zero(point_alg):

@@ -324,3 +324,96 @@ def test_cached_rad2_matches_standalone(alg_name, request):
             hs = ctx.hom(i, j)
             assert ([hs.coordinates(g) for g in cached.basis]
                     == [hs.coordinates(g) for g in fresh.basis])
+
+
+def _regular_trace_radical(x, end):
+    """Reference rad End(X): the kernel of (a, b) -> tr L_{ab}, the trace of
+    left multiplication on End(X) itself, from m^3 chain-map compositions."""
+    from cnproj.linalg import nullspace
+
+    f = x.alg.field
+
+    def l_trace(c):
+        return sum((end.coordinates(compose(c, b))[k] for k, b in enumerate(end.basis)), f.zero)
+
+    gram = [[l_trace(compose(a, b)) for b in end.basis] for a in end.basis]
+    return nullspace(f, gram, end.dimension)
+
+
+@pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
+def test_end_radical_matches_regular_trace_form(alg_name, request):
+    from cnproj.homspaces import end_radical_coords
+
+    reps = enumerate_indecomposables(request.getfixturevalue(alg_name), 3).representatives
+    sums = [direct_sum(x, y) for i, x in enumerate(reps) for y in reps[i:]]
+    for x in reps + sums:
+        end = hom_basis(x, x)
+        assert end_radical_coords(x, end) == _regular_trace_radical(x, end)
+
+
+def _a3_over(field_tag):
+    from cnproj.algebra import Quiver, build_algebra
+
+    return build_algebra(Quiver((1, 2, 3), (("a", 1, 2), ("b", 2, 3))), [("a", "b")],
+                         field_tag)
+
+
+def _assert_complementary(x, parts):
+    """p_k i_l = delta_kl and sum_k i_k p_k = 1 for (summand, i, p) triples."""
+    total = None
+    for k, (wk, ik, pk) in enumerate(parts):
+        for l_, (_, il, _) in enumerate(parts):
+            comp = compose(pk, il)
+            if k == l_:
+                assert comp.comps == ChainMap.identity(wk).comps
+            else:
+                assert comp.is_zero()
+        term = compose(ik, pk)
+        total = term if total is None else total + term
+    assert total.comps == ChainMap.identity(x).comps
+
+
+@pytest.mark.parametrize("field_tag", ["rational", "gf2"])
+def test_split_maps_are_complementary(field_tag):
+    from cnproj.complexes import direct_sum_many
+    from cnproj.homspaces import _split_by_idempotent
+
+    alg = _a3_over(field_tag)
+    w = two_cell(alg)
+    s = make_stalk(alg, 2, 2, 2)
+    cases = [
+        (direct_sum(w, s), 2),       # P2 (+) P2 in cell 2: a 2x2 scalar block
+        (direct_sum(s, w), 2),
+        (direct_sum(w, w), 2),
+        (direct_sum_many([make_stalk(alg, 2, 1, 2)] * 3), 3),   # P2^3: a 3x3 block
+    ]
+    for x, count in cases:
+        parts = decompose_with_maps(x)
+        assert len(parts) == count
+        assert all(is_indecomposable(wk) for wk, _, _ in parts)
+        _assert_complementary(x, parts)
+    # an idempotent whose chosen minor [[1, a], [0, 1]] has a radical entry
+    x = Complex(alg, [(1, 2, 2)], [])
+    one, zero, a = alg.unit, alg.zero_element, alg.element(1, 2, {("a",): 1})
+    e = ChainMap(x, x, [[[one(1), a, -a], [zero(2, 1), one(2), zero(2, 2)],
+                         [zero(2, 1), one(2), zero(2, 2)]]])
+    parts = _split_by_idempotent(x, e)
+    assert [p[0].cells for p in parts] == [((1, 2),), ((2,),)]
+    assert compose(parts[0][1], parts[0][2]).comps == e.comps
+    _assert_complementary(x, parts)
+
+
+def test_irrational_endomorphism_field_fails_loudly():
+    from cnproj.algebra import Quiver, build_algebra
+    from cnproj.errors import DecompositionFailure
+
+    # Kronecker P2^2 -> P1^2 with d = [[a, 2b], [b, a]]: End(X) is Q[J] with
+    # J^2 = 2, so End(X)/rad is Q(sqrt 2), not Q, and no rational
+    # eigenvalue of a candidate gives an idempotent
+    alg = build_algebra(Quiver((1, 2), (("a", 1, 2), ("b", 1, 2))), [], "rational")
+    a, b = alg.hom_proj_basis(2, 1)
+    x = Complex(alg, [(2, 2), (1, 1)], [[[a, b.scale(2)], [b, a]]])
+    assert hom_basis(x, x).dimension == 2
+    assert not is_indecomposable(x)
+    with pytest.raises(DecompositionFailure):
+        decompose_with_maps(x)

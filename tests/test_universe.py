@@ -136,9 +136,9 @@ def test_admit_verifies_each_new_class_once(alg_name, request, monkeypatch):
     calls = []
     real = universe_mod.is_indecomposable
 
-    def counting(x, cap):
+    def counting(x):
         calls.append(x)
-        return real(x, cap)
+        return real(x)
 
     monkeypatch.setattr(universe_mod, "is_indecomposable", counting)
     uni = enumerate_indecomposables(alg, 4)
