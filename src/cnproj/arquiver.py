@@ -29,6 +29,7 @@ from .complexes import (
 from .errors import (
     AmbiguousAnchor,
     CertificationFailure,
+    CharacteristicUnsupported,
     EtaZero,
     MultipleCertified,
     NoAnchorFound,
@@ -127,6 +128,10 @@ class _Ctx:
 def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
                     universe: Universe | None = None) -> ARQuiver:
     """Enumerate, compute arrows from rad/rad^2, attach certified conflations."""
+    if alg.field.char != 0:
+        # rad End(X) comes from the trace form, which needs characteristic 0
+        raise CharacteristicUnsupported(
+            f"AR quivers need characteristic 0; this algebra is over GF({alg.field.char})")
     if universe is None:
         universe = enumerate_indecomposables(alg, n, config)
     ctx = _Ctx(universe)

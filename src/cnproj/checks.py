@@ -54,7 +54,8 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
     eta = report.sgldim
     entries.append(CheckEntry("sgldim terminates", True, f"eta = {eta}, m0 = {report.m0}"))
 
-    universe = universe_override or enumerate_indecomposables(alg, n, config)
+    universe = (universe_override or report.universes.get(n)
+                or enumerate_indecomposables(alg, n, config))
     entries.append(CheckEntry("universe closed", universe.closed,
                               f"{len(universe.representatives)} classes at n = {n}"))
     entries.append(d_squared_entry(universe))

@@ -116,6 +116,10 @@ class ShapeViolation(CnprojError):
     """A morphism fails the section/retraction component shape."""
 
 
+class CharacteristicUnsupported(CnprojError):
+    """The computation needs a field of characteristic zero."""
+
+
 # -- files / cli
 
 

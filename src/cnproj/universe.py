@@ -15,6 +15,19 @@ complexes, then repeatedly apply the three growth rules
 until a full pass adds nothing.  Closure is certified only in that fixpoint
 sense; completeness is checked against the brute-force finite-field oracle
 at small scale, never assumed.
+
+Every indecomposable is a translate of a window-independent shape, and the
+rules are translation-equivariant, so they run up to translation.  A
+representative's orbit key is the shape id of its cells and differential
+entry keys on its support, plus its first and last position.  Rule (a) for
+class i runs once per key (shape of i, lo >= 2, hi <= n - 1) and rules (b)
+and (c) for the pair (i, j) once per key (shape of i, shape of j,
+lo_i - lo_j); a later translate is skipped, because ``admit`` has already
+tried every shift of the first translate's candidates.  The candidates of
+each key are kept stripped and normalised to support 1..w, before the
+window's width and summand checks; when a growth run (``sgldim``) meets the
+key again in a later window, they go back through ``admit`` in the same
+order, and no Hom or Ext is solved for it.
 """
 
 from __future__ import annotations
@@ -53,6 +66,35 @@ class EnumConfig:
     max_rounds: int = 50
     max_total_summands: int = 24
     oracle_space_cap: int = 4_000_000
+
+
+@dataclass
+class _Memo:
+    """Rule candidates up to translation, shared by the windows of one run.
+
+    ``shapes`` numbers the support-normalised shapes met so far, so rule keys
+    are small tuples; ``candidates`` maps a rule key to its normalised
+    candidates, each with the rule that produced it.
+    """
+
+    shapes: dict = field(default_factory=dict)
+    candidates: dict = field(default_factory=dict)
+
+    def orbit(self, x: Complex) -> tuple[int, int, int]:
+        """(shape id, first, last) of a nonzero complex."""
+        lo, hi = x.support()
+        key = x.serial_key()
+        shape = (key[1][lo - 1:hi], key[2][lo - 1:hi - 1])
+        return self.shapes.setdefault(shape, len(self.shapes)), lo, hi
+
+
+def _normalise(x: Complex) -> Complex | None:
+    """x stripped and moved to support 1..w in window w; None if contractible."""
+    x = strip_contractible(x)
+    sup = x.support()
+    if sup is None:
+        return None
+    return shift_window(x, 1 - sup[0], sup[1] - sup[0] + 1)
 
 
 class _Registry:
@@ -159,31 +201,34 @@ def _support_extensions(alg: MonomialAlgebra, x: Complex):
 
 
 def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
-                              config: EnumConfig | None = None) -> Universe:
-    """Closure enumeration of ind C_n(proj Lambda); see the module docstring."""
+                              config: EnumConfig | None = None, *,
+                              _memo: _Memo | None = None) -> Universe:
+    """Closure enumeration of ind C_n(proj Lambda); see the module docstring.
+
+    ``_memo`` is private to the window-growth drivers, which share one across
+    the windows of a run; by default each call starts a fresh one.  Besides
+    the per-rule ``added_by_rule`` counts, ``stats`` has ``translate_skips``
+    (rule keys met again in this window and skipped) and ``replayed`` (rule
+    keys whose candidates came from an earlier window).
+    """
     config = config or EnumConfig()
+    memo = _Memo() if _memo is None else _memo
     reg = _Registry()
-    stats = {"rounds": 0, "candidates": 0, "cap_skips": 0,
+    reps = reg.representatives
+    stats = {"rounds": 0, "candidates": 0, "cap_skips": 0, "translate_skips": 0,
+             "replayed": 0,
              "added_by_rule": {"seed": 0, "ext": 0, "cone": 0, "summand": 0}}
     j_idx: set[int] = set()
 
     def admit(x: Complex, rule: str) -> list[int]:
-        """Strip, re-window, dedup, verify new classes; returns new indices."""
+        """Re-window a normalised candidate, dedup, verify new classes; returns new indices."""
         stats["candidates"] += 1
-        if rule != "seed":
-            x = strip_contractible(x)
-        if x.is_zero():
-            return []
         if x.total_summands() > config.max_total_summands:
             stats["cap_skips"] += 1
             return []
-        sup = x.support()
-        width = sup[1] - sup[0] + 1
-        if width > n:
-            return []
         new = []
-        for start in range(1, n - width + 2):
-            idx, added = reg.add(shift_window(x, start - sup[0], n))
+        for p in range(n - x.window + 1):
+            idx, added = reg.add(shift_window(x, p, n))
             if not added:
                 continue
             # Only a new class needs the indecomposability proof.  A registry
@@ -191,11 +236,9 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             # composite rep -> cand -> rep that is an automorphism; then rep
             # is a summand of cand, equal cell multisets leave a zero
             # complement, so cand is isomorphic to the indecomposable rep.
-            if rule != "seed":
-                rep = reg.representatives[idx]
-                if not is_indecomposable(rep):
-                    raise AssertionError(
-                        f"rule {rule} produced a decomposable candidate {rep!r}")
+            if not is_indecomposable(reps[idx]):
+                raise AssertionError(
+                    f"rule {rule} produced a decomposable candidate {reps[idx]!r}")
             stats["added_by_rule"][rule] += 1
             new.append(idx)
         return new
@@ -207,21 +250,76 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             if strip_contractible(s).is_zero():
                 j_idx.add(idxs[0])
 
-    hom_cache: dict[tuple[int, int], object] = {}
-    ext_cache: dict[tuple[int, int], object] = {}
+    orbits: dict[int, tuple[int, int, int]] = {}
 
-    def hom(i, j):
-        if (i, j) not in hom_cache:
-            hom_cache[(i, j)] = hom_basis(reg.representatives[i], reg.representatives[j])
-        return hom_cache[(i, j)]
+    def orbit(i):
+        if i not in orbits:
+            orbits[i] = memo.orbit(reps[i])
+        return orbits[i]
+
+    def pair_key(i, j):
+        si, lo_i, _ = orbit(i)
+        sj, lo_j, _ = orbit(j)
+        return ("bc", si, sj, lo_i - lo_j)
+
+    done: set[tuple] = set()
+
+    def run(key, produce, *args) -> list[int]:
+        """Admit the candidates of one rule key, once per window."""
+        if key in done:
+            stats["translate_skips"] += 1
+            return []
+        done.add(key)
+        cands = memo.candidates.get(key)
+        if cands is None:
+            cands = memo.candidates[key] = [
+                (rule, y) for rule, c in produce(*args) if (y := _normalise(c)) is not None]
+        else:
+            stats["replayed"] += 1
+        return [idx for rule, y in cands for idx in admit(y, rule)]
+
+    ext_cache: dict[tuple, object] = {}
 
     def ext(i, j):
-        # classes of conflations rep[j] -> Y -> rep[i]
-        if (i, j) not in ext_cache:
-            ext_cache[(i, j)] = ext_classes(reg.representatives[i], reg.representatives[j])
-        return ext_cache[(i, j)]
+        # classes of conflations rep[j] -> Y -> rep[i], one solve per pair key
+        key = pair_key(i, j)
+        if key not in ext_cache:
+            ext_cache[key] = ext_classes(reps[i], reps[j])
+        return ext_cache[key]
 
-    new_idxs = list(range(len(reg.representatives)))
+    def rule_a(i):
+        return (("ext", c) for c in _support_extensions(alg, reps[i]))
+
+    def rules_bc(i, j):
+        # rule (b): cones of basis maps f: rep[i] -> rep[j] that are nonzero
+        # and non-invertible in the homotopy category, gated on ext(j, i) = 0
+        hspace = hom_basis(reps[i], reps[j])
+        if hspace.dimension and ext(j, i).dimension == 0:
+            h_span = None
+            for f_ in hspace.basis:
+                if f_.is_zero() or f_.is_isomorphism():
+                    continue
+                if h_span is None:
+                    h_span = null_homotopy_span(hspace)
+                if is_null_homotopic(hspace, f_, h_span):
+                    continue
+                yield "cone", cone(f_)
+        # rule (c): summands of assembled extensions rep[j] -> Y -> rep[i]; the
+        # Ext space may belong to a translate of the pair, so use its own ends
+        espace = ext(i, j)
+        for sigma in espace.basis:
+            y, _, _ = assemble_extension(espace.source, espace.target, sigma)
+            y = strip_contractible(y)
+            if y.is_zero():
+                continue
+            if alg.field.char == 0:
+                for w, _, _ in decompose_with_maps(y):
+                    yield "summand", w
+            elif is_indecomposable(y):
+                # no exact splitting over GF(p); keep indecomposables only
+                yield "summand", y
+
+    new_idxs = list(range(len(reps)))
     closed = False
     while stats["rounds"] < config.max_rounds:
         stats["rounds"] += 1
@@ -229,50 +327,21 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         new_set = set(new_idxs)
         # rule (a): one-cell support extensions of the new representatives
         for i in sorted(new_set):
-            for cand in _support_extensions(alg, reg.representatives[i]):
-                added.extend(admit(cand, "ext"))
+            shape, lo, hi = orbit(i)
+            added.extend(run(("a", shape, lo >= 2, hi <= n - 1), rule_a, i))
         # rules (b) and (c) over pairs touching a new representative
-        count = len(reg.representatives)
+        count = len(reps)
         for i in range(count):
             for j in range(count):
                 if i not in new_set and j not in new_set:
                     continue
-                a, b = reg.representatives[i], reg.representatives[j]
                 if i in j_idx or j in j_idx:
                     continue
-                # rule (b): cones of basis maps f: a -> b that are nonzero and
-                # non-invertible in the homotopy category, gated on ext(b, a) = 0
-                hspace = hom(i, j)
-                if hspace.dimension and ext(j, i).dimension == 0:
-                    h_span = None
-                    for f_ in hspace.basis:
-                        if f_.is_zero() or f_.is_isomorphism():
-                            continue
-                        if h_span is None:
-                            h_span = null_homotopy_span(hspace)
-                        if is_null_homotopic(hspace, f_, h_span):
-                            continue
-                        added.extend(admit(cone(f_), "cone"))
-                # rule (c): summands of assembled extensions of (z=a, x=b)
-                espace = ext(i, j)
-                if espace.dimension:
-                    for sigma in espace.basis:
-                        y, _, _ = assemble_extension(a, b, sigma)
-                        y = strip_contractible(y)
-                        if y.is_zero():
-                            continue
-                        if alg.field.char == 0:
-                            for w, _, _ in decompose_with_maps(y):
-                                added.extend(admit(w, "summand"))
-                        else:
-                            # no exact splitting over GF(p); keep indecomposables only
-                            if not y.is_zero() and is_indecomposable(y):
-                                added.extend(admit(y, "summand"))
+                added.extend(run(pair_key(i, j), rules_bc, i, j))
         if not added:
             closed = stats["cap_skips"] == 0
             break
         new_idxs = added
-    reps = reg.representatives
     flags = [strip_contractible(r).is_zero() for r in reps]
     stats["classes"] = len(reps)
     return Universe(alg, n, reps, closed, stats, flags, _registry=reg)

@@ -13,7 +13,8 @@ def path(fixtures_dir, name):
 
 
 def test_round_trip(fixtures_dir):
-    for name in ("a3_relation.alg", "a6_relations.alg", "a2.alg", "point.alg"):
+    for name in ("a3_relation.alg", "a6_relations.alg", "a2.alg", "point.alg",
+                 "d4.alg", "a4_abc.alg", "cyc2.alg"):
         text = (fixtures_dir / name).read_text()
         model = parse_algebra_file(text)
         again = parse_algebra_file(serialize_algebra_file(model))
@@ -50,6 +51,29 @@ def test_sgldim_cap_exit(fixtures_dir, capsys):
     rc = main(["sgldim", path(fixtures_dir, "a3_relation.alg"), "--max-n", "3"])
     assert rc == 2
     assert "indistinguishable" in capsys.readouterr().out
+
+
+def test_sgldim_infinite_gldim_exits_at_once(fixtures_dir, capsys):
+    rc = main(["sgldim", path(fixtures_dir, "cyc2.alg")])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "gl.dim is infinite" in out and "max_n - 2 = 14" in out
+
+
+def test_ar_quiver_over_gf2_fails_before_enumerating(fixtures_dir, tmp_path, monkeypatch,
+                                                     capsys):
+    from cnproj import arquiver
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before the field check")
+
+    monkeypatch.setattr(arquiver, "enumerate_indecomposables", no_enumeration)
+    gf2 = tmp_path / "a2_gf2.alg"
+    gf2.write_text((fixtures_dir / "a2.alg").read_text().replace("rational", "gf2"))
+    rc = main(["ar-quiver", str(gf2), "--n", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "CharacteristicUnsupported: AR quivers need characteristic 0" in err
 
 
 def test_parse_error_exit(fixtures_dir, capsys):
@@ -135,6 +159,18 @@ def test_check_passes(fixtures_dir, capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "oracle equivalence" in out
+
+
+def test_check_reuses_the_sgldim_window(a3_alg, monkeypatch):
+    # window 3 is among the windows compute_sgldim enumerated for a3 (m0 = 4)
+    from cnproj import checks
+    from cnproj.checks import run_check_battery
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("window enumerated again")
+
+    monkeypatch.setattr(checks, "enumerate_indecomposables", no_enumeration)
+    assert run_check_battery(a3_alg, 3).ok()
 
 
 def test_check_detects_corrupted_differential(point_alg):

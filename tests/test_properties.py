@@ -25,7 +25,15 @@ from cnproj.complexes import (
     shift_window,
     strip_contractible,
 )
-from cnproj.homspaces import _differential, _VarLayout, decompose, is_isomorphic
+from cnproj.homspaces import (
+    _differential,
+    _VarLayout,
+    decompose,
+    ext_classes,
+    hom_basis,
+    is_isomorphic,
+    null_homotopy_span,
+)
 from cnproj.linalg import kernel, matmul
 from cnproj.scalars import RationalField
 from cnproj.universe import enumerate_indecomposables
@@ -144,6 +152,31 @@ def test_hom_complex_differential_squares_to_zero(pair, k):
     second = _differential(x, y, mid, tgt, k + 1)
     product = matmul(x.alg.field, second, first, mid.nvars, src.nvars)
     assert not any(any(row) for row in product)
+
+
+def _moved(new, old, p):
+    """The components ``new`` are ``old`` moved p positions on, with no entry elsewhere."""
+    rest = new[:p] + new[p + len(old):]
+    return new[p:p + len(old)] == old and not any(row for m in rest for row in m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_TAGS).flatmap(lambda t: st.tuples(complexes(tag=t), complexes(tag=t))),
+       st.integers(min_value=1, max_value=2), st.data())
+def test_hom_and_ext_are_translation_equivariant(pair, extra, data):
+    # the closure engine runs each rule once per (shape pair, offset) and
+    # skips or replays translates; that rests on this equivariance
+    x, y = pair
+    p = data.draw(st.integers(min_value=0, max_value=extra))
+    xs, ys = (shift_window(c, p, c.window + extra) for c in (x, y))
+    hom, hom_s = hom_basis(x, y), hom_basis(xs, ys)
+    assert hom_s.dimension == hom.dimension and hom_s._free == hom._free
+    assert all(_moved(g.comps, f.comps, p) for f, g in zip(hom.basis, hom_s.basis))
+    assert null_homotopy_span(hom_s).rows == null_homotopy_span(hom).rows
+    ext, ext_s = ext_classes(x, y), ext_classes(xs, ys)
+    assert ext_s.dimension == ext.dimension
+    assert all(_moved(t.comps, s.comps, p) for s, t in zip(ext.basis, ext_s.basis))
+    assert ext_s._boundary.rows == ext._boundary.rows
 
 
 @st.composite

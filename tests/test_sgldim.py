@@ -55,3 +55,30 @@ def test_cap(a3_alg):
     r = compute_sgldim(a3_alg, max_n=3)
     assert not r.terminated
     assert "indistinguishable" in r.cap_note
+
+
+def test_infinite_gldim_stops_before_enumerating(fixtures_dir, monkeypatch):
+    # cyc2 (1 <-> 2, ab = ba = 0) has infinite gl.dim, so s.gl.dim is infinite
+    # too; without the gl.dim check every window up to max_n was enumerated
+    from cnproj import sgldim as sgldim_mod
+    from cnproj.algfile import load_algebra
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a window")
+
+    monkeypatch.setattr(sgldim_mod, "enumerate_indecomposables", no_enumeration)
+    _, alg = load_algebra(str(fixtures_dir / "cyc2.alg"))
+    for driver in (compute_sgldim, sgldim_fast):
+        r = driver(alg)
+        assert not r.terminated and r.per_window == [] and r.universes == {}
+        assert "gl.dim is infinite" in r.cap_note and "max_n - 2 = 14" in r.cap_note
+
+
+def test_gldim_at_the_bound_still_enumerates(a6_alg):
+    # gl.dim 3 = max_n - 2 does not decide; s.gl.dim 4 then exceeds the cap
+    r = compute_sgldim(a6_alg, max_n=5)
+    assert not r.terminated
+    assert [row[0] for row in r.per_window] == [2, 3, 4, 5]
+    assert "gl.dim" not in r.cap_note
+    r = compute_sgldim(a6_alg, max_n=4)
+    assert r.per_window == [] and "gl.dim = 3, and s.gl.dim >= gl.dim > max_n - 2 = 2" in r.cap_note

@@ -1,11 +1,17 @@
+import hashlib
+
 import pytest
 
 from cnproj import universe as universe_mod
+from cnproj.algebra import build_algebra
+from cnproj.algfile import load_algebra
 from cnproj.complexes import direct_sum, drop_first, length, make_stalk, strip_contractible
 from cnproj.errors import NotClosed, SearchSpaceTooLarge
 from cnproj.homspaces import is_isomorphic
+from cnproj.sgldim import compute_sgldim
 from cnproj.universe import (
     EnumConfig,
+    _Memo,
     brute_force_indecomposables,
     enumerate_indecomposables,
     max_length,
@@ -157,3 +163,74 @@ def test_new_decomposable_candidate_still_raises(point_alg, monkeypatch):
     monkeypatch.setattr(universe_mod, "_support_extensions", split_candidate)
     with pytest.raises(AssertionError, match="decomposable"):
         enumerate_indecomposables(point_alg, 2)
+
+
+# sha256 of repr([(n, serial keys, sorted added_by_rule items)]) over the
+# windows, from standalone enumerations before the translation memo existed
+_WINDOW_SHA256 = {
+    ("a3_relation.alg", "rational"):
+        "f6fb23b66dc73adbf8e355fa79aa9e578ed7d1b21bd4753e95bde368a259821e",
+    ("a3_relation.alg", "gf2"):
+        "f6fb23b66dc73adbf8e355fa79aa9e578ed7d1b21bd4753e95bde368a259821e",
+    ("a6_relations.alg", "rational"):
+        "fb4ce2936be28ab44901c83c3ba265c4790220d6f4de36a8f29515d518bbf1ed",
+    ("a6_relations.alg", "gf2"):
+        "3340b5d421997b6de13db8b84f40fa6a33c7afd298287e2b716f469aa2407ec7",
+    ("d4.alg", "rational"):
+        "bd20aaef09e9245648af7b7e06e3f8aa20a14c5edb7599823015eb64ee63417b",
+    ("a4_abc.alg", "rational"):
+        "5d485702fd0bea58f51bcc0fa486112f174c39e637ac531dff0811cb36bc6c48",
+    ("cyc2.alg", "rational"):
+        "f0b9499644bb6a3bf4e5ddb32b59fc815a1a58166e88ecd257ba804bdb69fdc3",
+}
+
+
+def _window_rows(universes):
+    return [(n, [r.serial_key() for r in uni.representatives],
+             sorted(uni.stats["added_by_rule"].items()))
+            for n, uni in sorted(universes.items())]
+
+
+@pytest.mark.parametrize("name, field", sorted(_WINDOW_SHA256))
+def test_grown_windows_equal_fresh_windows(name, field, fixtures_dir):
+    _, alg = load_algebra(str(fixtures_dir / name))
+    alg = build_algebra(alg.quiver, alg.relations, field)
+    if name == "cyc2.alg":
+        # infinite gl.dim: compute_sgldim stops before enumerating, so grow
+        # windows 2..4 through one memo as the drivers do
+        memo = _Memo()
+        grown = {n: enumerate_indecomposables(alg, n, _memo=memo) for n in (2, 3, 4)}
+    else:
+        grown = compute_sgldim(alg).universes
+    fresh = {n: enumerate_indecomposables(alg, n) for n in grown}
+    rows = _window_rows(grown)
+    assert rows == _window_rows(fresh)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _WINDOW_SHA256[(name, field)]
+    later = [grown[n].stats for n in sorted(grown)[1:]]
+    assert all(st["replayed"] > 0 for st in later)
+    assert all(uni.stats["replayed"] == 0 for uni in fresh.values())
+
+
+def _translation_key(z, x):
+    """(shape of z, shape of x, relative offset): equal for translated pairs."""
+    def shape(c):
+        lo, hi = c.support()
+        key = c.serial_key()
+        return (key[1][lo - 1:hi], key[2][lo - 1:hi - 1]), lo
+    (sz, lz), (sx, lx) = shape(z), shape(x)
+    return sz, sx, lz - lx
+
+
+def test_ext_solved_once_per_translation_key(a6_alg, monkeypatch):
+    keys = []
+    real = universe_mod.ext_classes
+
+    def recording(z, x):
+        keys.append(_translation_key(z, x))
+        return real(z, x)
+
+    monkeypatch.setattr(universe_mod, "ext_classes", recording)
+    memo = _Memo()
+    unis = [enumerate_indecomposables(a6_alg, n, _memo=memo) for n in (2, 3, 4)]
+    assert keys and len(keys) == len(set(keys))
+    assert all(u.stats["translate_skips"] > 0 for u in unis)
