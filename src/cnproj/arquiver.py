@@ -24,7 +24,6 @@ from .complexes import (
     drop_last,
     embed_left,
     embed_right,
-    shift_window,
 )
 from .errors import (
     AmbiguousAnchor,
@@ -125,13 +124,17 @@ class _Ctx:
                           ((self.rad(i, w), self.rad(w, j)) for w in range(len(self.reps))))
 
 
+def require_characteristic_zero(alg):
+    """Raise CharacteristicUnsupported over GF(p): rad End(X) needs the char-0 trace form."""
+    if alg.field.char != 0:
+        raise CharacteristicUnsupported(
+            f"AR quivers need characteristic 0; this algebra is over GF({alg.field.char})")
+
+
 def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
                     universe: Universe | None = None) -> ARQuiver:
     """Enumerate, compute arrows from rad/rad^2, attach certified conflations."""
-    if alg.field.char != 0:
-        # rad End(X) comes from the trace form, which needs characteristic 0
-        raise CharacteristicUnsupported(
-            f"AR quivers need characteristic 0; this algebra is over GF({alg.field.char})")
+    require_characteristic_zero(alg)
     if universe is None:
         universe = enumerate_indecomposables(alg, n, config)
     ctx = _Ctx(universe)
@@ -561,23 +564,14 @@ def derived_window(gb: GammaBar, t_min: int, t_max: int) -> DerivedWindow:
     with no derivable connecting arrow are flagged in notes, never invented.
     """
     q = gb.quiver
-    reps = q.universe.representatives
-    n = q.window
     vertices = [(i, t) for t in range(t_min, t_max + 1) for i in gb.vertices]
     arrows = []
     for t in range(t_min, t_max + 1):
         for (i, j), m in gb.arrows.items():
             arrows.append(((i, t), (j, t), m))
-    shift_pairs = []
-    for i in gb.vertices:
-        rep = reps[i]
-        sup = rep.support()
-        if sup is None or sup[1] >= n:
-            continue
-        shifted = shift_window(rep, 1, n)
-        j = q.universe.find(shifted)
-        if j is not None and j in set(gb.vertices):
-            shift_pairs.append((i, j))
+    vset = set(gb.vertices)
+    shift_pairs = [(i, j) for i in gb.vertices
+                   if (j := q.universe.translate(i)) is not None and j in vset]
     notes = []
     connecting = 0
     for t in range(t_min, t_max):
@@ -610,30 +604,35 @@ def _conflation_triple_key(universe: Universe, conf: Conflation):
 
 
 def check_window_stability(alg, n: int, eta: int, config: EnumConfig | None = None,
-                           quivers: dict | None = None) -> WindowStabilityReport:
+                           quivers: dict | None = None,
+                           universes: dict | None = None) -> WindowStabilityReport:
     """Cross-window almost-split comparison between windows n and eta+1.
 
     (1) every certified conflation at window n drops (first or last) to the
         certified conflation list at eta+1; (2) every conflation at eta+1
         embeds, per extendability, to a certified conflation at window n;
     (3) no class at a window past eta+1 has both boundary cells nonzero.
+
+    ``quivers`` and ``universes`` map a window to what was already built
+    there; the quivers built here are added to ``quivers``.
     """
     if eta < 1:
         raise EtaZero("cross-window stability assumes eta >= 1")
     if n < eta + 2:
         raise ValueError("check needs n >= eta + 2")
     quivers = quivers if quivers is not None else {}
-    if n not in quivers:
-        quivers[n] = build_ar_quiver(alg, n, config)
-    if eta + 1 not in quivers:
-        quivers[eta + 1] = build_ar_quiver(alg, eta + 1, config)
+    universes = universes or {}
+    for m in (n, eta + 1):
+        if m not in quivers:
+            quivers[m] = build_ar_quiver(alg, m, config, universe=universes.get(m))
     q_hi, q_lo = quivers[n], quivers[eta + 1]
     violations = []
     checked = {"boundary": 0, "drop": 0, "embed": 0}
     # (3) boundary-cell vanishing at every window between eta+2 and n
     for m in range(eta + 2, n + 1):
         qm = quivers.get(m)
-        uni = qm.universe if qm else enumerate_indecomposables(alg, m, config)
+        uni = (qm.universe if qm else universes.get(m)
+               or enumerate_indecomposables(alg, m, config))
         for rep, is_j in zip(uni.representatives, uni.j_flags):
             checked["boundary"] += 1
             if not is_j and rep.cells[0] and rep.cells[-1]:

@@ -9,6 +9,7 @@ from .arquiver import (
     check_window_stability,
     classify_irreducible_components,
     gamma_bar,
+    require_characteristic_zero,
 )
 from .complexes import compose, mat_is_zero, mat_mul, strip_contractible
 from .errors import EtaZero, NoAnchorFound, ShapeViolation
@@ -45,7 +46,8 @@ def d_squared_entry(universe) -> CheckEntry:
 
 
 def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
-                      config=None, universe_override=None) -> CheckReport:
+                      config=None) -> CheckReport:
+    require_characteristic_zero(alg)
     entries: list[CheckEntry] = []
     report = compute_sgldim(alg, config=config)
     if not report.terminated:
@@ -54,8 +56,7 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
     eta = report.sgldim
     entries.append(CheckEntry("sgldim terminates", True, f"eta = {eta}, m0 = {report.m0}"))
 
-    universe = (universe_override or report.universes.get(n)
-                or enumerate_indecomposables(alg, n, config))
+    universe = report.universes.get(n) or enumerate_indecomposables(alg, n, config)
     entries.append(CheckEntry("universe closed", universe.closed,
                               f"{len(universe.representatives)} classes at n = {n}"))
     entries.append(d_squared_entry(universe))
@@ -66,17 +67,24 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
     entries.append(CheckEntry("non-contractible classes are strip-stable",
                               not unstable, ", ".join(unstable[:4])))
 
+    # every window is enumerated and every AR quiver built at most once
+    universes = {**report.universes, n: universe}
+    quivers = {}
+
+    def quiver(m):
+        if m not in quivers:
+            quivers[m] = build_ar_quiver(alg, m, config, universe=universes.get(m))
+        return quivers[m]
+
     if eta >= 1 and n >= eta + 2:
-        quivers = {}
-        thm = check_window_stability(alg, n, eta, config, quivers)
+        thm = check_window_stability(alg, n, eta, config, quivers, universes)
         entries.append(CheckEntry(
             "cross-window stability (conflations, boundary cells)",
             thm.ok(), f"checked {thm.checked}, violations {thm.violations[:4]}"))
-        q = quivers[n]
     else:
         entries.append(CheckEntry("cross-window stability (conflations, boundary cells)", True,
                                   "skipped: EtaZero (semisimple case, eta = 0)"))
-        q = build_ar_quiver(alg, n, config, universe=universe)
+    q = quiver(n)
 
     # component shapes on every arrow representative
     bad_arrows = []
@@ -117,7 +125,7 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
     # gamma-bar extraction (only meaningful when eta >= 1)
     if eta >= 1:
         try:
-            gb = gamma_bar(build_ar_quiver(alg, eta + 1, config))
+            gb = gamma_bar(quiver(eta + 1))
             entries.append(CheckEntry("gamma-bar anchor",
                                       True, f"{gb.vertex_count()} vertices"))
         except (NoAnchorFound, EtaZero) as exc:

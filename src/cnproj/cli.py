@@ -12,7 +12,7 @@ import time
 
 from . import exports
 from .algfile import load_algebra
-from .arquiver import build_ar_quiver, derived_window, gamma_bar
+from .arquiver import build_ar_quiver, derived_window, gamma_bar, require_characteristic_zero
 from .checks import run_check_battery
 from .errors import (
     AlgebraFileError,
@@ -128,6 +128,7 @@ def cmd_derived_quiver(args) -> int:
     model, alg = load_algebra(args.file)
     if args.t_min > args.t_max:
         raise _UsageError("--t-min must be <= --t-max")
+    require_characteristic_zero(alg)
     t0 = time.monotonic()
     report = compute_sgldim(alg)
     if not report.terminated:

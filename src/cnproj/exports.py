@@ -105,25 +105,6 @@ def derived_window_to_dot(dw: DerivedWindow) -> str:
     return "\n".join(lines) + "\n"
 
 
-def derived_window_payload(dw: DerivedWindow) -> dict:
-    q = dw.gb.quiver
-    reps = q.universe.representatives
-    return {
-        "tMin": dw.t_min,
-        "tMax": dw.t_max,
-        "vertices": [{"label": reps[i].label(), "t": t}
-                     for (i, t) in sorted(dw.vertices,
-                                          key=lambda v: (v[1], reps[v[0]].serial_key()))],
-        "arrows": [{"source": {"label": reps[a[0]].label(), "t": a[1]},
-                    "target": {"label": reps[b[0]].label(), "t": b[1]},
-                    "multiplicity": m}
-                   for (a, b, m) in sorted(
-                       dw.arrows, key=lambda e: (e[0][1], reps[e[0][0]].serial_key(),
-                                                 e[1][1], reps[e[1][0]].serial_key()))],
-        "notes": list(dw.notes),
-    }
-
-
 def run_report(command: str, algebra_echo: dict, payload: dict, timing_ms: int,
                certified: bool) -> dict:
     return {

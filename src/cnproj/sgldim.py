@@ -8,8 +8,9 @@ stabilises for two consecutive windows; the two must agree.
 
 Both check gl.dim first: s.gl.dim >= gl.dim, so a gl.dim beyond max_n - 2 (or
 beyond the resolution cap) cannot terminate and is reported at once.  The
-windows of one run share a translation memo (``universe._Memo``), so a later
-window replays the rule candidates of the shapes it has already met.
+windows of one run share a shape registry (``universe._ShapeRegistry``): each
+shape is proven indecomposable once, and a later window replays the rule
+candidates of the shapes it has already met.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .complexes import Complex
 from .errors import ResolutionCapExceeded
-from .universe import EnumConfig, Universe, _Memo, enumerate_indecomposables, max_length
+from .universe import EnumConfig, Universe, _ShapeRegistry, enumerate_indecomposables, max_length
 
 CAP_NOTE = ("cap exceeded: infinite strong global dimension and an undersized "
             "cap are indistinguishable at this cap")
@@ -64,25 +65,28 @@ def compute_sgldim(alg, max_n: int = 16, config: EnumConfig | None = None) -> Sg
     early = _gldim_report(alg, max_n)
     if early is not None:
         return early
-    memo = _Memo()
+    shapes = _ShapeRegistry()
     per_window = []
     universes: dict[int, Universe] = {}
-    for n in range(2, max_n + 1):
-        uni = enumerate_indecomposables(alg, n, config, _memo=memo)
-        universes[n] = uni
-        viol = _violators(uni)
-        per_window.append((n, len(uni.representatives), len(viol)))
-        if not uni.closed:
-            return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
-        if not viol:
-            m0 = n
-            prev = universes.get(m0 - 1)
-            if prev is None:
-                prev = enumerate_indecomposables(alg, m0 - 1, config, _memo=memo)
-                universes[m0 - 1] = prev
-            _, witness = max_length(prev)
-            return SgldimReport(m0, m0 - 2, witness, per_window, True, None, universes)
-    return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
+    try:
+        for n in range(2, max_n + 1):
+            uni = enumerate_indecomposables(alg, n, config, _registry=shapes)
+            universes[n] = uni
+            viol = _violators(uni)
+            per_window.append((n, len(uni.representatives), len(viol)))
+            if not uni.closed:
+                return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
+            if not viol:
+                m0 = n
+                prev = universes.get(m0 - 1)
+                if prev is None:
+                    prev = enumerate_indecomposables(alg, m0 - 1, config, _registry=shapes)
+                    universes[m0 - 1] = prev
+                _, witness = max_length(prev)
+                return SgldimReport(m0, m0 - 2, witness, per_window, True, None, universes)
+        return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
+    finally:
+        shapes.candidates.clear()  # replay serves the windows of this run only
 
 
 def sgldim_fast(alg, max_n: int = 16, config: EnumConfig | None = None) -> SgldimReport:
@@ -90,20 +94,23 @@ def sgldim_fast(alg, max_n: int = 16, config: EnumConfig | None = None) -> Sgldi
     early = _gldim_report(alg, max_n)
     if early is not None:
         return early
-    memo = _Memo()
+    shapes = _ShapeRegistry()
     per_window = []
     universes: dict[int, Universe] = {}
     prev_len = None
     prev_witness = None
-    for n in range(2, max_n + 1):
-        uni = enumerate_indecomposables(alg, n, config, _memo=memo)
-        universes[n] = uni
-        viol = _violators(uni)
-        per_window.append((n, len(uni.representatives), len(viol)))
-        if not uni.closed:
-            return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
-        ell, witness = max_length(uni)
-        if prev_len is not None and ell == prev_len:
-            return SgldimReport(ell + 2, ell, prev_witness, per_window, True, None, universes)
-        prev_len, prev_witness = ell, witness
-    return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
+    try:
+        for n in range(2, max_n + 1):
+            uni = enumerate_indecomposables(alg, n, config, _registry=shapes)
+            universes[n] = uni
+            viol = _violators(uni)
+            per_window.append((n, len(uni.representatives), len(viol)))
+            if not uni.closed:
+                return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
+            ell, witness = max_length(uni)
+            if prev_len is not None and ell == prev_len:
+                return SgldimReport(ell + 2, ell, prev_witness, per_window, True, None, universes)
+            prev_len, prev_witness = ell, witness
+        return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
+    finally:
+        shapes.candidates.clear()  # replay serves the windows of this run only

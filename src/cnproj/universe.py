@@ -16,18 +16,23 @@ until a full pass adds nothing.  Closure is certified only in that fixpoint
 sense; completeness is checked against the brute-force finite-field oracle
 at small scale, never assumed.
 
-Every indecomposable is a translate of a window-independent shape, and the
-rules are translation-equivariant, so they run up to translation.  A
-representative's orbit key is the shape id of its cells and differential
-entry keys on its support, plus its first and last position.  Rule (a) for
-class i runs once per key (shape of i, lo >= 2, hi <= n - 1) and rules (b)
-and (c) for the pair (i, j) once per key (shape of i, shape of j,
-lo_i - lo_j); a later translate is skipped, because ``admit`` has already
-tried every shift of the first translate's candidates.  The candidates of
-each key are kept stripped and normalised to support 1..w, before the
-window's width and summand checks; when a growth run (``sgldim``) meets the
-key again in a later window, they go back through ``admit`` in the same
-order, and no Hom or Ext is solved for it.
+A universe is its shapes times their translates.  Isomorphic complexes have
+equal supports, so a class of window n is a pair (shape, first position), a
+shape being the class moved to support 1..w.  One ``_ShapeRegistry``, shared
+by the windows of a run, keeps each shape once (moved, never stripped, so the
+J seeds are shapes too).  ``admit`` looks a candidate up once, proves it
+indecomposable only when its shape is new to the run, and places the
+translates the window lacks at first positions 1..n - w + 1, in that order.
+
+The rules are translation-equivariant, so they run up to translation too.
+Rule (a) for class i runs once per key (shape of i, lo >= 2, hi <= n - 1)
+and rules (b) and (c) for the pair (i, j) once per key (shape of i, shape of
+j, lo_i - lo_j); a later translate is skipped, because ``admit`` has already
+placed every translate of the first translate's candidates.  The registry
+keeps the candidates of each key stripped and normalised to support 1..w,
+before the window's width and summand checks; when a growth run (``sgldim``)
+meets the key again in a later window, they go back through ``admit`` in
+the same order, and no Hom or Ext is solved for it.
 """
 
 from __future__ import annotations
@@ -68,26 +73,6 @@ class EnumConfig:
     oracle_space_cap: int = 4_000_000
 
 
-@dataclass
-class _Memo:
-    """Rule candidates up to translation, shared by the windows of one run.
-
-    ``shapes`` numbers the support-normalised shapes met so far, so rule keys
-    are small tuples; ``candidates`` maps a rule key to its normalised
-    candidates, each with the rule that produced it.
-    """
-
-    shapes: dict = field(default_factory=dict)
-    candidates: dict = field(default_factory=dict)
-
-    def orbit(self, x: Complex) -> tuple[int, int, int]:
-        """(shape id, first, last) of a nonzero complex."""
-        lo, hi = x.support()
-        key = x.serial_key()
-        shape = (key[1][lo - 1:hi], key[2][lo - 1:hi - 1])
-        return self.shapes.setdefault(shape, len(self.shapes)), lo, hi
-
-
 def _normalise(x: Complex) -> Complex | None:
     """x stripped and moved to support 1..w in window w; None if contractible."""
     x = strip_contractible(x)
@@ -97,54 +82,85 @@ def _normalise(x: Complex) -> Complex | None:
     return shift_window(x, 1 - sup[0], sup[1] - sup[0] + 1)
 
 
-class _Registry:
-    """Iso-class registry with signature buckets and deterministic insertion.
+class _ShapeRegistry:
+    """Shapes up to isomorphism, shared by the windows of one run.
 
-    A bucket holds ``(index, serial key)`` pairs of the representatives with
-    one signature, so a lookup computes only the candidate's key.
+    Shape ``sid`` is ``reps[sid]``, canonically sorted with support 1..w, and
+    ``contractible[sid]`` says whether it is a J complex.  A bucket holds the
+    ``(shape id, serial key)`` pairs of one signature, so a lookup computes
+    only the candidate's key.  ``candidates`` maps a rule key to its
+    normalised candidates, each with the rule that produced it.
     """
 
     def __init__(self):
-        self.representatives: list[Complex] = []
+        self.reps: list[Complex] = []
+        self.contractible: list[bool] = []
         self.buckets: dict[tuple, list[tuple[int, tuple]]] = {}
+        self.candidates: dict[tuple, list[tuple[str, Complex]]] = {}
 
     def _lookup(self, x: Complex):
-        """(canonical x, its signature and key, index of its class or None)."""
-        x = canonical_sort(x)
+        """(shape of a nonzero x, its signature and key, first position, shape id or None)."""
+        lo, hi = x.support()
+        x = canonical_sort(shift_window(x, 1 - lo, hi - lo + 1))
         sig = x.signature()
         key = x.serial_key()
-        for idx, rep_key in self.buckets.get(sig, ()):
-            if rep_key == key or _iso_indecomposable(self.representatives[idx], x):
-                return x, sig, key, idx
-        return x, sig, key, None
+        for sid, rep_key in self.buckets.get(sig, ()):
+            if rep_key == key or _iso_indecomposable(self.reps[sid], x):
+                return x, sig, key, lo, sid
+        return x, sig, key, lo, None
 
-    def find(self, x: Complex) -> int | None:
-        return self._lookup(x)[3]
-
-    def add(self, x: Complex) -> tuple[int, bool]:
-        x, sig, key, idx = self._lookup(x)
-        if idx is not None:
-            return idx, False
-        idx = len(self.representatives)
-        self.representatives.append(x)
-        self.buckets.setdefault(sig, []).append((idx, key))
-        return idx, True
+    def add(self, x: Complex) -> tuple[int, int, bool]:
+        """(shape id, first position, whether the shape is new) of a nonzero complex."""
+        x, sig, key, lo, sid = self._lookup(x)
+        if sid is not None:
+            return sid, lo, False
+        sid = len(self.reps)
+        self.reps.append(x)
+        self.contractible.append(strip_contractible(x).is_zero())
+        self.buckets.setdefault(sig, []).append((sid, key))
+        return sid, lo, True
 
 
 @dataclass
 class Universe:
-    """Iso classes of indecomposables in C_n, with a closure certificate."""
+    """Iso classes of indecomposables in C_n, with a closure certificate.
+
+    Class i is the translate ``classes[i]`` = (shape id, first position) of a
+    shape of ``shapes``; ``representatives[i]`` is that shape moved there.
+    """
 
     alg: MonomialAlgebra
     window: int
-    representatives: list[Complex]
-    closed: bool
-    stats: dict
-    j_flags: list[bool]
-    _registry: _Registry = field(repr=False, default=None)
+    shapes: _ShapeRegistry = field(repr=False)
+    representatives: list[Complex] = field(default_factory=list)
+    classes: list[tuple[int, int]] = field(default_factory=list)
+    j_flags: list[bool] = field(default_factory=list)
+    closed: bool = False
+    stats: dict = field(default_factory=dict)
+    _index: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+
+    def place(self, sid: int, lo: int) -> int | None:
+        """Add the translate of shape sid at first position lo; None if present."""
+        if (sid, lo) in self._index:
+            return None
+        idx = self._index[(sid, lo)] = len(self.classes)
+        self.classes.append((sid, lo))
+        self.representatives.append(shift_window(self.shapes.reps[sid], lo - 1, self.window))
+        self.j_flags.append(self.shapes.contractible[sid])
+        return idx
 
     def find(self, x: Complex) -> int | None:
-        return self._registry.find(x)
+        """Index of the class of x; None for another window, the zero complex
+        or a complex isomorphic to no class."""
+        if x.window != self.window or x.is_zero():
+            return None
+        *_, lo, sid = self.shapes._lookup(x)
+        return self._index.get((sid, lo))
+
+    def translate(self, i: int, k: int = 1) -> int | None:
+        """Index of class i moved k positions right; None if it leaves the window."""
+        sid, lo = self.classes[i]
+        return self._index.get((sid, lo + k))
 
     def signatures(self):
         return sorted(rep.signature() for rep in self.representatives)
@@ -202,64 +218,52 @@ def _support_extensions(alg: MonomialAlgebra, x: Complex):
 
 def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                               config: EnumConfig | None = None, *,
-                              _memo: _Memo | None = None) -> Universe:
+                              _registry: _ShapeRegistry | None = None) -> Universe:
     """Closure enumeration of ind C_n(proj Lambda); see the module docstring.
 
-    ``_memo`` is private to the window-growth drivers, which share one across
-    the windows of a run; by default each call starts a fresh one.  Besides
-    the per-rule ``added_by_rule`` counts, ``stats`` has ``translate_skips``
-    (rule keys met again in this window and skipped) and ``replayed`` (rule
-    keys whose candidates came from an earlier window).
+    ``_registry`` is private to the window-growth drivers, which share one
+    across the windows of a run; by default each call starts a fresh one.
+    Besides the per-rule ``added_by_rule`` counts, ``stats`` has
+    ``translate_skips`` (rule keys met again in this window and skipped) and
+    ``replayed`` (rule keys whose candidates came from an earlier window).
     """
     config = config or EnumConfig()
-    memo = _Memo() if _memo is None else _memo
-    reg = _Registry()
-    reps = reg.representatives
+    shapes = _ShapeRegistry() if _registry is None else _registry
     stats = {"rounds": 0, "candidates": 0, "cap_skips": 0, "translate_skips": 0,
              "replayed": 0,
              "added_by_rule": {"seed": 0, "ext": 0, "cone": 0, "summand": 0}}
-    j_idx: set[int] = set()
+    uni = Universe(alg, n, shapes, stats=stats)
+    reps, classes = uni.representatives, uni.classes
 
     def admit(x: Complex, rule: str) -> list[int]:
-        """Re-window a normalised candidate, dedup, verify new classes; returns new indices."""
+        """Place the missing translates of a normalised candidate; returns new indices."""
         stats["candidates"] += 1
         if x.total_summands() > config.max_total_summands:
             stats["cap_skips"] += 1
             return []
-        new = []
-        for p in range(n - x.window + 1):
-            idx, added = reg.add(shift_window(x, p, n))
-            if not added:
-                continue
-            # Only a new class needs the indecomposability proof.  A registry
-            # hit is either an equal serial key or an equal signature with a
-            # composite rep -> cand -> rep that is an automorphism; then rep
-            # is a summand of cand, equal cell multisets leave a zero
-            # complement, so cand is isomorphic to the indecomposable rep.
-            if not is_indecomposable(reps[idx]):
-                raise AssertionError(
-                    f"rule {rule} produced a decomposable candidate {reps[idx]!r}")
-            stats["added_by_rule"][rule] += 1
-            new.append(idx)
+        if x.window > n:  # no translate fits; a later window replays it
+            return []
+        sid, _, new_shape = shapes.add(x)
+        # Only a new shape needs the indecomposability proof.  A registry hit
+        # is either an equal serial key or an equal signature with a
+        # composite rep -> cand -> rep that is an automorphism; then rep is a
+        # summand of cand, equal cell multisets leave a zero complement, so
+        # cand is isomorphic to the indecomposable rep.
+        if new_shape and not is_indecomposable(shapes.reps[sid]):
+            raise AssertionError(
+                f"rule {rule} produced a decomposable candidate {shapes.reps[sid]!r}")
+        new = [idx for lo in range(1, n - x.window + 2)
+               if (idx := uni.place(sid, lo)) is not None]
+        stats["added_by_rule"][rule] += len(new)
         return new
 
     for s in _seeds(alg, n):
-        idxs = reg.add(s)
-        if idxs[1]:
+        sid, lo, _ = shapes.add(s)
+        if uni.place(sid, lo) is not None:
             stats["added_by_rule"]["seed"] += 1
-            if strip_contractible(s).is_zero():
-                j_idx.add(idxs[0])
-
-    orbits: dict[int, tuple[int, int, int]] = {}
-
-    def orbit(i):
-        if i not in orbits:
-            orbits[i] = memo.orbit(reps[i])
-        return orbits[i]
 
     def pair_key(i, j):
-        si, lo_i, _ = orbit(i)
-        sj, lo_j, _ = orbit(j)
+        (si, lo_i), (sj, lo_j) = classes[i], classes[j]
         return ("bc", si, sj, lo_i - lo_j)
 
     done: set[tuple] = set()
@@ -270,9 +274,9 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             stats["translate_skips"] += 1
             return []
         done.add(key)
-        cands = memo.candidates.get(key)
+        cands = shapes.candidates.get(key)
         if cands is None:
-            cands = memo.candidates[key] = [
+            cands = shapes.candidates[key] = [
                 (rule, y) for rule, c in produce(*args) if (y := _normalise(c)) is not None]
         else:
             stats["replayed"] += 1
@@ -320,31 +324,32 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                 yield "summand", y
 
     new_idxs = list(range(len(reps)))
-    closed = False
     while stats["rounds"] < config.max_rounds:
         stats["rounds"] += 1
         added: list[int] = []
         new_set = set(new_idxs)
         # rule (a): one-cell support extensions of the new representatives
         for i in sorted(new_set):
-            shape, lo, hi = orbit(i)
-            added.extend(run(("a", shape, lo >= 2, hi <= n - 1), rule_a, i))
+            sid, lo = classes[i]
+            hi = lo + shapes.reps[sid].window - 1
+            added.extend(run(("a", sid, lo >= 2, hi <= n - 1), rule_a, i))
         # rules (b) and (c) over pairs touching a new representative
         count = len(reps)
         for i in range(count):
             for j in range(count):
                 if i not in new_set and j not in new_set:
                     continue
-                if i in j_idx or j in j_idx:
+                if uni.j_flags[i] or uni.j_flags[j]:
                     continue
                 added.extend(run(pair_key(i, j), rules_bc, i, j))
         if not added:
-            closed = stats["cap_skips"] == 0
+            uni.closed = stats["cap_skips"] == 0
             break
         new_idxs = added
-    flags = [strip_contractible(r).is_zero() for r in reps]
+    if _registry is None:
+        shapes.candidates.clear()  # no later window replays them
     stats["classes"] = len(reps)
-    return Universe(alg, n, reps, closed, stats, flags, _registry=reg)
+    return uni
 
 
 def max_length(universe: Universe) -> tuple[int, Complex]:
@@ -392,8 +397,8 @@ def brute_force_indecomposables(alg: MonomialAlgebra, n: int, bound: int, p: int
         total += p ** nvars
     if total > config.oracle_space_cap:
         raise SearchSpaceTooLarge(total)
-    reg = _Registry()
     stats = {"shapes": len(shapes), "space": total, "checked": 0, "d2_ok": 0}
+    uni = Universe(gf, n, _ShapeRegistry(), closed=True, stats=stats)
     elements = f.elements()
     for shape in shapes:
         entry_paths = []
@@ -425,11 +430,9 @@ def brute_force_indecomposables(alg: MonomialAlgebra, n: int, bound: int, p: int
                 continue
             if not is_indecomposable(x):
                 continue
-            reg.add(x)
-    reps = reg.representatives
-    flags = [strip_contractible(r).is_zero() for r in reps]
-    stats["classes"] = len(reps)
-    return Universe(gf, n, reps, True, stats, flags, _registry=reg)
+            uni.place(*uni.shapes.add(x)[:2])
+    stats["classes"] = len(uni.representatives)
+    return uni
 
 
 def _obviously_decomposable(x: Complex) -> bool:

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import pathlib
+from collections import Counter
 
 import pytest
 
@@ -60,17 +63,43 @@ def test_sgldim_infinite_gldim_exits_at_once(fixtures_dir, capsys):
     assert "gl.dim is infinite" in out and "max_n - 2 = 14" in out
 
 
-def test_ar_quiver_over_gf2_fails_before_enumerating(fixtures_dir, tmp_path, monkeypatch,
-                                                     capsys):
-    from cnproj import arquiver
+def _gf2_copy(fixtures_dir, tmp_path, name):
+    out = tmp_path / name.replace(".alg", "_gf2.alg")
+    out.write_text((fixtures_dir / name).read_text().replace("rational", "gf2"))
+    return str(out)
+
+
+def _forbid_enumeration(monkeypatch):
+    from cnproj import arquiver, checks, sgldim
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated before the field check")
 
-    monkeypatch.setattr(arquiver, "enumerate_indecomposables", no_enumeration)
-    gf2 = tmp_path / "a2_gf2.alg"
-    gf2.write_text((fixtures_dir / "a2.alg").read_text().replace("rational", "gf2"))
-    rc = main(["ar-quiver", str(gf2), "--n", "2"])
+    for mod in (arquiver, checks, sgldim):
+        monkeypatch.setattr(mod, "enumerate_indecomposables", no_enumeration)
+
+
+def test_ar_quiver_over_gf2_fails_before_enumerating(fixtures_dir, tmp_path, monkeypatch,
+                                                     capsys):
+    _forbid_enumeration(monkeypatch)
+    rc = main(["ar-quiver", _gf2_copy(fixtures_dir, tmp_path, "a2.alg"), "--n", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "CharacteristicUnsupported: AR quivers need characteristic 0" in err
+
+
+def test_derived_quiver_over_gf2_fails_before_enumerating(fixtures_dir, tmp_path, monkeypatch,
+                                                          capsys):
+    _forbid_enumeration(monkeypatch)
+    rc = main(["derived-quiver", _gf2_copy(fixtures_dir, tmp_path, "a3_relation.alg")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "CharacteristicUnsupported: AR quivers need characteristic 0" in err
+
+
+def test_check_over_gf2_fails_before_enumerating(fixtures_dir, tmp_path, monkeypatch, capsys):
+    _forbid_enumeration(monkeypatch)
+    rc = main(["check", _gf2_copy(fixtures_dir, tmp_path, "a3_relation.alg"), "--n", "4"])
     err = capsys.readouterr().err
     assert rc == 2
     assert "CharacteristicUnsupported: AR quivers need characteristic 0" in err
@@ -122,11 +151,19 @@ def test_dot_deterministic(fixtures_dir, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _golden_cases():
+    """CASES of scripts/regen_goldens.py, so the test and the script cannot drift."""
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "regen_goldens.py"
+    spec = importlib.util.spec_from_file_location("regen_goldens", script)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.CASES
+
+
 def test_golden_dot_files(fixtures_dir, tmp_path):
     golden_dir = fixtures_dir.parent / "golden"
-    cases = [("point.alg", 2, "point_n2.dot"), ("a2.alg", 2, "a2_n2.dot"),
-             ("a3_relation.alg", 2, "a3_n2.dot"),
-             ("a6_relations.alg", 3, "a6_n3.dot")]
+    cases = _golden_cases()
+    assert sorted(name for _, _, name in cases) == sorted(p.name for p in golden_dir.glob("*.dot"))
     for alg_name, n, golden_name in cases:
         out = tmp_path / golden_name
         rc = main(["ar-quiver", path(fixtures_dir, alg_name), "--n", str(n),
@@ -162,15 +199,34 @@ def test_check_passes(fixtures_dir, capsys):
 
 
 def test_check_reuses_the_sgldim_window(a3_alg, monkeypatch):
-    # window 3 is among the windows compute_sgldim enumerated for a3 (m0 = 4)
-    from cnproj import checks
+    # a3 has eta = 2 and m0 = 4: window 3 is among the windows compute_sgldim
+    # enumerated, window 5 runs the cross-window check over windows 4 and 5
+    from cnproj import arquiver, checks, sgldim
     from cnproj.checks import run_check_battery
 
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("window enumerated again")
+    enumerated, built = Counter(), Counter()
+    real_enumerate = sgldim.enumerate_indecomposables
+    real_build = arquiver.build_ar_quiver
 
-    monkeypatch.setattr(checks, "enumerate_indecomposables", no_enumeration)
-    assert run_check_battery(a3_alg, 3).ok()
+    def counting_enumerate(alg, m, *args, **kwargs):
+        enumerated[m] += 1
+        return real_enumerate(alg, m, *args, **kwargs)
+
+    def counting_build(alg, m, *args, **kwargs):
+        built[m] += 1
+        return real_build(alg, m, *args, **kwargs)
+
+    for mod in (arquiver, checks, sgldim):
+        monkeypatch.setattr(mod, "enumerate_indecomposables", counting_enumerate)
+    for mod in (arquiver, checks):
+        monkeypatch.setattr(mod, "build_ar_quiver", counting_build)
+    for n in (3, 5):
+        enumerated.clear()
+        built.clear()
+        assert run_check_battery(a3_alg, n).ok()
+        assert sorted(enumerated) == list(range(2, max(n, 4) + 1))
+        assert set(enumerated.values()) == {1}
+        assert sorted(built) == sorted({n, 3}) and set(built.values()) == {1}
 
 
 def test_check_detects_corrupted_differential(point_alg):

@@ -5,13 +5,21 @@ import pytest
 from cnproj import universe as universe_mod
 from cnproj.algebra import build_algebra
 from cnproj.algfile import load_algebra
-from cnproj.complexes import direct_sum, drop_first, length, make_stalk, strip_contractible
+from cnproj.complexes import (
+    direct_sum,
+    drop_first,
+    length,
+    make_stalk,
+    shift_window,
+    strip_contractible,
+    zero_complex,
+)
 from cnproj.errors import NotClosed, SearchSpaceTooLarge
 from cnproj.homspaces import is_isomorphic
 from cnproj.sgldim import compute_sgldim
 from cnproj.universe import (
     EnumConfig,
-    _Memo,
+    _ShapeRegistry,
     brute_force_indecomposables,
     enumerate_indecomposables,
     max_length,
@@ -136,6 +144,11 @@ def test_round_cap_leaves_unclosed(a3_alg):
     assert not uni.closed
 
 
+def _non_seed_shapes(alg, shapes):
+    # the stalk and J seeds are one shape per vertex each
+    return len(shapes.reps) - 2 * len(alg.quiver.vertices)
+
+
 @pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
 def test_admit_verifies_each_new_class_once(alg_name, request, monkeypatch):
     alg = request.getfixturevalue(alg_name)
@@ -149,11 +162,50 @@ def test_admit_verifies_each_new_class_once(alg_name, request, monkeypatch):
     monkeypatch.setattr(universe_mod, "is_indecomposable", counting)
     uni = enumerate_indecomposables(alg, 4)
     added = uni.stats["added_by_rule"]
-    assert len(calls) == len(uni.representatives) - added["seed"]
-    assert len(calls) == added["ext"] + added["cone"] + added["summand"] > 0
+    non_seed = added["ext"] + added["cone"] + added["summand"]
+    assert len(uni.representatives) - added["seed"] == non_seed
+    assert len(calls) == _non_seed_shapes(alg, uni.shapes) > 0
+    # each proof is on a shape, at support 1..w
+    assert all(x.support() == (1, x.window) for x in calls)
+    # a growth run proves each shape once, not once per window
+    calls.clear()
+    report = compute_sgldim(alg)
+    shapes = report.universes[report.m0].shapes
+    assert len(calls) == _non_seed_shapes(alg, shapes)
+    # the rule candidates are dropped once nothing can replay them
+    assert uni.shapes.candidates == {} and shapes.candidates == {}
     # integer-first rationals: no coefficient of these classes needs a denominator
     assert all(type(c) is int for rep in uni.representatives for m in rep.diffs
                for row in m for e in row for c in e.coeffs.values())
+
+
+@pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
+def test_find_maps_every_fitting_shift_to_its_translate(alg_name, request):
+    alg = request.getfixturevalue(alg_name)
+    n = 4
+    uni = enumerate_indecomposables(alg, n)
+    for i, rep in enumerate(uni.representatives):
+        assert uni.find(rep) == i
+        sid, lo = uni.classes[i]
+        width = uni.shapes.reps[sid].window
+        for p in range(1 - lo, n - width - lo + 2):
+            j = uni.find(shift_window(rep, p, n))
+            assert j is not None and uni.classes[j] == (sid, lo + p)
+            assert uni.representatives[j] == shift_window(rep, p, n)
+            assert uni.translate(i, p) == j
+        assert uni.translate(i, n - width - lo + 2) is None
+
+
+@pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
+def test_find_rejects_other_windows_zero_and_sums(alg_name, request):
+    alg = request.getfixturevalue(alg_name)
+    uni = enumerate_indecomposables(alg, 4)
+    other = enumerate_indecomposables(alg, 3)
+    assert all(uni.find(rep) is None for rep in other.representatives)
+    assert uni.find(zero_complex(alg, 4)) is None
+    reps = uni.representatives
+    for i, j in [(0, 0), (0, 1), (len(reps) - 1, len(reps) // 2)]:
+        assert uni.find(direct_sum(reps[i], reps[j])) is None
 
 
 def test_new_decomposable_candidate_still_raises(point_alg, monkeypatch):
@@ -197,9 +249,9 @@ def test_grown_windows_equal_fresh_windows(name, field, fixtures_dir):
     alg = build_algebra(alg.quiver, alg.relations, field)
     if name == "cyc2.alg":
         # infinite gl.dim: compute_sgldim stops before enumerating, so grow
-        # windows 2..4 through one memo as the drivers do
-        memo = _Memo()
-        grown = {n: enumerate_indecomposables(alg, n, _memo=memo) for n in (2, 3, 4)}
+        # windows 2..4 through one registry as the drivers do
+        shapes = _ShapeRegistry()
+        grown = {n: enumerate_indecomposables(alg, n, _registry=shapes) for n in (2, 3, 4)}
     else:
         grown = compute_sgldim(alg).universes
     fresh = {n: enumerate_indecomposables(alg, n) for n in grown}
@@ -230,7 +282,7 @@ def test_ext_solved_once_per_translation_key(a6_alg, monkeypatch):
         return real(z, x)
 
     monkeypatch.setattr(universe_mod, "ext_classes", recording)
-    memo = _Memo()
-    unis = [enumerate_indecomposables(a6_alg, n, _memo=memo) for n in (2, 3, 4)]
+    shapes = _ShapeRegistry()
+    unis = [enumerate_indecomposables(a6_alg, n, _registry=shapes) for n in (2, 3, 4)]
     assert keys and len(keys) == len(set(keys))
     assert all(u.stats["translate_skips"] > 0 for u in unis)
