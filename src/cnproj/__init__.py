@@ -2,14 +2,9 @@
 
 from .algebra import (
     AlgElement,
-    FinModule,
-    ModuleMap,
     MonomialAlgebra,
     Quiver,
     build_algebra,
-    hom_module,
-    module_cokernel,
-    module_kernel,
 )
 from .arquiver import (
     ARQuiver,
@@ -26,8 +21,6 @@ from .arquiver import (
 from .complexes import (
     ChainMap,
     Complex,
-    can_extend_left,
-    can_extend_right,
     cone,
     direct_sum,
     drop_first,
@@ -46,6 +39,8 @@ from .homspaces import (
     ExtClassSpace,
     HomSpace,
     assemble_extension,
+    can_extend_left,
+    can_extend_right,
     decompose,
     ext_classes,
     hom_basis,

@@ -1,4 +1,4 @@
-"""Monomial bound quiver algebras, their projectives, and module linear algebra.
+"""Monomial bound quiver algebras: path bases, products and global dimension.
 
 Conventions (fixed once, used everywhere):
 
@@ -10,10 +10,15 @@ Conventions (fixed once, used everywhere):
   by left multiplication; composition of homs is the path product of their
   elements.  With this choice the complex ``P3 -> P2 -> P1`` over the quiver
   ``1 -> 2 -> 3`` is literal: its differentials are the arrow paths.
+
+The global dimension is path combinatorics too (``global_dimension``): an
+exact walk over syzygy paths, with no resolution cap, that returns
+``math.inf`` when a resolution never ends.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,10 +26,8 @@ from .errors import (
     IncomposableElements,
     InfiniteDimensional,
     MalformedRelation,
-    ResolutionCapExceeded,
     ShapeMismatch,
 )
-from .linalg import SpanBasis, matmul, nullspace, rank, rref, solve
 from .scalars import field_from_tag
 
 
@@ -139,8 +142,6 @@ class MonomialAlgebra:
         self.relations = self._normalise_relations(relations)
         self._rel_set = set(self.relations)
         self._enumerate_paths(path_cap)
-        self._proj_cache: dict[int, FinModule] = {}
-        self._lmul_cache: dict = {}
 
     # -- construction ---------------------------------------------------
 
@@ -297,72 +298,48 @@ class MonomialAlgebra:
                 raise ShapeMismatch("radical part failed to be nilpotent")
         return acc.scale(cinv)
 
-    # -- left-multiplication realisation -----------------------------------
+    # -- global dimension ----------------------------------------------------
 
-    def lmul_block(self, u: AlgElement, w: int):
-        """Matrix of ``u . (-) : (P_end)_w -> (P_start)_w`` in the path bases."""
-        cols = self.paths_between(u.end, w)
-        rows = self.paths_between(u.start, w)
-        row_idx = {p: i for i, p in enumerate(rows)}
-        out = [[self.field.zero] * len(cols) for _ in range(len(rows))]
-        for p, c in u.coeffs.items():
-            key = (p, u.start, u.end, w)
-            blk = self._lmul_cache.get(key)
-            if blk is None:
-                blk = []
-                for j, q in enumerate(cols):
-                    pq = self.mult_path(p, q)
-                    if pq is not None:
-                        blk.append((row_idx[pq], j))
-                self._lmul_cache[key] = blk
-            for i, j in blk:
-                out[i][j] = out[i][j] + c
-        return out
+    def _syzygy_paths(self, p: tuple[str, ...]) -> list[tuple[str, ...]]:
+        """The minimal paths q with pq = 0: Omega(p Lambda) is the sum of the q Lambda."""
+        t = self._ends[p][1]
+        return [q for w in self.quiver.vertices for q in self.paths_between(t, w)
+                if q and self.mult_path(p, q) is None and self.mult_path(p, q[:-1]) is not None]
 
-    # -- modules -------------------------------------------------------------
+    def global_dimension(self) -> int | float:
+        """gl.dim = max pd(S_v), read off path syzygies; ``math.inf`` if unbounded.
 
-    def projective_as_module(self, v: int) -> "FinModule":
-        if v not in self._proj_cache:
-            dims = {w: len(self.paths_between(v, w)) for w in self.quiver.vertices}
-            action = {}
-            for aid, x, y in self.quiver.arrows:
-                src = self.paths_between(v, x)
-                tgt = self.paths_between(v, y)
-                tgt_idx = {p: i for i, p in enumerate(tgt)}
-                m = [[self.field.zero] * len(src) for _ in range(len(tgt))]
-                for j, p in enumerate(src):
-                    pa = self.mult_path(p, (aid,))
-                    if pa is not None:
-                        m[tgt_idx[pa]][j] = self.field.one
-                action[aid] = m
-            self._proj_cache[v] = FinModule(self, dims, action, note=f"P{v}")
-        return self._proj_cache[v]
-
-    def simple_as_module(self, v: int) -> "FinModule":
-        dims = {w: (1 if w == v else 0) for w in self.quiver.vertices}
-        action = {aid: [[self.field.zero] * dims[x] for _ in range(dims[y])]
-                  for aid, x, y in self.quiver.arrows}
-        return FinModule(self, dims, action, note=f"S{v}")
-
-    def regular_module(self) -> "FinModule":
-        return FinModule.direct_sum(
-            self, [self.projective_as_module(v) for v in sorted(self.quiver.vertices)])
-
-    def global_dimension(self, cap: int = 64) -> int:
-        return max(self.projective_dimension(self.simple_as_module(v), cap=cap)
-                   for v in self.quiver.vertices)
-
-    def projective_dimension(self, m: "FinModule", cap: int = 64) -> int:
-        if m.is_zero():
-            return 0
-        cur = m
-        for step in range(cap):
-            cover = projective_cover(cur)
-            ker, _ = _kernel_pair(cover)
-            if ker.is_zero():
-                return step
-            cur = ker
-        raise ResolutionCapExceeded(f"resolution exceeded {cap} steps")
+        Over a monomial algebra the syzygy of a path ideal p Lambda is the
+        direct sum of the q Lambda over the minimal paths q with pq = 0
+        (Green-Happel-Zacharia), and Omega(S_v) is the sum of a Lambda over
+        the arrows a out of v.  So pd(p Lambda) is 0 when no such q exists and
+        1 + max pd(q Lambda) otherwise, and pd(S_v) is 0 at a sink and
+        1 + max pd(a Lambda) elsewhere.  The walk below evaluates this
+        recursion depth first; a path met again on its stack is a direct
+        summand of one of its own syzygies, so its resolution never ends.
+        """
+        pd: dict[tuple[str, ...], int] = {}
+        for aid in sorted(self._arrow):
+            root = (aid,)
+            if root in pd:
+                continue
+            qs = self._syzygy_paths(root)
+            stack = [(root, qs, iter(qs))]
+            on_stack = {root}
+            while stack:
+                p, qs, todo = stack[-1]
+                q = next((q for q in todo if q not in pd), None)
+                if q is None:
+                    stack.pop()
+                    on_stack.discard(p)
+                    pd[p] = 1 + max((pd[q] for q in qs), default=-1)
+                elif q in on_stack:
+                    return math.inf
+                else:
+                    on_stack.add(q)
+                    qs = self._syzygy_paths(q)
+                    stack.append((q, qs, iter(qs)))
+        return 1 + max((pd[(aid,)] for aid in self._arrow), default=-1)
 
     def __repr__(self):
         return (f"MonomialAlgebra({len(self.quiver.vertices)} vertices, "
@@ -374,263 +351,3 @@ def build_algebra(quiver: Quiver, relations: Sequence[Sequence[str]], field_tag:
                   path_cap: int = 10_000) -> MonomialAlgebra:
     """Build the bound quiver algebra over the tagged scalar field."""
     return MonomialAlgebra(quiver, relations, field_from_tag(field_tag), path_cap=path_cap)
-
-
-class FinModule:
-    """A finite dimensional right module: per-vertex dimensions and arrow matrices.
-
-    The matrix of arrow ``a: x -> y`` has shape (dim_y, dim_x); composites
-    along every relation must vanish, which the constructor checks.
-    """
-
-    def __init__(self, alg: MonomialAlgebra, dims: dict[int, int],
-                 action: dict[str, list], note: str = "", check: bool = True):
-        self.alg = alg
-        self.dims = {v: dims.get(v, 0) for v in alg.quiver.vertices}
-        self.action = action
-        self.note = note
-        if check:
-            self._validate()
-
-    def _validate(self):
-        for aid, x, y in self.alg.quiver.arrows:
-            m = self.action.get(aid)
-            if m is None:
-                raise ShapeMismatch(f"missing action matrix for arrow {aid}")
-            if len(m) != self.dims[y] or any(len(r) != self.dims[x] for r in m):
-                raise ShapeMismatch(f"arrow {aid}: matrix shape does not match dims")
-        for rel in self.alg.relations:
-            m = self.act_along(rel)
-            if any(any(c for c in row) for row in m):
-                raise ShapeMismatch(f"relation {rel} does not act by zero")
-
-    def act_along(self, path: tuple[str, ...]):
-        """Matrix of the right action of a path (composite of arrow actions)."""
-        f = self.alg.field
-        start = self.alg._arrow[path[0]][0]
-        cur = None
-        for aid in path:
-            x, _ = self.alg._arrow[aid]
-            m = self.action[aid]
-            if cur is None:
-                cur = [list(r) for r in m]
-            else:
-                cur = matmul(f, m, cur, self.dims[x], self.dims[start])
-        return cur if cur is not None else []
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def is_zero(self) -> bool:
-        return self.total_dim() == 0
-
-    @staticmethod
-    def direct_sum(alg: MonomialAlgebra, mods: list["FinModule"]) -> "FinModule":
-        f = alg.field
-        dims = {v: sum(m.dims[v] for m in mods) for v in alg.quiver.vertices}
-        action = {}
-        for aid, x, y in alg.quiver.arrows:
-            rows = []
-            col_off = [0]
-            for m in mods:
-                col_off.append(col_off[-1] + m.dims[x])
-            total_cols = col_off[-1]
-            for k, m in enumerate(mods):
-                for r in m.action[aid]:
-                    row = [f.zero] * total_cols
-                    row[col_off[k]:col_off[k] + m.dims[x]] = r
-                    rows.append(row)
-            action[aid] = rows
-        return FinModule(alg, dims, action, note="+".join(m.note for m in mods), check=False)
-
-    def __repr__(self):
-        d = ",".join(str(self.dims[v]) for v in sorted(self.dims))
-        return f"FinModule[{self.note}]({d})"
-
-
-class ModuleMap:
-    """A homomorphism of FinModules: per-vertex matrices commuting with actions."""
-
-    def __init__(self, source: FinModule, target: FinModule, mats: dict[int, list],
-                 check: bool = True):
-        self.source = source
-        self.target = target
-        self.mats = {v: mats.get(v, [[]] * target.dims[v]) for v in source.alg.quiver.vertices}
-        if check:
-            self._validate()
-
-    def _validate(self):
-        alg = self.source.alg
-        f = alg.field
-        for v in alg.quiver.vertices:
-            m = self.mats[v]
-            if len(m) != self.target.dims[v] or any(len(r) != self.source.dims[v] for r in m):
-                raise ShapeMismatch(f"vertex {v}: map shape mismatch")
-        for aid, x, y in alg.quiver.arrows:
-            lhs = matmul(f, self.mats[y], self.source.action[aid],
-                         self.source.dims[y], self.source.dims[x])
-            rhs = matmul(f, self.target.action[aid], self.mats[x],
-                         self.target.dims[x], self.source.dims[x])
-            if lhs != rhs:
-                raise ShapeMismatch(f"map does not commute with arrow {aid}")
-
-
-def hom_module(m: FinModule, n: FinModule) -> int:
-    """Dimension of Hom(M, N): solution space of the intertwining equations."""
-    alg = m.alg
-    f = alg.field
-    offs = {}
-    nvars = 0
-    for v in alg.quiver.vertices:
-        offs[v] = nvars
-        nvars += n.dims[v] * m.dims[v]
-    if nvars == 0:
-        return 0
-    rows = []
-    for aid, x, y in alg.quiver.arrows:
-        # f_y M(a) - N(a) f_x = 0, entry (i, j): i over n.dims[y], j over m.dims[x]
-        for i in range(n.dims[y]):
-            for j in range(m.dims[x]):
-                row = [f.zero] * nvars
-                for k in range(m.dims[y]):
-                    c = m.action[aid][k][j]
-                    if c:
-                        row[offs[y] + i * m.dims[y] + k] = row[offs[y] + i * m.dims[y] + k] + c
-                for k in range(n.dims[x]):
-                    c = n.action[aid][i][k]
-                    if c:
-                        row[offs[x] + k * m.dims[x] + j] = row[offs[x] + k * m.dims[x] + j] - c
-                if any(row):
-                    rows.append(row)
-    return nvars - rank(f, rows, nvars) if rows else nvars
-
-
-def _kernel_pair(f_map: ModuleMap) -> tuple[FinModule, ModuleMap]:
-    """Kernel with its inclusion, vertexwise nullspaces with induced actions."""
-    alg = f_map.source.alg
-    f = alg.field
-    basis = {}
-    dims = {}
-    for v in alg.quiver.vertices:
-        vecs = nullspace(f, f_map.mats[v], f_map.source.dims[v])
-        basis[v] = vecs
-        dims[v] = len(vecs)
-    action = {}
-    for aid, x, y in alg.quiver.arrows:
-        cols = []
-        for vec in basis[x]:
-            img = [sum((c * z for c, z in zip(row, vec) if c and z), f.zero)
-                   for row in f_map.source.action[aid]]
-            # solve B_y * col = img
-            rows_mat = [[basis[y][k][i] for k in range(dims[y])]
-                        for i in range(f_map.source.dims[y])]
-            col = solve(f, rows_mat, dims[y], img)
-            assert col is not None, "kernel not arrow-stable"
-            cols.append(col)
-        action[aid] = [[cols[j][i] for j in range(dims[x])] for i in range(dims[y])]
-    ker = FinModule(alg, dims, action, note=f"ker({f_map.source.note})", check=False)
-    mats = {v: [[basis[v][k][i] for k in range(dims[v])]
-                for i in range(f_map.source.dims[v])] for v in alg.quiver.vertices}
-    return ker, ModuleMap(ker, f_map.source, mats, check=False)
-
-
-def _cokernel_pair(f_map: ModuleMap) -> tuple[FinModule, ModuleMap]:
-    """Cokernel with its projection."""
-    alg = f_map.source.alg
-    f = alg.field
-    proj = {}
-    dims = {}
-    free_cols = {}
-    for v in alg.quiver.vertices:
-        n_v = f_map.target.dims[v]
-        img_rows = []
-        for j in range(f_map.source.dims[v]):
-            img_rows.append([f_map.mats[v][i][j] for i in range(n_v)])
-        work = [list(r) for r in img_rows]
-        pivots = rref(f, work, n_v)
-        work = work[:len(pivots)]
-        free = [c for c in range(n_v) if c not in set(pivots)]
-        dims[v] = len(free)
-        free_cols[v] = free
-        # projection: eliminate pivot coordinates, read off free ones
-        p_mat = []
-        for fc in free:
-            row = [f.zero] * n_v
-            row[fc] = f.one
-            p_mat.append(row)
-        for r_echelon, p in zip(work, pivots):
-            for fc_i, fc in enumerate(free):
-                if r_echelon[fc]:
-                    p_mat[fc_i][p] = p_mat[fc_i][p] - r_echelon[fc]
-        proj[v] = p_mat
-    action = {}
-    for aid, x, y in alg.quiver.arrows:
-        # coker action column = pi_y(N(a) . lift), lift = free standard vector
-        cols = []
-        for fc in free_cols[x]:
-            lift = [f.zero] * f_map.target.dims[x]
-            lift[fc] = f.one
-            img = [sum((c * z for c, z in zip(row, lift) if c and z), f.zero)
-                   for row in f_map.target.action[aid]]
-            cols.append([sum((c * z for c, z in zip(row, img) if c and z), f.zero)
-                         for row in proj[y]])
-        action[aid] = [[cols[j][i] for j in range(dims[x])] for i in range(dims[y])]
-    cok = FinModule(alg, dims, action, note=f"coker({f_map.source.note})", check=False)
-    mats = {v: proj[v] for v in alg.quiver.vertices}
-    return cok, ModuleMap(f_map.target, cok, mats, check=False)
-
-
-def module_kernel(f_map: ModuleMap) -> FinModule:
-    """Kernel of a module map, with its induced arrow actions."""
-    return _kernel_pair(f_map)[0]
-
-
-def module_cokernel(f_map: ModuleMap) -> FinModule:
-    """Cokernel of a module map, with its induced arrow actions."""
-    return _cokernel_pair(f_map)[0]
-
-
-def radical_submodule_spans(m: FinModule) -> dict[int, SpanBasis]:
-    """Per-vertex span of the radical ``sum of images of arrow actions``."""
-    f = m.alg.field
-    spans = {v: SpanBasis(f, m.dims[v]) for v in m.alg.quiver.vertices}
-    for aid, x, y in m.alg.quiver.arrows:
-        for j in range(m.dims[x]):
-            spans[y].add([m.action[aid][i][j] for i in range(m.dims[y])])
-    return spans
-
-
-def projective_cover(m: FinModule) -> ModuleMap:
-    """Minimal projective cover ``(+) P_v^{t_v} -> M`` via top(M)."""
-    alg = m.alg
-    f = alg.field
-    spans = radical_submodule_spans(m)
-    generators: list[tuple[int, list]] = []
-    for v in sorted(alg.quiver.vertices):
-        pivot_set = set(spans[v].pivots)
-        for j in range(m.dims[v]):
-            if j not in pivot_set:
-                gen = [f.zero] * m.dims[v]
-                gen[j] = f.one
-                generators.append((v, gen))
-                spans[v].add(gen)
-    if not generators:
-        raise ShapeMismatch("projective cover of the zero module")
-    projs = [alg.projective_as_module(v) for v, _ in generators]
-    dom = FinModule.direct_sum(alg, projs)
-    mats = {w: [[f.zero] * dom.dims[w] for _ in range(m.dims[w])]
-            for w in alg.quiver.vertices}
-    col_off = {w: 0 for w in alg.quiver.vertices}
-    for (v, gen) in generators:
-        # column for path p (v -> w): the element gen . p
-        for w in alg.quiver.vertices:
-            for p in alg.paths_between(v, w):
-                vec = gen
-                for aid in p:
-                    vec = [sum((c * z for c, z in zip(row, vec) if c and z), f.zero)
-                           for row in m.action[aid]]
-                col = col_off[w]
-                for i in range(m.dims[w]):
-                    mats[w][i][col] = vec[i]
-                col_off[w] += 1
-    return ModuleMap(dom, m, mats)

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from .complexes import (
     ChainMap,
     Complex,
-    can_extend_left,
-    can_extend_right,
     compose,
     drop_first,
     drop_last,
@@ -40,6 +38,8 @@ from .homspaces import (
     DegreeOneMap,
     HomSpace,
     assemble_extension,
+    can_extend_left,
+    can_extend_right,
     decompose_with_maps,
     end_radical_coords,
     ext_classes,
@@ -260,30 +260,35 @@ def _certify(ctx: _Ctx, conf: Conflation):
     conf.certified = True
 
 
+def _representative_index(universe: Universe, x: Complex, end: str) -> int:
+    """The class index of a universe representative; NotClosed names any other end."""
+    idx = universe.find(x)
+    if idx is None or universe.representatives[idx] != x:
+        raise NotClosed(f"the {end} {x.label()} is not a universe representative")
+    return idx
+
+
 def is_right_almost_split(universe: Universe, d: ChainMap, _ctx: _Ctx | None = None) -> bool:
     """Every radical map W -> Z from the universe factors through d, and d is
-    not a retraction."""
+    not a retraction.  Z must be a class's own representative."""
     if not universe.closed:
         raise NotClosed("the factorisation quantifier needs a closed universe")
     ctx = _ctx or _Ctx(universe)
     z = d.target
     y = d.source
-    z_idx = universe.find(z)
-    exact = z_idx is not None and ctx.reps[z_idx] == z
+    z_idx = _representative_index(universe, z, "target")
     # not a retraction: the identity of Z must not factor through d
-    hz = ctx.hom(z_idx, z_idx) if exact else hom_basis(z, z)
+    hz = ctx.hom(z_idx, z_idx)
     img = SpanBasis(z.alg.field, len(hz._free))
     for s in hom_basis(z, y).basis:
         img.add(hz.coordinates(compose(d, s)))
     if img.contains(hz.coordinates(ChainMap.identity(z))):
         return False
-    for w_idx in range(len(ctx.reps)):
-        w = ctx.reps[w_idx]
-        gs = ctx.rad(w_idx, z_idx) if exact else _rad_generic(ctx, w, z)
+    for w_idx, w in enumerate(ctx.reps):
+        gs = ctx.rad(w_idx, z_idx)
         if gs.dimension == 0:
             continue
-        # off the representative, gs is all of Hom(W, Z) with its coordinates
-        hw = ctx.hom(w_idx, z_idx) if exact else gs
+        hw = ctx.hom(w_idx, z_idx)
         span = SpanBasis(z.alg.field, len(hw._free))
         for s in hom_basis(w, y).basis:
             span.add(hw.coordinates(compose(d, s)))
@@ -295,26 +300,24 @@ def is_right_almost_split(universe: Universe, d: ChainMap, _ctx: _Ctx | None = N
 
 def is_left_almost_split(universe: Universe, i_map: ChainMap, _ctx: _Ctx | None = None) -> bool:
     """Every radical map X -> W into the universe factors through i, and i is
-    not a section."""
+    not a section.  X must be a class's own representative."""
     if not universe.closed:
         raise NotClosed("the factorisation quantifier needs a closed universe")
     ctx = _ctx or _Ctx(universe)
     x = i_map.source
     y = i_map.target
-    x_idx = universe.find(x)
-    exact = x_idx is not None and ctx.reps[x_idx] == x
-    hx = ctx.hom(x_idx, x_idx) if exact else hom_basis(x, x)
+    x_idx = _representative_index(universe, x, "source")
+    hx = ctx.hom(x_idx, x_idx)
     img = SpanBasis(x.alg.field, len(hx._free))
     for s in hom_basis(y, x).basis:
         img.add(hx.coordinates(compose(s, i_map)))
     if img.contains(hx.coordinates(ChainMap.identity(x))):
         return False
-    for w_idx in range(len(ctx.reps)):
-        w = ctx.reps[w_idx]
-        gs = ctx.rad(x_idx, w_idx) if exact else _rad_generic(ctx, x, w)
+    for w_idx, w in enumerate(ctx.reps):
+        gs = ctx.rad(x_idx, w_idx)
         if gs.dimension == 0:
             continue
-        hw = ctx.hom(x_idx, w_idx) if exact else gs
+        hw = ctx.hom(x_idx, w_idx)
         span = SpanBasis(x.alg.field, len(hw._free))
         for s in hom_basis(y, w).basis:
             span.add(hw.coordinates(compose(s, i_map)))
@@ -322,14 +325,6 @@ def is_left_almost_split(universe: Universe, i_map: ChainMap, _ctx: _Ctx | None 
             if not span.contains(hw.coordinates(g)):
                 return False
     return True
-
-
-def _rad_generic(ctx: _Ctx, w: Complex, z: Complex) -> HomSpace:
-    # for w not isomorphic to z every morphism is radical; the isomorphic
-    # non-representative case has no canonical coordinates, so fail loudly
-    if not z.is_zero() and not w.is_zero() and _iso_indecomposable(w, z):
-        raise NotClosed("radical between isomorphic non-representative objects")
-    return hom_basis(w, z)
 
 
 def is_right_minimal(universe: Universe, d: ChainMap, summands=None,
@@ -348,43 +343,6 @@ def is_right_minimal(universe: Universe, d: ChainMap, summands=None,
             if is_right_almost_split(universe, restricted, _ctx=ctx):
                 return False
     return True
-
-
-def is_left_minimal(universe: Universe, i_map: ChainMap, summands=None,
-                    _ctx: _Ctx | None = None) -> bool:
-    """No proper summand projection of the target stays left almost split."""
-    ctx = _ctx or _Ctx(universe)
-    if summands is None:
-        summands = decompose_with_maps(i_map.target)
-    if len(summands) <= 1:
-        return True
-    for size in range(1, len(summands)):
-        for subset in itertools.combinations(range(len(summands)), size):
-            parts = [summands[k] for k in subset]
-            sub, proj = _sum_with_projection(i_map.target, parts)
-            restricted = compose(proj, i_map)
-            if is_left_almost_split(universe, restricted, _ctx=ctx):
-                return False
-    return True
-
-
-def _sum_with_projection(whole: Complex, parts):
-    from .complexes import direct_sum_many
-
-    alg = whole.alg
-    pieces = [w for (w, _, _) in parts]
-    sub = direct_sum_many(pieces)
-    comps = []
-    for i in range(whole.window):
-        m = [[alg.zero_element(tv, sv) for sv in whole.cells[i]] for tv in sub.cells[i]]
-        off = 0
-        for (w, _, proj) in parts:
-            for r in range(len(w.cells[i])):
-                for c in range(len(whole.cells[i])):
-                    m[off + r][c] = proj.comps[i][r][c]
-            off += len(w.cells[i])
-        comps.append(m)
-    return sub, ChainMap(whole, sub, comps, check=False)
 
 
 def _sum_with_inclusion(whole: Complex, parts):

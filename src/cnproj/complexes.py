@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algebra import AlgElement, FinModule, MonomialAlgebra, ModuleMap, hom_module, \
-    _cokernel_pair
+from .algebra import AlgElement, MonomialAlgebra
 from .errors import (
     NotAChainMap,
     NotAnExtension,
@@ -497,88 +496,6 @@ def length(x: Complex) -> int:
     if sup is None:
         return 0
     return sup[1] - sup[0]
-
-
-# -- module realisations --------------------------------------------------------
-
-
-def cell_module(x: Complex, pos: int) -> FinModule:
-    """The cell at a 1-based position as a FinModule (direct sum of projectives)."""
-    alg = x.alg
-    parts = [alg.projective_as_module(v) for v in x.cells[pos - 1]]
-    if not parts:
-        return FinModule(alg, {}, {aid: [] for aid, _, _ in alg.quiver.arrows},
-                         note="0", check=False)
-    return FinModule.direct_sum(alg, parts)
-
-
-def realize_entry_blocks(alg, mat, tgt_cell, src_cell, w):
-    """Scalar matrix of an AlgElement matrix at vertex w, in the path bases."""
-    f = alg.field
-    src_dims = [len(alg.paths_between(v, w)) for v in src_cell]
-    tgt_dims = [len(alg.paths_between(v, w)) for v in tgt_cell]
-    rows = sum(tgt_dims)
-    cols = sum(src_dims)
-    out = [[f.zero] * cols for _ in range(rows)]
-    r_off = 0
-    for r, tv in enumerate(tgt_cell):
-        c_off = 0
-        for c, sv in enumerate(src_cell):
-            blk = alg.lmul_block(mat[r][c], w)
-            for i in range(tgt_dims[r]):
-                for j in range(src_dims[c]):
-                    if blk[i][j]:
-                        out[r_off + i][c_off + j] = blk[i][j]
-            c_off += src_dims[c]
-        r_off += tgt_dims[r]
-    return out
-
-
-def realize_diff(x: Complex, i: int) -> ModuleMap:
-    """The differential out of 1-based position i as a map of FinModules."""
-    src = cell_module(x, i)
-    tgt = cell_module(x, i + 1)
-    mats = {w: realize_entry_blocks(x.alg, x.diffs[i - 1], x.cells[i], x.cells[i - 1], w)
-            for w in x.alg.quiver.vertices}
-    return ModuleMap(src, tgt, mats, check=False)
-
-
-# -- extendability of a complex past its window ---------------------------------
-
-
-def can_extend_left(x: Complex) -> bool:
-    """True iff the first differential is not a monomorphism of modules.
-
-    A complex with empty first cell cannot be extended (the new differential
-    would have to be a nonzero map into the zero module).
-    """
-    if not x.cells[0]:
-        return False
-    alg = x.alg
-    f = alg.field
-    if x.window == 1:
-        return True  # d^1 is the map to 0; mono only if the cell were zero
-    for w in alg.quiver.vertices:
-        m = realize_entry_blocks(alg, x.diffs[0], x.cells[1], x.cells[0], w)
-        cols = sum(len(alg.paths_between(v, w)) for v in x.cells[0])
-        if cols and rank(f, m, cols) != cols:
-            return True
-    return False
-
-
-def can_extend_right(x: Complex) -> bool:
-    """True iff Hom(coker d^{n-1}, Lambda) is nonzero."""
-    if not x.cells[-1]:
-        return False
-    alg = x.alg
-    if x.window == 1:
-        coker = cell_module(x, 1)
-    else:
-        _, proj = _cokernel_pair(realize_diff(x, x.window - 1))
-        coker = proj.target
-    if coker.is_zero():
-        return False
-    return hom_module(coker, alg.regular_module()) > 0
 
 
 def extend_left(x: Complex, v: int, d0: Sequence[AlgElement] | AlgElement) -> Complex:

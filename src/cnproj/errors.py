@@ -5,7 +5,7 @@ class CnprojError(Exception):
     """Base class for all package errors."""
 
 
-# -- algebra construction and module linear algebra
+# -- algebra construction
 
 
 class MalformedRelation(CnprojError):
@@ -22,10 +22,6 @@ class IncomposableElements(CnprojError):
 
 class ShapeMismatch(CnprojError):
     """Matrix or module shapes do not line up."""
-
-
-class ResolutionCapExceeded(CnprojError):
-    """A projective resolution ran past the configured length cap."""
 
 
 # -- complexes

@@ -13,7 +13,10 @@ cohomology:
 * ``hom_basis``: Z^0 = ker D^0, the chain maps X -> Y;
 * ``null_homotopy_span``: B^0 = im D^-1, the null-homotopic chain maps;
 * ``ext_classes(z, x)``: Z^1 / B^1 of Hom^*(Z, X), the degree-1 extension
-  classes, which inside the window coincide with Hom_K(Z, X[1]).
+  classes, which inside the window coincide with Hom_K(Z, X[1]);
+* ``can_extend_left`` / ``can_extend_right``: whether Z^0 from a stalk at
+  position 1, or to a stalk at position n, is nonzero, i.e. whether the
+  complex extends past its window on that side.
 
 Isomorphism tests and conflations work in these coordinates.  Endomorphism
 radicals and Krull-Schmidt splitting go through the scalar image
@@ -35,6 +38,7 @@ from .complexes import (
     Complex,
     canonical_sort,
     compose,
+    make_stalk,
     mat_is_zero,
     mat_mul,
     mat_zero,
@@ -211,6 +215,28 @@ def hom_basis(x: Complex, y: Complex) -> HomSpace:
     vecs, free = _cocycles(x, y, layout, _VarLayout(x, y, 1), 0)
     maps = [ChainMap(x, y, layout.materialize(v), check=False) for v in vecs]
     return HomSpace(x, y, maps, len(maps), layout, free)
+
+
+def can_extend_left(x: Complex) -> bool:
+    """True iff d^1 is not mono, so a new first cell can be glued on.
+
+    A chain map from the stalk P_v at position 1 is a map P_v -> X^1 killed
+    by d^1; one is nonzero for some vertex v exactly when ker d^1 != 0.  An
+    empty first cell never extends.
+    """
+    return any(hom_basis(make_stalk(x.alg, v, 1, x.window), x).dimension
+               for v in x.alg.quiver.vertices)
+
+
+def can_extend_right(x: Complex) -> bool:
+    """True iff Hom(coker d^{n-1}, Lambda) != 0, so a new last cell can be glued on.
+
+    A chain map to the stalk P_v at position n is a map X^n -> P_v killed by
+    d^{n-1}, i.e. a map coker d^{n-1} -> P_v.
+    """
+    n = x.window
+    return any(hom_basis(x, make_stalk(x.alg, v, n, n)).dimension
+               for v in x.alg.quiver.vertices)
 
 
 # -- endomorphism rings, radicals, indecomposability ---------------------------

@@ -6,19 +6,21 @@ last cell; the strong global dimension is that window minus two.
 ``sgldim_fast`` instead grows until the maximal length over the universe
 stabilises for two consecutive windows; the two must agree.
 
-Both check gl.dim first: s.gl.dim >= gl.dim, so a gl.dim beyond max_n - 2 (or
-beyond the resolution cap) cannot terminate and is reported at once.  The
-windows of one run share a shape registry (``universe._ShapeRegistry``): each
-shape is proven indecomposable once, and a later window replays the rule
-candidates of the shapes it has already met.
+Both check gl.dim first: s.gl.dim >= gl.dim, so a gl.dim beyond max_n - 2,
+infinite included, cannot terminate and is reported at once.  gl.dim is exact
+path combinatorics (``MonomialAlgebra.global_dimension``) with no resolution
+cap.  Both routes run one window loop (``_grow``) and differ only in its stop
+rule.  The windows of one run share a shape registry
+(``universe._ShapeRegistry``): each shape is proven indecomposable once, and a
+later window replays the rule candidates of the shapes it has already met.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .complexes import Complex
-from .errors import ResolutionCapExceeded
 from .universe import EnumConfig, Universe, _ShapeRegistry, enumerate_indecomposables, max_length
 
 CAP_NOTE = ("cap exceeded: infinite strong global dimension and an undersized "
@@ -48,69 +50,68 @@ def _gldim_report(alg, max_n: int) -> SgldimReport | None:
     """An unterminated report when gl.dim alone rules out termination by
     window max_n, since s.gl.dim >= gl.dim; None otherwise."""
     bound = max_n - 2
-    try:
-        gldim = alg.global_dimension()
-    except ResolutionCapExceeded as exc:
-        detail = f"gl.dim is infinite or beyond the resolution cap ({exc})"
-    else:
-        if gldim <= bound:
-            return None
-        detail = f"gl.dim = {gldim}"
+    gldim = alg.global_dimension()
+    if gldim <= bound:
+        return None
+    detail = "gl.dim is infinite" if gldim == math.inf else f"gl.dim = {gldim}"
     note = f"{CAP_NOTE}; {detail}, and s.gl.dim >= gl.dim > max_n - 2 = {bound}"
     return SgldimReport(None, None, None, [], False, note)
 
 
-def compute_sgldim(alg, max_n: int = 16, config: EnumConfig | None = None) -> SgldimReport:
-    """Window loop: stop at the first n >= 2 with no full-support class."""
+def _grow(alg, max_n: int, config: EnumConfig | None, stop) -> SgldimReport:
+    """The window loop of both routes, n = 2, 3, ..., max_n.
+
+    ``stop(n, violators, window)`` decides after each closed window: it
+    returns (m0, s.gl.dim, witness) to terminate, or None to grow on;
+    ``window(m)`` is the universe of window m, enumerated on first use.
+    """
     early = _gldim_report(alg, max_n)
     if early is not None:
         return early
     shapes = _ShapeRegistry()
     per_window = []
     universes: dict[int, Universe] = {}
+
+    def window(m: int) -> Universe:
+        if m not in universes:
+            universes[m] = enumerate_indecomposables(alg, m, config, _registry=shapes)
+        return universes[m]
+
     try:
         for n in range(2, max_n + 1):
-            uni = enumerate_indecomposables(alg, n, config, _registry=shapes)
-            universes[n] = uni
+            uni = window(n)
             viol = _violators(uni)
             per_window.append((n, len(uni.representatives), len(viol)))
             if not uni.closed:
-                return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
-            if not viol:
-                m0 = n
-                prev = universes.get(m0 - 1)
-                if prev is None:
-                    prev = enumerate_indecomposables(alg, m0 - 1, config, _registry=shapes)
-                    universes[m0 - 1] = prev
-                _, witness = max_length(prev)
-                return SgldimReport(m0, m0 - 2, witness, per_window, True, None, universes)
+                break
+            answer = stop(n, viol, window)
+            if answer is not None:
+                return SgldimReport(*answer, per_window, True, None, universes)
         return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
     finally:
         shapes.candidates.clear()  # replay serves the windows of this run only
+
+
+def compute_sgldim(alg, max_n: int = 16, config: EnumConfig | None = None) -> SgldimReport:
+    """Window loop: stop at the first n >= 2 with no full-support class."""
+    def no_violators(n, viol, window):
+        if viol:
+            return None
+        _, witness = max_length(window(n - 1))
+        return n, n - 2, witness
+
+    return _grow(alg, max_n, config, no_violators)
 
 
 def sgldim_fast(alg, max_n: int = 16, config: EnumConfig | None = None) -> SgldimReport:
     """Grow windows until max length stabilises on two consecutive windows."""
-    early = _gldim_report(alg, max_n)
-    if early is not None:
-        return early
-    shapes = _ShapeRegistry()
-    per_window = []
-    universes: dict[int, Universe] = {}
-    prev_len = None
-    prev_witness = None
-    try:
-        for n in range(2, max_n + 1):
-            uni = enumerate_indecomposables(alg, n, config, _registry=shapes)
-            universes[n] = uni
-            viol = _violators(uni)
-            per_window.append((n, len(uni.representatives), len(viol)))
-            if not uni.closed:
-                return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
-            ell, witness = max_length(uni)
-            if prev_len is not None and ell == prev_len:
-                return SgldimReport(ell + 2, ell, prev_witness, per_window, True, None, universes)
-            prev_len, prev_witness = ell, witness
-        return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
-    finally:
-        shapes.candidates.clear()  # replay serves the windows of this run only
+    lengths = {}
+
+    def stable_length(n, viol, window):
+        lengths[n] = max_length(window(n))
+        if n - 1 not in lengths or lengths[n - 1][0] != lengths[n][0]:
+            return None
+        ell = lengths[n][0]
+        return ell + 2, ell, lengths[n - 1][1]
+
+    return _grow(alg, max_n, config, stable_length)

@@ -1,19 +1,14 @@
+import math
+import pathlib
+
 import pytest
 
-from cnproj.algebra import (
-    FinModule,
-    ModuleMap,
-    Quiver,
-    build_algebra,
-    hom_module,
-    module_cokernel,
-    module_kernel,
-)
+from cnproj.algebra import Quiver, build_algebra
+from cnproj.algfile import load_algebra
 from cnproj.errors import (
     IncomposableElements,
     InfiniteDimensional,
     MalformedRelation,
-    ShapeMismatch,
 )
 
 
@@ -103,56 +98,54 @@ def test_dimension_equals_hom_sum(a3_alg, a6_alg, a2_alg):
         assert total == alg.dimension
 
 
-def test_projective_modules(a3_alg, point_alg):
-    p1 = a3_alg.projective_as_module(1)
-    assert [p1.dims[v] for v in (1, 2, 3)] == [1, 1, 0]
-    for v in a3_alg.quiver.vertices:
-        FinModule(a3_alg, a3_alg.projective_as_module(v).dims,
-                  a3_alg.projective_as_module(v).action)  # revalidates relations
-    s2 = a3_alg.simple_as_module(2)
-    assert s2.total_dim() == 1
-    # semisimple base case: P1 = S1
-    assert point_alg.projective_as_module(1).dims == point_alg.simple_as_module(1).dims
-
-
-def test_hom_module_values(a3_alg, a2_alg):
-    reg3 = a3_alg.regular_module()
-    assert hom_module(a3_alg.simple_as_module(2), reg3) == 1
-    reg2 = a2_alg.regular_module()
-    assert hom_module(a2_alg.simple_as_module(1), reg2) == 0
-
-
-def test_yoneda(a3_alg):
-    # hom(P_v, M) = dim of M at v
-    mods = [a3_alg.simple_as_module(2), a3_alg.projective_as_module(1),
-            a3_alg.regular_module()]
-    for m in mods:
-        for v in a3_alg.quiver.vertices:
-            assert hom_module(a3_alg.projective_as_module(v), m) == m.dims[v]
-
-
-def test_kernel_cokernel(a3_alg):
-    p2 = a3_alg.projective_as_module(2)
-    ident = ModuleMap(p2, p2, {v: [[a3_alg.field.one if i == j else a3_alg.field.zero
-                                    for j in range(p2.dims[v])]
-                                   for i in range(p2.dims[v])]
-                               for v in a3_alg.quiver.vertices})
-    assert module_kernel(ident).is_zero()
-    assert module_cokernel(ident).is_zero()
-
-
-def test_module_shape_errors(a3_alg):
-    p1 = a3_alg.projective_as_module(1)
-    p2 = a3_alg.projective_as_module(2)
-    with pytest.raises(ShapeMismatch):
-        ModuleMap(p1, p2, {v: [[a3_alg.field.one]] for v in (1, 2, 3)})
-
-
 def test_global_dimension(a3_alg, a6_alg, a2_alg, point_alg):
     assert a6_alg.global_dimension() == 3
     assert point_alg.global_dimension() == 0
     assert a3_alg.global_dimension() == 2
     assert a2_alg.global_dimension() == 1
+
+
+# gl.dim of every fixture.  All but syzygy_cycle match the projective
+# resolutions of the simple modules; syzygy_cycle's resolution never ends.
+FIXTURE_GLDIM = {
+    "point.alg": 0,
+    "a2.alg": 1,
+    "a3_relation.alg": 2,
+    "a4_abc.alg": 2,
+    "a6_relations.alg": 3,
+    "d4.alg": 1,
+    "cyc2.alg": math.inf,
+    "syzygy_cycle.alg": math.inf,
+}
+
+
+def test_global_dimension_of_every_fixture():
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    names = sorted(p.name for p in fixtures.glob("*.alg") if p.name != "bad_key.alg")
+    assert names == sorted(FIXTURE_GLDIM)  # a new fixture lands pinned
+    for name in names:
+        _, alg = load_algebra(str(fixtures / name))
+        assert alg.global_dimension() == FIXTURE_GLDIM[name], name
+
+
+A8 = Quiver(tuple(range(1, 9)), tuple((aid, i, i + 1) for i, aid in enumerate("abcdefg", 1)))
+
+
+@pytest.mark.parametrize("quiver, relations, gldim", [
+    # E6 tree 1->2->3->4->5 plus 6->3, relations ab, cd
+    (Quiver((1, 2, 3, 4, 5, 6), (("a", 1, 2), ("b", 2, 3), ("c", 3, 4), ("d", 4, 5),
+                                 ("f", 6, 3))), [("a", "b"), ("c", "d")], 2),
+    # linear A8 with relations ab, bc, cd, efg (derived type D8)
+    (A8, [("a", "b"), ("b", "c"), ("c", "d"), ("e", "f", "g")], 4),
+    # Kronecker: two arrows 1 -> 2
+    (Quiver((1, 2), (("a", 1, 2), ("b", 1, 2))), [], 1),
+    # the 2-cycle 1 <-> 2 with only ab = 0
+    (Quiver((1, 2), (("a", 1, 2), ("b", 2, 1))), [("a", "b")], 2),
+    # a loop with x^2 = 0: Omega(x Lambda) = x Lambda
+    (Quiver((1,), (("x", 1, 1),)), [("x", "x")], math.inf),
+])
+def test_global_dimension_probe_quivers(quiver, relations, gldim):
+    assert build_algebra(quiver, relations, "rational").global_dimension() == gldim
 
 
 def test_prime_field_build():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cnproj.arquiver import (
@@ -10,8 +12,8 @@ from cnproj.arquiver import (
     is_right_almost_split,
     is_right_minimal,
 )
-from cnproj.complexes import ChainMap, make_J, make_stalk, mat_zero
-from cnproj.errors import EtaZero, ShapeViolation
+from cnproj.complexes import ChainMap, Complex, direct_sum, make_J, make_stalk, mat_zero
+from cnproj.errors import EtaZero, NotClosed, ShapeViolation
 from cnproj.homspaces import decompose
 
 
@@ -189,11 +191,22 @@ def test_top_window_conflation_is_new(a3_alg):
 
 
 def test_is_minimal_sides(a2_quiver):
-    from cnproj.arquiver import is_left_minimal, is_right_minimal
-
     conf = next(iter(a2_quiver.conflations.values()))
     assert is_right_minimal(a2_quiver.universe, conf.d)
-    assert is_left_minimal(a2_quiver.universe, conf.i)
+
+
+def test_almost_split_quantifiers_need_a_representative_end(a2_quiver, a2_alg):
+    # P2 -2a-> P1 is isomorphic to the representative P2 -a-> P1 but is not it,
+    # and a sum of two classes is no class at all: both ends are refused by name
+    a = a2_alg.arrow_element("a")
+    scaled = Complex(a2_alg, [(2,), (1,)], [[[a.scale(2)]]])
+    pair = direct_sum(make_stalk(a2_alg, 1, 1, 2), make_stalk(a2_alg, 2, 1, 2))
+    for end in (scaled, pair):
+        ident = ChainMap.identity(end)
+        with pytest.raises(NotClosed, match=re.escape(f"the target {end.label()} is not")):
+            is_right_almost_split(a2_quiver.universe, ident)
+        with pytest.raises(NotClosed, match=re.escape(f"the source {end.label()} is not")):
+            is_left_almost_split(a2_quiver.universe, ident)
 
 
 def test_gamma_bar_window_one_is_eta_zero(point_alg):

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import pathlib
+import time
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ def path(fixtures_dir, name):
 
 def test_round_trip(fixtures_dir):
     for name in ("a3_relation.alg", "a6_relations.alg", "a2.alg", "point.alg",
-                 "d4.alg", "a4_abc.alg", "cyc2.alg"):
+                 "d4.alg", "a4_abc.alg", "cyc2.alg", "syzygy_cycle.alg"):
         text = (fixtures_dir / name).read_text()
         model = parse_algebra_file(text)
         again = parse_algebra_file(serialize_algebra_file(model))
@@ -61,6 +62,16 @@ def test_sgldim_infinite_gldim_exits_at_once(fixtures_dir, capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert "gl.dim is infinite" in out and "max_n - 2 = 14" in out
+
+
+def test_sgldim_syzygy_cycle_exits_at_once(fixtures_dir, capsys):
+    # the projective resolutions of this algebra's simples never end; the
+    # path walk sees the syzygy cycle at once
+    start = time.perf_counter()
+    rc = main(["sgldim", path(fixtures_dir, "syzygy_cycle.alg")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "gl.dim is infinite" in capsys.readouterr().out
 
 
 def _gf2_copy(fixtures_dir, tmp_path, name):

@@ -3,8 +3,6 @@ import pytest
 from cnproj.complexes import (
     ChainMap,
     Complex,
-    can_extend_left,
-    can_extend_right,
     canonical_sort,
     cone,
     direct_sum,
@@ -28,7 +26,7 @@ from cnproj.complexes import (
 )
 from cnproj.errors import NotAnExtension, PositionOutOfRange, ShapeMismatch, \
     SupportOverflow, WindowMismatch
-from cnproj.homspaces import is_isomorphic
+from cnproj.homspaces import can_extend_left, can_extend_right, is_isomorphic
 
 
 def witness(a3_alg):

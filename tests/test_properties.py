@@ -199,3 +199,20 @@ def test_kernel_stays_exact_on_integer_matrices(mat):
             assert sum(a * b for a, b in zip(row, v)) == 0
     # the same matrix with every entry a Fraction gives the same basis
     assert kernel(qq, [[Fraction(e) for e in row] for row in rows], ncols) == (basis, free)
+
+
+@st.composite
+def acyclic_quivers(draw):
+    k = draw(st.integers(min_value=1, max_value=5))
+    pairs = st.tuples(st.integers(1, k), st.integers(1, k)).filter(lambda p: p[0] < p[1])
+    ends = draw(st.lists(pairs, max_size=6)) if k > 1 else []
+    return Quiver(tuple(range(1, k + 1)),
+                  tuple((f"x{i}", s, t) for i, (s, t) in enumerate(ends)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(acyclic_quivers())
+def test_acyclic_path_algebras_are_hereditary(quiver):
+    # kQ of an acyclic quiver is hereditary, and semisimple without arrows
+    gldim = build_algebra(quiver, [], "rational").global_dimension()
+    assert gldim == (1 if quiver.arrows else 0)
