@@ -5,8 +5,12 @@ conflations ending at a non-projective class Z are found by a linear
 criterion: a nonzero extension class sigma in Ext(Z, X) gives an almost
 split conflation iff every pullback along a radical map W -> Z splits, i.e.
 sigma . g is a boundary for every g in rad(W, Z) and every universe class W.
-Candidates are then certified independently (left/right almost split tests,
-right minimality, indecomposable ends).
+Each candidate X -> Y -> Z is then certified by one factorisation test and
+its dual (``_factors_all``): d: Y -> Z is right almost split when the identity
+of Z does not factor through d and every radical map W -> Z from a universe
+class does, and i: X -> Y is left almost split dually.  Right minimality is
+the same test on the proper sub-families of the components of d on the
+summands of Y, and both end terms must be indecomposable.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ class _Ctx:
 
     def __init__(self, universe: Universe):
         if not universe.closed:
-            raise NotClosed("AR constructions need a closed universe")
+            raise NotClosed("AR constructions need a closed universe"
+                            + (f"; {universe.cap_note}" if universe.cap_note else ""))
         self.universe = universe
         self.reps = universe.representatives
         self._hom: dict[tuple[int, int], HomSpace] = {}
@@ -111,11 +116,9 @@ class _Ctx:
 
     def rad(self, i, j) -> HomSpace:
         if (i, j) not in self._rad:
-            if i == j:
-                end = self.hom(i, i)
-                self._rad[(i, j)] = end.subspace(end_radical_coords(self.reps[i], end))
-            else:
-                self._rad[(i, j)] = self.hom(i, j)
+            hs = self.hom(i, j)
+            self._rad[(i, j)] = (hs.subspace(end_radical_coords(self.reps[i], hs))
+                                 if i == j else hs)
         return self._rad[(i, j)]
 
     def rad2(self, i, j) -> HomSpace:
@@ -162,20 +165,10 @@ def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
             hs = ctx.hom(i, j)
             for g in r2.basis:
                 span.add(hs.coordinates(g))
-            rep_map = None
-            for g in r1.basis:
-                if not span.contains(hs.coordinates(g)):
-                    rep_map = g
-                    break
-            arrow_reps[(i, j)] = rep_map
-    conflations = {}
-    tau = {}
-    for z_idx in range(len(reps)):
-        if en_proj[z_idx]:
-            continue
-        conf = almost_split_ending_at(ctx, z_idx)
-        conflations[z_idx] = conf
-        tau[z_idx] = conf.x_idx
+            arrow_reps[(i, j)] = next(g for g in r1.basis
+                                      if not span.contains(hs.coordinates(g)))
+    conflations = {z: almost_split_ending_at(ctx, z) for z in range(len(reps)) if not en_proj[z]}
+    tau = {z: conf.x_idx for z, conf in conflations.items()}
     return ARQuiver(alg, n, universe, en_proj, en_inj, proj_inj,
                     arrows, arrow_reps, conflations, tau)
 
@@ -198,28 +191,14 @@ def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
                 continue
             target_ext = ctx.ext(w_idx, x_idx)
             for g in gs.basis:
-                cols = [target_ext.reduce(sigma.compose_right(g)) for sigma in espace.basis]
-                for r in range(target_ext.dimension):
-                    row = [cols[k][r] for k in range(espace.dimension)]
-                    if any(row):
-                        rows.append(row)
-        sol = nullspace(field_, rows, espace.dimension) if rows else \
-            [[field_.one if i == k else field_.zero for i in range(espace.dimension)]
-             for k in range(espace.dimension)]
+                rows.extend(zip(*(target_ext.reduce(sigma.compose_right(g))
+                                  for sigma in espace.basis)))
+        sol = nullspace(field_, rows, espace.dimension)
         if not sol:
             continue
-        coeffs = sol[0]
-        comps = None
-        for c, sigma in zip(coeffs, espace.basis):
-            if not c:
-                continue
-            scaled = [[[e.scale(c) for e in row] for row in m] for m in sigma.comps]
-            if comps is None:
-                comps = scaled
-            else:
-                comps = [[[a + b for a, b in zip(ra, rb)] for ra, rb in zip(ma, mb)]
-                         for ma, mb in zip(comps, scaled)]
-        sigma_star = DegreeOneMap(z, reps[x_idx], comps)
+        vec = [sum((c * v for c, v in zip(sol[0], col) if c), field_.zero)
+               for col in zip(*espace._qrep_vecs)]
+        sigma_star = DegreeOneMap(z, reps[x_idx], espace._layout.materialize(vec))
         y, i_map, d_map = assemble_extension(z, reps[x_idx], sigma_star)
         conf = Conflation(reps[x_idx], y, z, i_map, d_map, x_idx=x_idx, z_idx=z_idx)
         _certify(ctx, conf)
@@ -249,119 +228,88 @@ def _certify(ctx: _Ctx, conf: Conflation):
     if not is_left_almost_split(ctx.universe, conf.i, _ctx=ctx):
         raise CertificationFailure("left map is not left almost split")
     summands = decompose_with_maps(conf.y)
-    conf.y_summands = []
-    for w, _, _ in summands:
-        idx = ctx.universe.find(w)
-        if idx is None:
-            raise CertificationFailure("middle summand escapes the universe")
-        conf.y_summands.append(idx)
+    conf.y_summands = [ctx.universe.find(w) for w, _, _ in summands]
+    if None in conf.y_summands:
+        raise CertificationFailure("middle summand escapes the universe")
     if not is_right_minimal(ctx.universe, conf.d, summands, _ctx=ctx):
         raise CertificationFailure("right map is not right minimal")
     conf.certified = True
 
 
 def _representative_index(universe: Universe, x: Complex, end: str) -> int:
-    """The class index of a universe representative; NotClosed names any other end."""
+    """The class index of a representative of a closed universe; NotClosed
+    names an open universe or any other end."""
+    if not universe.closed:
+        raise NotClosed("the factorisation quantifier needs a closed universe")
     idx = universe.find(x)
     if idx is None or universe.representatives[idx] != x:
         raise NotClosed(f"the {end} {x.label()} is not a universe representative")
     return idx
 
 
+def _factors_all(ctx: _Ctx, k: int, family, into: bool) -> bool:
+    """Whether the identity of class k does not factor through ``family`` but
+    every radical map W -> k (k -> W) from a universe class W does.
+
+    With ``into`` the maps f of ``family`` end at k and the composites are
+    f . s for s: W -> source of f; otherwise they start at k, composites s . f.
+    """
+    def composites(w: int):
+        hs = ctx.hom(w, k) if into else ctx.hom(k, w)
+        span = SpanBasis(ctx.reps[k].alg.field, len(hs._free))
+        for f in family:
+            if into:
+                for s in hom_basis(ctx.reps[w], f.source).basis:
+                    span.add(hs.coordinates(compose(f, s)))
+            else:
+                for s in hom_basis(f.target, ctx.reps[w]).basis:
+                    span.add(hs.coordinates(compose(s, f)))
+        return hs, span
+
+    own = hs, span = composites(k)
+    if span.contains(hs.coordinates(ChainMap.identity(ctx.reps[k]))):
+        return False
+    for w in range(len(ctx.reps)):
+        rad = ctx.rad(w, k) if into else ctx.rad(k, w)
+        if rad.dimension == 0:
+            continue
+        hs, span = own if w == k else composites(w)
+        if not all(span.contains(hs.coordinates(g)) for g in rad.basis):
+            return False
+    return True
+
+
 def is_right_almost_split(universe: Universe, d: ChainMap, _ctx: _Ctx | None = None) -> bool:
     """Every radical map W -> Z from the universe factors through d, and d is
     not a retraction.  Z must be a class's own representative."""
-    if not universe.closed:
-        raise NotClosed("the factorisation quantifier needs a closed universe")
-    ctx = _ctx or _Ctx(universe)
-    z = d.target
-    y = d.source
-    z_idx = _representative_index(universe, z, "target")
-    # not a retraction: the identity of Z must not factor through d
-    hz = ctx.hom(z_idx, z_idx)
-    img = SpanBasis(z.alg.field, len(hz._free))
-    for s in hom_basis(z, y).basis:
-        img.add(hz.coordinates(compose(d, s)))
-    if img.contains(hz.coordinates(ChainMap.identity(z))):
-        return False
-    for w_idx, w in enumerate(ctx.reps):
-        gs = ctx.rad(w_idx, z_idx)
-        if gs.dimension == 0:
-            continue
-        hw = ctx.hom(w_idx, z_idx)
-        span = SpanBasis(z.alg.field, len(hw._free))
-        for s in hom_basis(w, y).basis:
-            span.add(hw.coordinates(compose(d, s)))
-        for g in gs.basis:
-            if not span.contains(hw.coordinates(g)):
-                return False
-    return True
+    k = _representative_index(universe, d.target, "target")
+    return _factors_all(_ctx or _Ctx(universe), k, [d], into=True)
 
 
 def is_left_almost_split(universe: Universe, i_map: ChainMap, _ctx: _Ctx | None = None) -> bool:
     """Every radical map X -> W into the universe factors through i, and i is
     not a section.  X must be a class's own representative."""
-    if not universe.closed:
-        raise NotClosed("the factorisation quantifier needs a closed universe")
-    ctx = _ctx or _Ctx(universe)
-    x = i_map.source
-    y = i_map.target
-    x_idx = _representative_index(universe, x, "source")
-    hx = ctx.hom(x_idx, x_idx)
-    img = SpanBasis(x.alg.field, len(hx._free))
-    for s in hom_basis(y, x).basis:
-        img.add(hx.coordinates(compose(s, i_map)))
-    if img.contains(hx.coordinates(ChainMap.identity(x))):
-        return False
-    for w_idx, w in enumerate(ctx.reps):
-        gs = ctx.rad(x_idx, w_idx)
-        if gs.dimension == 0:
-            continue
-        hw = ctx.hom(x_idx, w_idx)
-        span = SpanBasis(x.alg.field, len(hw._free))
-        for s in hom_basis(y, w).basis:
-            span.add(hw.coordinates(compose(s, i_map)))
-        for g in gs.basis:
-            if not span.contains(hw.coordinates(g)):
-                return False
-    return True
+    k = _representative_index(universe, i_map.source, "source")
+    return _factors_all(_ctx or _Ctx(universe), k, [i_map], into=False)
 
 
 def is_right_minimal(universe: Universe, d: ChainMap, summands=None,
                      _ctx: _Ctx | None = None) -> bool:
-    """No proper direct summand restriction of the source stays right almost split."""
+    """No proper direct summand restriction of the source stays right almost split.
+
+    For Y = (+) Y_k, Hom(W, Y) = (+) Hom(W, Y_k), so d restricted to the sum
+    of a subset of the Y_k factors what its components d . incl_k do.
+    """
     ctx = _ctx or _Ctx(universe)
     if summands is None:
         summands = decompose_with_maps(d.source)
     if len(summands) <= 1:
         return True
-    for size in range(1, len(summands)):
-        for subset in itertools.combinations(range(len(summands)), size):
-            parts = [summands[k] for k in subset]
-            sub, incl = _sum_with_inclusion(d.source, parts)
-            restricted = compose(d, incl)
-            if is_right_almost_split(universe, restricted, _ctx=ctx):
-                return False
-    return True
-
-
-def _sum_with_inclusion(whole: Complex, parts):
-    from .complexes import direct_sum_many
-
-    alg = whole.alg
-    pieces = [w for (w, _, _) in parts]
-    sub = direct_sum_many(pieces)
-    comps = []
-    for i in range(whole.window):
-        m = [[alg.zero_element(tv, sv) for sv in sub.cells[i]] for tv in whole.cells[i]]
-        off = 0
-        for (w, incl, _) in parts:
-            for c in range(len(w.cells[i])):
-                for r in range(len(whole.cells[i])):
-                    m[r][off + c] = incl.comps[i][r][c]
-            off += len(w.cells[i])
-        comps.append(m)
-    return sub, ChainMap(sub, whole, comps, check=False)
+    k = _representative_index(universe, d.target, "target")
+    parts = [compose(d, incl) for _, incl, _ in summands]
+    return not any(_factors_all(ctx, k, sub, into=True)
+                   for size in range(1, len(parts))
+                   for sub in itertools.combinations(parts, size))
 
 
 # -- component shapes of irreducible morphisms -----------------------------------
@@ -383,11 +331,13 @@ def classify_irreducible_components(f: ChainMap) -> ComponentShape:
     n = f.source.window
     if f.is_isomorphism():
         raise ShapeViolation("identity-like input: split morphisms are not irreducible")
-    sec, ret = [], []
-    for i in range(n):
-        src, tgt = f.source.cells[i], f.target.cells[i]
-        sec.append(_is_section_component(alg, f.comps[i], tgt, src))
-        ret.append(_is_retraction_component(alg, f.comps[i], tgt, src))
+    # a component is a section (retraction) iff every scalar block has full
+    # column (row) rank
+    sec, ret = [True] * n, [True] * n
+    for i, rows, cols, blk in f.scalar_blocks():
+        r = rank(alg.field, blk, len(cols))
+        sec[i] = sec[i] and r == len(cols)
+        ret[i] = ret[i] and r == len(rows)
     if all(sec):
         return ComponentShape("all-sections")
     if all(ret):
@@ -405,36 +355,9 @@ def classify_irreducible_components(f: ChainMap) -> ComponentShape:
     return ComponentShape("split-at", i0 + 1)
 
 
-def _is_section_component(alg, mat, tgt_cell, src_cell) -> bool:
-    f = alg.field
-    for v in set(src_cell):
-        cols_i = [j for j, w in enumerate(src_cell) if w == v]
-        rows_i = [i for i, w in enumerate(tgt_cell) if w == v]
-        blk = [[mat[i][j].unit_coeff() for j in cols_i] for i in rows_i]
-        if rank(f, blk, len(cols_i)) != len(cols_i):
-            return False
-    return True
-
-
-def _is_retraction_component(alg, mat, tgt_cell, src_cell) -> bool:
-    f = alg.field
-    for v in set(tgt_cell):
-        cols_i = [j for j, w in enumerate(src_cell) if w == v]
-        rows_i = [i for i, w in enumerate(tgt_cell) if w == v]
-        blk = [[mat[j][i].unit_coeff() for j in rows_i] for i in cols_i]
-        if rank(f, blk, len(rows_i)) != len(rows_i):
-            return False
-    return True
-
-
 def _in_rad_square(mat) -> bool:
     """All entries supported on paths of length >= 2."""
-    for row in mat:
-        for e in row:
-            for p in e.coeffs:
-                if len(p) <= 1:
-                    return False
-    return True
+    return all(len(p) >= 2 for row in mat for e in row for p in e.coeffs)
 
 
 # -- the derived subquiver and its translate windows ------------------------------
@@ -557,8 +480,31 @@ class WindowStabilityReport:
         return not self.violations
 
 
-def _conflation_triple_key(universe: Universe, conf: Conflation):
-    return (universe.find(conf.x), tuple(sorted(conf.y_summands)), universe.find(conf.z))
+def _triple_key(universe: Universe, triple, middle=None):
+    """(class of X, sorted classes of Y's summands, class of Z) for a triple
+    X -> Y -> Z, or None when a term has no class.  ``middle`` holds the
+    classes of Y's summands when they are known."""
+    x, y, z = triple
+    if middle is None:
+        middle = [universe.find(w) for w, _, _ in decompose_with_maps(y)]
+    ends = universe.find(x), universe.find(z)
+    if None in ends or None in middle:
+        return None
+    return ends[0], tuple(sorted(middle)), ends[1]
+
+
+def _drop_rule(triple):
+    """The drop functor that every term allows, or None when none does."""
+    if all(not t.cells[0] for t in triple):
+        return drop_first
+    if all(not t.cells[-1] for t in triple):
+        return drop_last
+    return None
+
+
+def _embed_rule(triple):
+    """Embed on the side where the first term does not extend."""
+    return embed_right if can_extend_left(triple[0]) else embed_left
 
 
 def check_window_stability(alg, n: int, eta: int, config: EnumConfig | None = None,
@@ -595,45 +541,23 @@ def check_window_stability(alg, n: int, eta: int, config: EnumConfig | None = No
             checked["boundary"] += 1
             if not is_j and rep.cells[0] and rep.cells[-1]:
                 violations.append(("boundary", m, rep.label()))
-    # (1) drop every window-n conflation down to eta+1
-    lo_keys = {_conflation_triple_key(q_lo.universe, c): z
-               for z, c in q_lo.conflations.items()}
-    for z_idx, conf in q_hi.conflations.items():
-        checked["drop"] += 1
-        triple = (conf.x, conf.y, conf.z)
-        ok = True
-        for step in range(n - (eta + 1)):
-            if all(not t.cells[0] for t in triple):
-                triple = tuple(drop_first(t) for t in triple)
-            elif all(not t.cells[-1] for t in triple):
-                triple = tuple(drop_last(t) for t in triple)
+    # (1) drop every window-n conflation to eta+1, (2) embed every eta+1
+    # conflation to n, and look each result up among the certified ones there
+    for kind, src, dst, rule in (("drop", q_hi, q_lo, _drop_rule),
+                                 ("embed", q_lo, q_hi, _embed_rule)):
+        keys = {_triple_key(dst.universe, (c.x, c.y, c.z), c.y_summands)
+                for c in dst.conflations.values()}
+        for z_idx, conf in src.conflations.items():
+            checked[kind] += 1
+            triple = (conf.x, conf.y, conf.z)
+            for _ in range(n - (eta + 1)):
+                step = rule(triple)
+                if step is None:
+                    violations.append((f"{kind}-stuck", triple[2].window, conf.z.label()))
+                    break
+                triple = tuple(step(t) for t in triple)
             else:
-                violations.append(("drop-stuck", n - step, conf.z.label()))
-                ok = False
-                break
-        if not ok:
-            continue
-        key = (q_lo.universe.find(triple[0]),
-               tuple(sorted(q_lo.universe.find(w)
-                            for (w, _, _) in decompose_with_maps(triple[1]))),
-               q_lo.universe.find(triple[2]))
-        if None in (key[0], key[2]) or None in key[1] or key not in lo_keys:
-            violations.append(("drop-unmatched", z_idx, conf.z.label()))
-    # (2) embed every eta+1 conflation up to window n
-    hi_keys = {_conflation_triple_key(q_hi.universe, c): z
-               for z, c in q_hi.conflations.items()}
-    for z_idx, conf in q_lo.conflations.items():
-        checked["embed"] += 1
-        triple = (conf.x, conf.y, conf.z)
-        for step in range(n - (eta + 1)):
-            if not can_extend_left(triple[0]):
-                triple = tuple(embed_left(t) for t in triple)
-            else:
-                triple = tuple(embed_right(t) for t in triple)
-        key = (q_hi.universe.find(triple[0]),
-               tuple(sorted(q_hi.universe.find(w)
-                            for (w, _, _) in decompose_with_maps(triple[1]))),
-               q_hi.universe.find(triple[2]))
-        if None in (key[0], key[2]) or None in key[1] or key not in hi_keys:
-            violations.append(("embed-unmatched", z_idx, conf.z.label()))
+                key = _triple_key(dst.universe, triple)
+                if key is None or key not in keys:
+                    violations.append((f"{kind}-unmatched", z_idx, conf.z.label()))
     return WindowStabilityReport(n, eta + 1, violations, checked)

@@ -202,6 +202,21 @@ class ChainMap:
                         [[[e.scale(c) for e in row] for row in m] for m in self.comps],
                         check=False)
 
+    def scalar_blocks(self):
+        """Yield (position, rows, cols, block) per position and per vertex v of
+        either cell there, in sorted vertex order.
+
+        ``rows`` and ``cols`` index the summands P_v of the target and source
+        cells; ``block`` holds the trivial-path coefficients of the component
+        on them.  Modulo the radical, each component is the sum of its blocks.
+        """
+        for i, (comp, tgt, src) in enumerate(zip(self.comps, self.target.cells,
+                                                 self.source.cells)):
+            for v in sorted(set(tgt) | set(src)):
+                rows = [r for r, w in enumerate(tgt) if w == v]
+                cols = [c for c, w in enumerate(src) if w == v]
+                yield i, rows, cols, [[comp[r][c].unit_coeff() for c in cols] for r in rows]
+
     def is_isomorphism(self) -> bool:
         """All components invertible: square scalar blocks per vertex, all regular.
 
@@ -209,13 +224,12 @@ class ChainMap:
         radical, i.e. the per-vertex matrices of trivial-path coefficients are
         square and regular.
         """
-        for i in range(self.source.window):
-            src, tgt = self.source.cells[i], self.target.cells[i]
-            if sorted(src) != sorted(tgt):
-                return False
-            if not _scalar_blocks_invertible(self.source.alg, self.comps[i], tgt, src):
-                return False
-        return True
+        if any(sorted(src) != sorted(tgt)
+               for src, tgt in zip(self.source.cells, self.target.cells)):
+            return False
+        field = self.source.alg.field
+        return all(rank(field, blk, len(cols)) == len(cols)
+                   for _, _, cols, blk in self.scalar_blocks())
 
     def __repr__(self):
         return f"ChainMap[{self.source.label()} -> {self.target.label()}]"
@@ -230,19 +244,6 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
                      g.target.cells[i], g.source.cells[i], f.source.cells[i])
              for i in range(f.source.window)]
     return ChainMap(f.source, g.target, comps, check=False)
-
-
-def _scalar_blocks_invertible(alg, mat, tgt_cell, src_cell) -> bool:
-    f = alg.field
-    for v in set(tgt_cell) | set(src_cell):
-        rows_i = [i for i, w in enumerate(tgt_cell) if w == v]
-        cols_i = [j for j, w in enumerate(src_cell) if w == v]
-        if len(rows_i) != len(cols_i):
-            return False
-        blk = [[mat[i][j].unit_coeff() for j in cols_i] for i in rows_i]
-        if rank(f, blk, len(cols_i)) != len(cols_i):
-            return False
-    return True
 
 
 # -- constructors ----------------------------------------------------------

@@ -44,6 +44,7 @@ from .complexes import (
     mat_zero,
 )
 from .errors import (
+    CapExceeded,
     DecompositionFailure,
     IncompleteUniverse,
     InvalidClass,
@@ -53,6 +54,7 @@ from .errors import (
     ZeroComplex,
 )
 from .linalg import (
+    ROOT_SEARCH_CAP,
     SpanBasis,
     identity_matrix,
     kernel,
@@ -242,22 +244,15 @@ def can_extend_right(x: Complex) -> bool:
 # -- endomorphism rings, radicals, indecomposability ---------------------------
 
 
-def _vertex_groups(x: Complex):
-    """(position, summand indices) of each vertex in each cell, in vertex order."""
-    return [(i, [j for j, w in enumerate(cell) if w == v])
-            for i, cell in enumerate(x.cells) for v in sorted(set(cell))]
-
-
 def _scalar_image(f: ChainMap) -> list:
     """phi(f) for an endomorphism f of X: one matrix of trivial-path
-    coefficients per (position, vertex), over ``_vertex_groups(X)``.
+    coefficients per (position, vertex), from ``ChainMap.scalar_blocks``.
 
     phi is an algebra map End(X) -> prod M_m(k).  Its kernel, the maps with
     every entry in the arrow ideal, is nilpotent, so rad End(X) is the
     preimage of the radical of phi(End(X)) and idempotents lift along phi.
     """
-    return [[[f.comps[i][r][c].unit_coeff() for c in idxs] for r in idxs]
-            for i, idxs in _vertex_groups(f.source)]
+    return [blk for _, _, _, blk in f.scalar_blocks()]
 
 
 def _trace_of_product(field_, a, b):
@@ -463,13 +458,22 @@ def _splitting_idempotent(x: Complex):
 def _fitting_projection(f, blocks):
     """Blockwise projection onto the generalised eigenspace of a rational
     eigenvalue of ``blocks`` along the other ones; None when every such
-    projection is 0 or 1 (one eigenvalue, or no rational one)."""
+    projection is 0 or 1 (one eigenvalue, or no rational one).
+
+    Raises CapExceeded when the rational root search refuses a minimal
+    polynomial, which would otherwise read as "no rational eigenvalue".
+    """
     eigen = set()
     for blk in blocks:
         if len(blk) == 1:
             eigen.add(blk[0][0])
-        else:
-            eigen.update(rational_roots(minimal_polynomial(f, blk, len(blk))) or ())
+            continue
+        roots = rational_roots(minimal_polynomial(f, blk, len(blk)))
+        if roots is None:
+            raise CapExceeded(
+                f"rational root search refused: a minimal polynomial coefficient "
+                f"exceeds ROOT_SEARCH_CAP = {ROOT_SEARCH_CAP:,}")
+        eigen.update(roots)
     ident = [identity_matrix(f, len(blk)) for blk in blocks]
     for lam in sorted(eigen):
         proj = [_fitting_part(f, blk, lam) for blk in blocks]
@@ -515,7 +519,7 @@ def _image_summand(x: Complex, e: ChainMap):
     f = alg.field
     rows = [[] for _ in x.cells]
     cols = [[] for _ in x.cells]
-    for (i, idxs), s in zip(_vertex_groups(x), _scalar_image(e)):
+    for i, idxs, _, s in e.scalar_blocks():
         pivots = rref(f, [list(r) for r in s], len(s))
         rows[i] += [idxs[r] for r in rref(f, [[row[c] for row in s] for c in pivots], len(s))]
         cols[i] += [idxs[c] for c in pivots]

@@ -8,6 +8,10 @@ reproducible across runs.
 
 from __future__ import annotations
 
+# rational_roots refuses a polynomial whose constant or leading integer
+# coefficient exceeds this bound, rather than factor it by trial division.
+ROOT_SEARCH_CAP = 10**9
+
 
 def mat_copy(rows):
     return [list(r) for r in rows]
@@ -190,8 +194,7 @@ def rational_roots(poly):
     """All rational roots of a polynomial with int or Fraction coefficients.
 
     Clears denominators and tries divisor quotients p/q; refuses (returns
-    None) when the constant or leading integer is too large to factor at desk
-    scale.
+    None) when the constant or leading integer exceeds ``ROOT_SEARCH_CAP``.
     """
     from fractions import Fraction
 
@@ -208,7 +211,7 @@ def rational_roots(poly):
     if not ints:
         return sorted(roots)
     a0, ad = abs(ints[0]), abs(ints[-1])
-    if a0 > 10**9 or ad > 10**9:
+    if a0 > ROOT_SEARCH_CAP or ad > ROOT_SEARCH_CAP:
         return None
     frac_poly = [Fraction(c) for c in poly]
     for p in _divisors(a0):

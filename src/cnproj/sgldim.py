@@ -83,11 +83,15 @@ def _grow(alg, max_n: int, config: EnumConfig | None, stop) -> SgldimReport:
             viol = _violators(uni)
             per_window.append((n, len(uni.representatives), len(viol)))
             if not uni.closed:
+                reason = uni.cap_note
                 break
             answer = stop(n, viol, window)
             if answer is not None:
                 return SgldimReport(*answer, per_window, True, None, universes)
-        return SgldimReport(None, None, None, per_window, False, CAP_NOTE, universes)
+        else:
+            reason = f"max_n = {max_n} reached: windows 2..{max_n} closed without termination"
+        return SgldimReport(None, None, None, per_window, False, f"{CAP_NOTE}; {reason}",
+                            universes)
     finally:
         shapes.candidates.clear()  # replay serves the windows of this run only
 

@@ -127,6 +127,8 @@ class Universe:
 
     Class i is the translate ``classes[i]`` = (shape id, first position) of a
     shape of ``shapes``; ``representatives[i]`` is that shape moved there.
+    An enumeration that stops short of closure names the caps it hit, their
+    values and how far it got in ``cap_note``.
     """
 
     alg: MonomialAlgebra
@@ -137,6 +139,7 @@ class Universe:
     j_flags: list[bool] = field(default_factory=list)
     closed: bool = False
     stats: dict = field(default_factory=dict)
+    cap_note: str | None = None
     _index: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
     def place(self, sid: int, lo: int) -> int | None:
@@ -324,6 +327,7 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                 yield "summand", y
 
     new_idxs = list(range(len(reps)))
+    caps = []
     while stats["rounds"] < config.max_rounds:
         stats["rounds"] += 1
         added: list[int] = []
@@ -343,9 +347,15 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                     continue
                 added.extend(run(pair_key(i, j), rules_bc, i, j))
         if not added:
-            uni.closed = stats["cap_skips"] == 0
             break
         new_idxs = added
+    else:
+        caps.append(f"max_rounds = {config.max_rounds} ran out before a fixpoint")
+    if stats["cap_skips"]:
+        caps.append(f"max_total_summands = {config.max_total_summands} skipped "
+                    f"{stats['cap_skips']} candidates")
+    uni.closed = not caps
+    uni.cap_note = f"window {n}: " + "; ".join(caps) if caps else None
     if _registry is None:
         shapes.candidates.clear()  # no later window replays them
     stats["classes"] = len(reps)

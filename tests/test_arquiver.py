@@ -261,3 +261,30 @@ def test_six_vertex_derived_pipeline(a6_alg):
     dw = derived_window(gb, -1, 1)
     assert len(dw.vertices) == 3 * gb.vertex_count()
     assert not dw.notes
+
+
+def test_not_closed_names_the_cap(a3_alg):
+    from cnproj.universe import EnumConfig
+
+    with pytest.raises(NotClosed, match="window 3: max_rounds = 1 ran out before a fixpoint"):
+        build_ar_quiver(a3_alg, 3, EnumConfig(max_rounds=1))
+
+
+@pytest.mark.parametrize("alg_name, n, widest", [("a2_alg", 2, 2), ("a6_alg", 3, 3)])
+def test_padded_right_map_is_almost_split_but_not_minimal(request, alg_name, n, widest):
+    # [d, 0]: Y (+) W -> Z factors exactly what d does, so it stays right almost
+    # split, and dropping W's component leaves a proper sub-family that is too;
+    # conflation k pads with the classes k, k + c, k + 2c, ... (c conflations)
+    from cnproj.arquiver import _Ctx
+
+    q = build_ar_quiver(request.getfixturevalue(alg_name), n)
+    ctx = _Ctx(q.universe)
+    confs = list(q.conflations.values())
+    assert max(len(c.y_summands) for c in confs) == widest
+    for k, conf in enumerate(confs):
+        for w in q.universe.representatives[k::len(confs)]:
+            comps = [[list(row) + zero for row, zero in zip(dc, mat_zero(w.alg, z_cell, w_cell))]
+                     for dc, z_cell, w_cell in zip(conf.d.comps, conf.z.cells, w.cells)]
+            padded = ChainMap(direct_sum(conf.y, w), conf.z, comps)
+            assert is_right_almost_split(q.universe, padded, _ctx=ctx)
+            assert not is_right_minimal(q.universe, padded, _ctx=ctx)

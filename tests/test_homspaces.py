@@ -417,3 +417,16 @@ def test_irrational_endomorphism_field_fails_loudly():
     assert not is_indecomposable(x)
     with pytest.raises(DecompositionFailure):
         decompose_with_maps(x)
+
+
+def test_refused_root_search_is_a_named_cap(point_alg):
+    from cnproj.errors import CapExceeded
+    from cnproj.homspaces import _fitting_projection
+
+    # diag(10^10, 10^10 + 1) has two rational eigenvalues, but its minimal
+    # polynomial's constant term is past the root search's bound: the search
+    # is refused, which must not read as "no rational eigenvalue"
+    big = 10**10
+    blk = [[big, 0], [0, big + 1]]
+    with pytest.raises(CapExceeded, match="ROOT_SEARCH_CAP = 1,000,000,000"):
+        _fitting_projection(point_alg.field, [blk])

@@ -1,3 +1,5 @@
+import re
+
 from cnproj.complexes import Complex, length
 from cnproj.homspaces import is_isomorphic
 from cnproj.sgldim import compute_sgldim, sgldim_fast
@@ -82,3 +84,50 @@ def test_gldim_at_the_bound_still_enumerates(a6_alg):
     assert "gl.dim" not in r.cap_note
     r = compute_sgldim(a6_alg, max_n=4)
     assert r.per_window == [] and "gl.dim = 3, and s.gl.dim >= gl.dim > max_n - 2 = 2" in r.cap_note
+
+
+def test_round_cap_note_names_the_cap(a3_alg):
+    from cnproj.universe import EnumConfig
+
+    r = compute_sgldim(a3_alg, config=EnumConfig(max_rounds=1))
+    assert not r.terminated and "indistinguishable" in r.cap_note
+    assert "window 2: max_rounds = 1 ran out before a fixpoint" in r.cap_note
+
+
+def test_summand_cap_note_names_the_cap(a3_alg):
+    from cnproj.universe import EnumConfig
+
+    r = compute_sgldim(a3_alg, config=EnumConfig(max_total_summands=2))
+    assert not r.terminated and "indistinguishable" in r.cap_note
+    assert re.search(r"window 2: max_total_summands = 2 skipped [1-9]\d* candidates",
+                     r.cap_note)
+
+
+def test_exhausted_max_n_note_names_max_n(a6_alg):
+    # gl.dim 3 = max_n - 2 lets every window run; s.gl.dim 4 is past the cap
+    for driver in (compute_sgldim, sgldim_fast):
+        r = driver(a6_alg, max_n=5)
+        assert not r.terminated and "indistinguishable" in r.cap_note
+        assert "max_n = 5 reached: windows 2..5 closed" in r.cap_note
+
+
+FIELD_FIXTURES = ["a2.alg", "a3_relation.alg", "a4_abc.alg", "a6_relations.alg",
+                  "cyc2.alg", "d4.alg", "point.alg", "syzygy_cycle.alg"]
+
+
+def test_sgldim_agrees_over_q_gf2_gf3(fixtures_dir):
+    # the answer is field-independent on these inputs: the window table,
+    # s.gl.dim, m0 and witness over Q must equal those over GF(2) and GF(3)
+    from cnproj.algfile import parse_algebra_file
+
+    names = sorted(p.name for p in fixtures_dir.glob("*.alg") if p.name != "bad_key.alg")
+    assert names == FIELD_FIXTURES
+    for name in names:
+        text = (fixtures_dir / name).read_text(encoding="utf-8")
+        answers = {}
+        for tag in ("rational", "gf2", "gf3"):
+            swapped, count = re.subn(r"^field:.*$", f"field: {tag}", text, flags=re.M)
+            assert count == 1, name
+            r = compute_sgldim(parse_algebra_file(swapped).build())
+            answers[tag] = (r.per_window, r.sgldim, r.m0, r.witness_line())
+        assert answers["gf2"] == answers["rational"] == answers["gf3"], name
