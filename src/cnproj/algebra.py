@@ -228,11 +228,14 @@ class MonomialAlgebra:
         return not path or path in self._ends
 
     def mult_path(self, p: tuple[str, ...], q: tuple[str, ...]):
-        """Concatenation ``p . q``; None if a relation kills it."""
+        """Concatenation ``p . q`` of composable paths; None if a relation kills it.
+
+        A path is admissible iff no relation is a subpath of it.  Then no
+        relation is a subpath of its prefixes either, so ``_enumerate_paths``
+        lists every admissible path in ``_ends`` and this is a lookup.
+        """
         new = p + q
-        if any(self._contains(new, r) for r in self.relations):
-            return None
-        return new
+        return new if not new or new in self._ends else None
 
     # -- elements ----------------------------------------------------------
 
@@ -251,24 +254,30 @@ class MonomialAlgebra:
     def element(self, start: int, end: int, coeffs: dict) -> AlgElement:
         return AlgElement(self, start, end, {p: self.field.of(c) for p, c in coeffs.items()})
 
-    def multiply(self, x: AlgElement, y: AlgElement) -> AlgElement:
-        """Bilinear path product ``x . y`` (x then y)."""
+    def check_product(self, x: AlgElement, y: AlgElement):
+        """Raise IncomposableElements unless ``x . y`` is a product in this algebra."""
         if x.alg is not self or y.alg is not self:
             raise IncomposableElements("elements of different algebras")
         if x.end != y.start:
             raise IncomposableElements(f"end(x)={x.end} != start(y)={y.start}")
-        coeffs: dict = {}
+
+    def add_product(self, coeffs: dict, x: AlgElement, y: AlgElement):
+        """Add the path coefficients of ``x . y`` into ``coeffs``, unchecked;
+        terms that cancel stay in ``coeffs`` as zeros."""
+        zero = self.field.zero
         for p, cp in x.coeffs.items():
             for q, cq in y.coeffs.items():
                 pq = self.mult_path(p, q)
-                if pq is None:
-                    continue
-                s = coeffs.get(pq, self.field.zero) + cp * cq
-                if s:
-                    coeffs[pq] = s
-                else:
-                    coeffs.pop(pq, None)
-        return AlgElement(self, x.start, y.end, coeffs, _checked=True)
+                if pq is not None:
+                    coeffs[pq] = coeffs.get(pq, zero) + cp * cq
+
+    def multiply(self, x: AlgElement, y: AlgElement) -> AlgElement:
+        """Bilinear path product ``x . y`` (x then y)."""
+        self.check_product(x, y)
+        coeffs: dict = {}
+        self.add_product(coeffs, x, y)
+        return AlgElement(self, x.start, y.end, {p: c for p, c in coeffs.items() if c},
+                          _checked=True)
 
     def hom_proj_basis(self, a: int, b: int) -> list[AlgElement]:
         """Basis of Hom(P_a, P_b): one element per admissible path b -> a."""

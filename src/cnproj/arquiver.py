@@ -1,16 +1,23 @@
 """The Auslander-Reiten quiver of C_n(proj Lambda) and its derived shadow.
 
-Arrows come from rad/rad^2 dimensions over a closed universe.  Almost split
-conflations ending at a non-projective class Z are found by a linear
-criterion: a nonzero extension class sigma in Ext(Z, X) gives an almost
-split conflation iff every pullback along a radical map W -> Z splits, i.e.
-sigma . g is a boundary for every g in rad(W, Z) and every universe class W.
-Each candidate X -> Y -> Z is then certified by one factorisation test and
-its dual (``_factors_all``): d: Y -> Z is right almost split when the identity
-of Z does not factor through d and every radical map W -> Z from a universe
-class does, and i: X -> Y is left almost split dually.  Right minimality is
-the same test on the proper sub-families of the components of d on the
-summands of Y, and both end terms must be indecomposable.
+Arrows come from rad/rad^2 dimensions over a closed universe, and the work
+follows the nonzero radical graph: ``_Ctx`` lists, per class k, the classes
+W with rad(W, k) != 0 and those with rad(k, W) != 0, and every quantifier
+over universe classes W below walks these lists.  rad^2(X, Y) is the span
+of the composites X -> W -> Y over the W that X has radical maps to; its
+scan stops once the composites span Hom(X, Y).
+
+Almost split conflations ending at a non-projective class Z are found by a
+linear criterion: a nonzero extension class sigma in Ext(Z, X) gives an
+almost split conflation iff every pullback along a radical map W -> Z
+splits, i.e. sigma . g is a boundary for every g in rad(W, Z) and every
+universe class W.  Each candidate X -> Y -> Z is then certified by one
+factorisation test and its dual (``_factors_all``): d: Y -> Z is right
+almost split when the identity of Z does not factor through d and every
+radical map W -> Z from a universe class does, and i: X -> Y is left almost
+split dually.  Right minimality is the same test on the proper sub-families
+of the components of d on the summands of Y, and both end terms must be
+indecomposable.
 """
 
 from __future__ import annotations
@@ -103,6 +110,7 @@ class _Ctx:
         self._hom: dict[tuple[int, int], HomSpace] = {}
         self._ext: dict[tuple[int, int], object] = {}
         self._rad: dict[tuple[int, int], HomSpace] = {}
+        self._neighbours: dict[tuple[int, bool], list[int]] = {}
 
     def hom(self, i, j) -> HomSpace:
         if (i, j) not in self._hom:
@@ -121,10 +129,20 @@ class _Ctx:
                                  if i == j else hs)
         return self._rad[(i, j)]
 
+    def neighbours(self, k, into: bool) -> list[int]:
+        """The classes W with rad(W, k) != 0 (``into``) or with rad(k, W) != 0,
+        in universe order."""
+        if (k, into) not in self._neighbours:
+            self._neighbours[(k, into)] = [
+                w for w in range(len(self.reps))
+                if (self.rad(w, k) if into else self.rad(k, w)).dimension]
+        return self._neighbours[(k, into)]
+
     def rad2(self, i, j) -> HomSpace:
-        """rad^2(i, j) from the cached Hom and radical spaces."""
-        return rad2_basis(self.reps[i], self.reps[j], self.universe, self.hom(i, j),
-                          ((self.rad(i, w), self.rad(w, j)) for w in range(len(self.reps))))
+        """rad^2(i, j) from the cached Hom and radical spaces, through the
+        classes W that i has a radical map to."""
+        factors = ((self.rad(i, w), self.rad(w, j)) for w in self.neighbours(i, into=False))
+        return rad2_basis(self.reps[i], self.reps[j], self.universe, self.hom(i, j), factors)
 
 
 def require_characteristic_zero(alg):
@@ -185,10 +203,8 @@ def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
             continue
         # sigma almost split <=> [sigma . g] = 0 for all radical g: W -> Z
         rows = []
-        for w_idx in range(len(reps)):
+        for w_idx in ctx.neighbours(z_idx, into=True):
             gs = ctx.rad(w_idx, z_idx)
-            if gs.dimension == 0:
-                continue
             target_ext = ctx.ext(w_idx, x_idx)
             for g in gs.basis:
                 rows.extend(zip(*(target_ext.reduce(sigma.compose_right(g))
@@ -247,32 +263,36 @@ def _representative_index(universe: Universe, x: Complex, end: str) -> int:
     return idx
 
 
-def _factors_all(ctx: _Ctx, k: int, family, into: bool) -> bool:
+def _factors_all(ctx: _Ctx, k: int, family, into: bool, memo: dict | None = None) -> bool:
     """Whether the identity of class k does not factor through ``family`` but
     every radical map W -> k (k -> W) from a universe class W does.
 
     With ``into`` the maps f of ``family`` end at k and the composites are
     f . s for s: W -> source of f; otherwise they start at k, composites s . f.
+    ``memo`` keeps the coordinates of the composites per (W, f), so that
+    families sharing maps solve each Hom(W, source of f) once.
     """
+    memo = {} if memo is None else memo
+
     def composites(w: int):
         hs = ctx.hom(w, k) if into else ctx.hom(k, w)
         span = SpanBasis(ctx.reps[k].alg.field, len(hs._free))
         for f in family:
-            if into:
-                for s in hom_basis(ctx.reps[w], f.source).basis:
-                    span.add(hs.coordinates(compose(f, s)))
-            else:
-                for s in hom_basis(f.target, ctx.reps[w]).basis:
-                    span.add(hs.coordinates(compose(s, f)))
+            if (w, f) not in memo:
+                if into:
+                    maps = (compose(f, s) for s in hom_basis(ctx.reps[w], f.source).basis)
+                else:
+                    maps = (compose(s, f) for s in hom_basis(f.target, ctx.reps[w]).basis)
+                memo[(w, f)] = [hs.coordinates(g) for g in maps]
+            for vec in memo[(w, f)]:
+                span.add(vec)
         return hs, span
 
     own = hs, span = composites(k)
     if span.contains(hs.coordinates(ChainMap.identity(ctx.reps[k]))):
         return False
-    for w in range(len(ctx.reps)):
+    for w in ctx.neighbours(k, into):
         rad = ctx.rad(w, k) if into else ctx.rad(k, w)
-        if rad.dimension == 0:
-            continue
         hs, span = own if w == k else composites(w)
         if not all(span.contains(hs.coordinates(g)) for g in rad.basis):
             return False
@@ -307,7 +327,8 @@ def is_right_minimal(universe: Universe, d: ChainMap, summands=None,
         return True
     k = _representative_index(universe, d.target, "target")
     parts = [compose(d, incl) for _, incl, _ in summands]
-    return not any(_factors_all(ctx, k, sub, into=True)
+    memo: dict = {}
+    return not any(_factors_all(ctx, k, sub, into=True, memo=memo)
                    for size in range(1, len(parts))
                    for sub in itertools.combinations(parts, size))
 

@@ -590,7 +590,9 @@ def rad2_basis(x: Complex, y: Complex, universe, hom: HomSpace | None = None,
 
     ``hom`` is Hom(X, Y) and ``factors`` yields the pairs (rad(X, W), rad(W, Y))
     over the universe classes W, in universe order; callers that cache these
-    spaces pass them, and by default both are solved afresh.
+    spaces pass them, and by default both are solved afresh.  The scan stops
+    once the picked composites span Hom(X, Y): no later composite can add to
+    the span, so the space is the same.
     """
     if not universe.closed:
         raise IncompleteUniverse("rad^2 quantifies over a closed universe")
@@ -599,15 +601,13 @@ def rad2_basis(x: Complex, y: Complex, universe, hom: HomSpace | None = None,
         factors = _fresh_rad_factors(x, y, universe)
     span = SpanBasis(x.alg.field, len(hs._free))
     picked = []
-    for first, second in factors:
-        if first.dimension == 0 or second.dimension == 0:
-            continue
-        for f_ in first.basis:
-            for g in second.basis:
-                comp = compose(g, f_)
-                coords = hs.coordinates(comp)
-                if span.add(coords):
-                    picked.append(comp)
+    pairs = ((f_, g) for first, second in factors for f_ in first.basis for g in second.basis)
+    for f_, g in pairs:
+        if span.dim == hs.dimension:
+            break
+        comp = compose(g, f_)
+        if span.add(hs.coordinates(comp)):
+            picked.append(comp)
     return HomSpace(x, y, picked, len(picked), hs._layout, hs._free)
 
 

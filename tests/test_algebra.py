@@ -5,10 +5,12 @@ import pytest
 
 from cnproj.algebra import Quiver, build_algebra
 from cnproj.algfile import load_algebra
+from cnproj.complexes import mat_mul
 from cnproj.errors import (
     IncomposableElements,
     InfiniteDimensional,
     MalformedRelation,
+    ShapeMismatch,
 )
 
 
@@ -119,13 +121,51 @@ FIXTURE_GLDIM = {
 }
 
 
-def test_global_dimension_of_every_fixture():
+def _fixture_algebras():
     fixtures = pathlib.Path(__file__).parent / "fixtures"
     names = sorted(p.name for p in fixtures.glob("*.alg") if p.name != "bad_key.alg")
     assert names == sorted(FIXTURE_GLDIM)  # a new fixture lands pinned
-    for name in names:
-        _, alg = load_algebra(str(fixtures / name))
+    return [(name, load_algebra(str(fixtures / name))[1]) for name in names]
+
+
+def test_global_dimension_of_every_fixture():
+    for name, alg in _fixture_algebras():
         assert alg.global_dimension() == FIXTURE_GLDIM[name], name
+
+
+def test_mult_path_lookup_matches_relation_scan():
+    # mult_path looks the product up among the admissible paths; by definition
+    # it is killed exactly when some relation is a subpath of it
+    for name, alg in _fixture_algebras():
+        vs = alg.quiver.vertices
+        paths = [(s, t, p) for s in vs for t in vs for p in alg.paths_between(s, t)]
+        pairs = 0
+        for s, t, p in paths:
+            for s2, t2, q in paths:
+                if t != s2:
+                    continue
+                pairs += 1
+                scan = None if any(alg._contains(p + q, r) for r in alg.relations) else p + q
+                assert alg.mult_path(p, q) == scan, (name, p, q)
+        assert pairs >= len(paths), name  # every path composes with a trivial one
+
+
+def test_mat_mul_checks_zero_entries(a3_alg, a2_alg):
+    # a zero factor adds nothing to an entry, but it is still checked for its
+    # algebra, for composability and for the entry's endpoints
+    alg = a3_alg
+    a, e2 = alg.arrow_element("a"), alg.unit(2)
+    assert mat_mul(alg, [[a, alg.zero_element(1, 2)]], [[e2], [e2]],
+                   (1,), (2, 2), (2,)) == [[a]]
+    cases = [
+        (IncomposableElements, [[a, alg.zero_element(1, 2)]], [[e2], [a2_alg.zero_element(2, 2)]]),
+        (IncomposableElements, [[a, alg.zero_element(1, 2)]], [[e2], [alg.zero_element(3, 2)]]),
+        (ShapeMismatch, [[a, alg.zero_element(2, 2)]], [[e2], [e2]]),
+        (ShapeMismatch, [[a, alg.zero_element(1, 2)]], [[e2], [alg.zero_element(2, 3)]]),
+    ]
+    for exc, left, right in cases:
+        with pytest.raises(exc):
+            mat_mul(alg, left, right, (1,), (2, 2), (2,))
 
 
 A8 = Quiver(tuple(range(1, 9)), tuple((aid, i, i + 1) for i, aid in enumerate("abcdefg", 1)))

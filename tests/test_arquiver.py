@@ -288,3 +288,34 @@ def test_padded_right_map_is_almost_split_but_not_minimal(request, alg_name, n, 
             padded = ChainMap(direct_sum(conf.y, w), conf.z, comps)
             assert is_right_almost_split(q.universe, padded, _ctx=ctx)
             assert not is_right_minimal(q.universe, padded, _ctx=ctx)
+
+
+@pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
+def test_radical_graph_and_early_stopping_rad2(request, alg_name):
+    # the neighbour lists are the classes W with rad != 0, and rad^2, which
+    # stops once its composites span Hom(X, Y), is the span of every composite
+    from cnproj.arquiver import _Ctx
+    from cnproj.complexes import compose
+    from cnproj.homspaces import rad_basis
+    from cnproj.linalg import SpanBasis
+    from cnproj.universe import enumerate_indecomposables
+
+    universe = enumerate_indecomposables(request.getfixturevalue(alg_name), 3)
+    ctx = _Ctx(universe)
+    reps, m = ctx.reps, len(ctx.reps)
+    nonzero = {(i, j) for i in range(m) for j in range(m)
+               if rad_basis(reps[i], reps[j], universe).dimension}
+    for k in range(m):
+        assert ctx.neighbours(k, into=True) == [w for w in range(m) if (w, k) in nonzero]
+        assert ctx.neighbours(k, into=False) == [w for w in range(m) if (k, w) in nonzero]
+    full = 0
+    for i, j in sorted(nonzero):
+        hs = ctx.hom(i, j)
+        span = SpanBasis(hs.source.alg.field, len(hs._free))
+        for w in range(m):
+            for f in ctx.rad(i, w).basis:
+                for g in ctx.rad(w, j).basis:
+                    span.add(hs.coordinates(compose(g, f)))
+        assert ctx.rad2(i, j).dimension == span.dim, (i, j)
+        full += span.dim == hs.dimension
+    assert full > 0  # the early stop is reached
