@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Run the cnproj benchmark on one checkout and write ``BENCH_<label>.json``.
 
-    python3 scripts/bench.py --label LABEL [--root CHECKOUT] [--seed 0]
+    python3 scripts/bench.py --label LABEL [--root CHECKOUT]
 
 For every workload of the checkout's ``BENCHMARK.json`` this runs the
-checkout's ``perfbench/run.py`` twice, for the benchmark's ``run_seconds``:
-``--trace 0`` for the end-to-end rows (cpu_s, wall_s, setup_s, peak_rss_mb)
-and ``--trace 1`` for the per-layer counts and self times.  It writes
-``BENCH_<label>.json`` to the top of this checkout.  The file records the
-measured checkout's commit, whether its ``src/`` differs from that commit,
-and a sha256 of the ``src/cnproj`` sources, so a row can be matched to the
-code it measured even before that code is committed.  Rows compare only
-with rows taken on the same machine in the same period: on a shared 2-vCPU
-machine the same run drifts by up to about 2x over minutes.
+checkout's ``perfbench/run.py`` twice at seed 0, for the benchmark's
+``run_seconds``: ``--trace 0`` for the end-to-end rows (cpu_s, wall_s,
+setup_s, peak_rss_mb) and ``--trace 1`` for the per-layer counts and self
+times.  It writes ``BENCH_<label>.json`` to the top of this checkout.  The
+file records the measured checkout's commit, whether its ``src/`` differs
+from that commit, and a sha256 of the ``src/cnproj`` sources.
+
+A file is one run per workload: a trajectory point, not evidence of a gain.
+Per-layer counts compare exactly across files; end-to-end rows do not, since
+on a shared 2-vCPU machine the same run drifts by up to about 2x over
+minutes.  A timing gain needs alternating parent/change runs of
+``perfbench/run.py`` taken in one period.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import subprocess
 import sys
 
 HERE = pathlib.Path(__file__).resolve().parents[1]
+SEED = 0  # perfbench's default, and the seed whose fingerprint includes the DOT sha256
 
 
 def _git(root: pathlib.Path, *args: str) -> str:
@@ -42,10 +46,9 @@ def source_sha256(root: pathlib.Path) -> str:
     return digest.hexdigest()
 
 
-def run_benchmark(root: pathlib.Path, workload: str, seed: int, seconds: int,
-                  trace: int) -> dict:
+def run_benchmark(root: pathlib.Path, workload: str, seconds: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run; its final JSON line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     sys.stdout.write(proc.stdout)
@@ -60,15 +63,14 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--root", type=pathlib.Path, default=HERE,
                         help="checkout to measure (default: this one)")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     rows = {}
     for name in (w["name"] for w in spec["workloads"]):
-        timed = run_benchmark(root, name, args.seed, seconds, trace=0)
-        traced = run_benchmark(root, name, args.seed, seconds, trace=1)
+        timed = run_benchmark(root, name, seconds, trace=0)
+        traced = run_benchmark(root, name, seconds, trace=1)
         attempted = timed["attempted"] + traced["attempted"]
         failed = timed["failed"] + traced["failed"]
         rows[name] = {
@@ -85,7 +87,7 @@ def main(argv=None) -> int:
         "src_differs_from_commit": bool(_git(root, "status", "--porcelain", "--", "src")),
         "src_sha256": source_sha256(root),
         "command": spec["command"],
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": seconds,
         "workloads": rows,
     }

@@ -254,30 +254,24 @@ class MonomialAlgebra:
     def element(self, start: int, end: int, coeffs: dict) -> AlgElement:
         return AlgElement(self, start, end, {p: self.field.of(c) for p, c in coeffs.items()})
 
-    def check_product(self, x: AlgElement, y: AlgElement):
-        """Raise IncomposableElements unless ``x . y`` is a product in this algebra."""
+    def multiply(self, x: AlgElement, y: AlgElement) -> AlgElement:
+        """Bilinear path product ``x . y`` (x then y)."""
         if x.alg is not self or y.alg is not self:
             raise IncomposableElements("elements of different algebras")
         if x.end != y.start:
             raise IncomposableElements(f"end(x)={x.end} != start(y)={y.start}")
-
-    def add_product(self, coeffs: dict, x: AlgElement, y: AlgElement):
-        """Add the path coefficients of ``x . y`` into ``coeffs``, unchecked;
-        terms that cancel stay in ``coeffs`` as zeros."""
-        zero = self.field.zero
+        coeffs: dict = {}
         for p, cp in x.coeffs.items():
             for q, cq in y.coeffs.items():
                 pq = self.mult_path(p, q)
-                if pq is not None:
-                    coeffs[pq] = coeffs.get(pq, zero) + cp * cq
-
-    def multiply(self, x: AlgElement, y: AlgElement) -> AlgElement:
-        """Bilinear path product ``x . y`` (x then y)."""
-        self.check_product(x, y)
-        coeffs: dict = {}
-        self.add_product(coeffs, x, y)
-        return AlgElement(self, x.start, y.end, {p: c for p, c in coeffs.items() if c},
-                          _checked=True)
+                if pq is None:
+                    continue
+                s = coeffs.get(pq, self.field.zero) + cp * cq
+                if s:
+                    coeffs[pq] = s
+                else:
+                    coeffs.pop(pq, None)
+        return AlgElement(self, x.start, y.end, coeffs, _checked=True)
 
     def hom_proj_basis(self, a: int, b: int) -> list[AlgElement]:
         """Basis of Hom(P_a, P_b): one element per admissible path b -> a."""

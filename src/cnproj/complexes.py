@@ -47,28 +47,15 @@ def mat_neg(a):
 
 
 def mat_mul(alg, a, b, tgt_cell, mid_cell, src_cell):
-    """Composite a . b with explicit cells, so empty matrices keep their type.
-
-    Each entry sums its products into one coefficient dict.  A zero factor
-    adds nothing, but every factor, zero or not, is checked as ``multiply``
-    and ``AlgElement.__add__`` check it: its algebra, that the two factors
-    compose, and that their product runs between the entry's vertices.
-    """
+    """Composite a . b with explicit cells, so empty matrices keep their type."""
     out = []
     for r, tv in enumerate(tgt_cell):
-        a_row = a[r]
         out_row = []
         for c, sv in enumerate(src_cell):
-            coeffs: dict = {}
+            acc = alg.zero_element(tv, sv)
             for k in range(len(mid_cell)):
-                x, y = a_row[k], b[k][c]
-                alg.check_product(x, y)
-                if x.start != tv or y.end != sv:
-                    raise ShapeMismatch("adding elements with different endpoints")
-                if x.coeffs and y.coeffs:
-                    alg.add_product(coeffs, x, y)
-            out_row.append(AlgElement(alg, tv, sv, {p: v for p, v in coeffs.items() if v},
-                                      _checked=True))
+                acc = acc + alg.multiply(a[r][k], b[k][c])
+            out_row.append(acc)
         out.append(out_row)
     return out
 

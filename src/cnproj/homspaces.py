@@ -589,8 +589,9 @@ def rad2_basis(x: Complex, y: Complex, universe, hom: HomSpace | None = None,
     """Span of composites of two radical morphisms through the universe.
 
     ``hom`` is Hom(X, Y) and ``factors`` yields the pairs (rad(X, W), rad(W, Y))
-    over the universe classes W, in universe order; callers that cache these
-    spaces pass them, and by default both are solved afresh.  The scan stops
+    over the universe classes W, in universe order; it may skip any W with
+    rad(X, W) = 0, which adds no composite.  Callers that cache these spaces
+    pass them, and by default both are solved afresh.  The scan stops
     once the picked composites span Hom(X, Y): no later composite can add to
     the span, so the space is the same.
     """
