@@ -9,15 +9,17 @@ scan stops once the composites span Hom(X, Y).
 
 Almost split conflations ending at a non-projective class Z are found by a
 linear criterion: a nonzero extension class sigma in Ext(Z, X) gives an
-almost split conflation iff every pullback along a radical map W -> Z
-splits, i.e. sigma . g is a boundary for every g in rad(W, Z) and every
-universe class W.  Each candidate X -> Y -> Z is then certified by one
-factorisation test and its dual (``_factors_all``): d: Y -> Z is right
-almost split when the identity of Z does not factor through d and every
-radical map W -> Z from a universe class does, and i: X -> Y is left almost
-split dually.  Right minimality is the same test on the proper sub-families
-of the components of d on the summands of Y, and both end terms must be
-indecomposable.
+almost split conflation iff sigma . g is a boundary for every radical map
+g: W -> Z from a universe class W.  The closed universe is finite, so the
+radical of End((+) classes) is nilpotent and rad(-, Z) is generated by the
+irreducible maps a into Z, the sink map's components (``_Ctx.sink``); as
+sigma . (a . h) = (sigma . a) . h, the rows need only those a.  Each
+candidate X -> Y -> Z is then certified by one factorisation test and its
+dual (``_factors_all``): d: Y -> Z is right almost split when the identity
+of Z does not factor through d and every radical map W -> Z from a universe
+class does, and i: X -> Y is left almost split dually.  Right minimality is
+the same test on the proper sub-families of the components of d on the
+summands of Y, and both end terms must be indecomposable.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ class _Ctx:
         self._ext: dict[tuple[int, int], object] = {}
         self._rad: dict[tuple[int, int], HomSpace] = {}
         self._neighbours: dict[tuple[int, bool], list[int]] = {}
+        self._sink: dict[int, list] = {}
 
     def hom(self, i, j) -> HomSpace:
         if (i, j) not in self._hom:
@@ -144,6 +147,21 @@ class _Ctx:
         factors = ((self.rad(i, w), self.rad(w, j)) for w in self.neighbours(i, into=False))
         return rad2_basis(self.reps[i], self.reps[j], self.universe, self.hom(i, j), factors)
 
+    def sink(self, z) -> list:
+        """The sink map's components (w, g) into class z: per neighbour w, in universe
+        order, the maps of rad(w, z)'s basis that greedily complete rad^2 to rad."""
+        if z not in self._sink:
+            comps = []
+            for w in self.neighbours(z, into=True):
+                hs, rad, rad2 = self.hom(w, z), self.rad(w, z), self.rad2(w, z)
+                if rad2.dimension < rad.dimension:  # else no irreducible map w -> z
+                    span = SpanBasis(hs.source.alg.field, len(hs._free))
+                    for g in rad2.basis:
+                        span.add(hs.coordinates(g))
+                    comps.extend((w, g) for g in rad.basis if span.add(hs.coordinates(g)))
+            self._sink[z] = comps
+        return self._sink[z]
+
 
 def require_characteristic_zero(alg):
     """Raise CharacteristicUnsupported over GF(p): rad End(X) needs the char-0 trace form."""
@@ -167,24 +185,11 @@ def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
         en_proj.append(is_j or (stalk and sup == (n, n)))
         en_inj.append(is_j or (stalk and sup == (1, 1)))
         proj_inj.append(is_j)
-    arrows = {}
-    arrow_reps = {}
-    for i in range(len(reps)):
-        for j in range(len(reps)):
-            r1 = ctx.rad(i, j)
-            if r1.dimension == 0:
-                continue
-            r2 = ctx.rad2(i, j)
-            mult = r1.dimension - r2.dimension
-            if mult <= 0:
-                continue
-            arrows[(i, j)] = mult
-            span = SpanBasis(alg.field, len(r1._free))
-            hs = ctx.hom(i, j)
-            for g in r2.basis:
-                span.add(hs.coordinates(g))
-            arrow_reps[(i, j)] = next(g for g in r1.basis
-                                      if not span.contains(hs.coordinates(g)))
+    arrows, arrow_reps = {}, {}  # row-major; dim rad/rad^2 sink components, the first as rep
+    comps = ((w, z, g) for z in range(len(reps)) for w, g in ctx.sink(z))
+    for w, z, g in sorted(comps, key=lambda c: c[:2]):
+        arrows[(w, z)] = arrows.get((w, z), 0) + 1
+        arrow_reps.setdefault((w, z), g)
     conflations = {z: almost_split_ending_at(ctx, z) for z in range(len(reps)) if not en_proj[z]}
     tau = {z: conf.x_idx for z, conf in conflations.items()}
     return ARQuiver(alg, n, universe, en_proj, en_inj, proj_inj,
@@ -192,7 +197,8 @@ def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
 
 
 def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
-    """The unique certified almost split conflation ending at a non-projective class."""
+    """The unique certified almost split conflation ending at a non-projective class: sigma
+    from Z's sink components, which generate rad(-, Z); certified on every radical W -> Z."""
     reps = ctx.reps
     z = reps[z_idx]
     field_ = z.alg.field
@@ -201,14 +207,10 @@ def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
         espace = ctx.ext(z_idx, x_idx)
         if espace.dimension == 0:
             continue
-        # sigma almost split <=> [sigma . g] = 0 for all radical g: W -> Z
-        rows = []
-        for w_idx in ctx.neighbours(z_idx, into=True):
-            gs = ctx.rad(w_idx, z_idx)
-            target_ext = ctx.ext(w_idx, x_idx)
-            for g in gs.basis:
-                rows.extend(zip(*(target_ext.reduce(sigma.compose_right(g))
-                                  for sigma in espace.basis)))
+        # sigma almost split <=> [sigma . a] = 0 for every sink component a: W -> Z
+        rows = [row for w_idx, a in ctx.sink(z_idx)
+                for row in zip(*(ctx.ext(w_idx, x_idx).reduce(sigma.compose_right(a))
+                                 for sigma in espace.basis))]
         sol = nullspace(field_, rows, espace.dimension)
         if not sol:
             continue

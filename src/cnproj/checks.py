@@ -89,8 +89,6 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
     # component shapes on every arrow representative
     bad_arrows = []
     for (i, j), f_map in q.arrow_reps.items():
-        if f_map is None:
-            continue
         try:
             classify_irreducible_components(f_map)
         except ShapeViolation as exc:

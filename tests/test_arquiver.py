@@ -319,3 +319,61 @@ def test_radical_graph_and_early_stopping_rad2(request, alg_name):
         assert ctx.rad2(i, j).dimension == span.dim, (i, j)
         full += span.dim == hs.dimension
     assert full > 0  # the early stop is reached
+
+
+def _criterion_nullspace(ctx, z, x, pairs):
+    """The sigma in Ext(z, x) with sigma . g a boundary for every (w, g) of ``pairs``."""
+    from cnproj.linalg import nullspace
+
+    espace = ctx.ext(z, x)
+    rows = []
+    for w, g in pairs:
+        rows.extend(zip(*(ctx.ext(w, x).reduce(sigma.compose_right(g))
+                          for sigma in espace.basis)))
+    return nullspace(ctx.reps[z].alg.field, rows, espace.dimension)
+
+
+@pytest.mark.parametrize("fixture, n", [("a3_relation.alg", 3), ("a3_relation.alg", 4),
+                                        ("a6_relations.alg", 3), ("d4.alg", 2),
+                                        ("a4_abc.alg", 3)])
+def test_sink_rows_match_the_radical_criterion(fixtures_dir, fixture, n):
+    # the sink components generate rad(-, z), so their rows cut out the same
+    # almost split classes as the rows of every radical g: W -> z from every
+    # W; every non-E_n-projective z has Ext(z, tau z) != 0, so each is met
+    from cnproj.algfile import load_algebra
+    from cnproj.arquiver import _Ctx
+    from cnproj.universe import enumerate_indecomposables
+
+    ctx = _Ctx(enumerate_indecomposables(load_algebra(str(fixtures_dir / fixture))[1], n))
+    m = len(ctx.reps)
+    ends = set()
+    for z in range(m):
+        every = [(w, g) for w in range(m) for g in ctx.rad(w, z).basis]
+        for x in range(m):
+            if ctx.ext(z, x).dimension:
+                assert (_criterion_nullspace(ctx, z, x, ctx.sink(z))
+                        == _criterion_nullspace(ctx, z, x, every)), (z, x)
+                ends.add(z)
+    assert ends
+
+
+@pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
+def test_sink_completes_rad2_to_rad(request, alg_name):
+    # per pair (w, z): dim rad - dim rad^2 sink maps from w, spanning rad with rad^2
+    from cnproj.arquiver import _Ctx
+    from cnproj.linalg import SpanBasis
+    from cnproj.universe import enumerate_indecomposables
+
+    ctx = _Ctx(enumerate_indecomposables(request.getfixturevalue(alg_name), 3))
+    m = len(ctx.reps)
+    for z in range(m):
+        for w in range(m):
+            maps = [g for v, g in ctx.sink(z) if v == w]
+            rad, rad2 = ctx.rad(w, z), ctx.rad2(w, z)
+            assert len(maps) == rad.dimension - rad2.dimension, (w, z)
+            hs = ctx.hom(w, z)
+            span = SpanBasis(hs.source.alg.field, len(hs._free))
+            for g in rad2.basis + maps:
+                span.add(hs.coordinates(g))
+            assert span.dim == rad.dimension
+            assert all(span.contains(hs.coordinates(g)) for g in rad.basis), (w, z)
