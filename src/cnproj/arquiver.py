@@ -7,19 +7,16 @@ over universe classes W below walks these lists.  rad^2(X, Y) is the span
 of the composites X -> W -> Y over the W that X has radical maps to; its
 scan stops once the composites span Hom(X, Y).
 
-Almost split conflations ending at a non-projective class Z are found by a
-linear criterion: a nonzero extension class sigma in Ext(Z, X) gives an
-almost split conflation iff sigma . g is a boundary for every radical map
-g: W -> Z from a universe class W.  The closed universe is finite, so the
-radical of End((+) classes) is nilpotent and rad(-, Z) is generated by the
-irreducible maps a into Z, the sink map's components (``_Ctx.sink``); as
-sigma . (a . h) = (sigma . a) . h, the rows need only those a.  Each
-candidate X -> Y -> Z is then certified by one factorisation test and its
-dual (``_factors_all``): d: Y -> Z is right almost split when the identity
-of Z does not factor through d and every radical map W -> Z from a universe
-class does, and i: X -> Y is left almost split dually.  Right minimality is
-the same test on the proper sub-families of the components of d on the
-summands of Y, and both end terms must be indecomposable.
+Almost split conflations ending at a non-projective class Z are read off
+the Hom-dimension table h(V, W) = dim Hom(V, W), with t(K) = dim End(K) -
+dim rad End(K).  The middle term is the source of Z's sink map (``_Ctx.sink``),
+so tau Z is the class X with h(-, X) = sum of h(-, W) over the sink sources W,
+minus h(-, Z), plus t(Z) at Z.  Only Ext(Z, X) is solved: the sink components a
+generate rad(-, Z), so sigma is almost split iff every sigma . a is a boundary.
+Hom(V, -) is left exact on X -> Y -> Z, so d: Y -> Z is right almost split iff
+its defect h(V, X) - h(V, Y) + h(V, Z) is 0 at every class V but Z and t(Z) at Z;
+i is left almost split dually, and an indecomposable X makes d right minimal.
+``check`` runs the definitions (``_factors_all``) on every conflation.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from .errors import (
     CertificationFailure,
     CharacteristicUnsupported,
     EtaZero,
-    MultipleCertified,
     NoAnchorFound,
     NoCandidateFound,
     NotClosed,
@@ -57,9 +53,7 @@ from .homspaces import (
     end_radical_coords,
     ext_classes,
     hom_basis,
-    is_indecomposable,
     rad2_basis,
-    _iso_indecomposable,
 )
 from .linalg import SpanBasis, nullspace, rank
 from .universe import EnumConfig, Universe, enumerate_indecomposables
@@ -110,20 +104,30 @@ class _Ctx:
         self.universe = universe
         self.reps = universe.representatives
         self._hom: dict[tuple[int, int], HomSpace] = {}
-        self._ext: dict[tuple[int, int], object] = {}
         self._rad: dict[tuple[int, int], HomSpace] = {}
         self._neighbours: dict[tuple[int, bool], list[int]] = {}
         self._sink: dict[int, list] = {}
+        self._columns: dict[tuple, list[int]] | None = None
 
     def hom(self, i, j) -> HomSpace:
         if (i, j) not in self._hom:
             self._hom[(i, j)] = hom_basis(self.reps[i], self.reps[j])
         return self._hom[(i, j)]
 
-    def ext(self, z, x):
-        if (z, x) not in self._ext:
-            self._ext[(z, x)] = ext_classes(self.reps[z], self.reps[x])
-        return self._ext[(z, x)]
+    def h(self, i, j) -> int:
+        return self.hom(i, j).dimension
+
+    def t(self, k) -> int:
+        """dim End(k) / rad End(k); is_indecomposable's test is t = 1."""
+        return self.h(k, k) - self.rad(k, k).dimension
+
+    def classes_with_column(self, col: tuple) -> list[int]:
+        """The classes X whose Hom column (h(V, X) over every class V) is ``col``."""
+        if self._columns is None:
+            m, self._columns = len(self.reps), {}
+            for x in range(m):
+                self._columns.setdefault(tuple(self.h(v, x) for v in range(m)), []).append(x)
+        return self._columns.get(col, [])
 
     def rad(self, i, j) -> HomSpace:
         if (i, j) not in self._rad:
@@ -197,60 +201,50 @@ def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
 
 
 def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
-    """The unique certified almost split conflation ending at a non-projective class: sigma
-    from Z's sink components, which generate rad(-, Z); certified on every radical W -> Z."""
-    reps = ctx.reps
-    z = reps[z_idx]
-    field_ = z.alg.field
-    certified = []
-    for x_idx in range(len(reps)):
-        espace = ctx.ext(z_idx, x_idx)
-        if espace.dimension == 0:
-            continue
-        # sigma almost split <=> [sigma . a] = 0 for every sink component a: W -> Z
-        rows = [row for w_idx, a in ctx.sink(z_idx)
-                for row in zip(*(ctx.ext(w_idx, x_idx).reduce(sigma.compose_right(a))
-                                 for sigma in espace.basis))]
-        sol = nullspace(field_, rows, espace.dimension)
-        if not sol:
-            continue
-        vec = [sum((c * v for c, v in zip(sol[0], col) if c), field_.zero)
-               for col in zip(*espace._qrep_vecs)]
-        sigma_star = DegreeOneMap(z, reps[x_idx], espace._layout.materialize(vec))
-        y, i_map, d_map = assemble_extension(z, reps[x_idx], sigma_star)
-        conf = Conflation(reps[x_idx], y, z, i_map, d_map, x_idx=x_idx, z_idx=z_idx)
-        _certify(ctx, conf)
-        certified.append(conf)
-    if not certified:
-        table = {x: ctx.ext(z_idx, x).dimension for x in range(len(reps))
-                 if ctx.ext(z_idx, x).dimension}
-        raise NoCandidateFound(
-            f"no almost split conflation ends at class {z_idx} ({z.label()}); "
-            f"nonzero Ext dimensions: {table}")
-    if len(certified) > 1:
-        first = certified[0]
-        for other in certified[1:]:
-            if other.x_idx != first.x_idx or not _iso_indecomposable(other.y, first.y):
-                raise MultipleCertified(
-                    f"classes {first.x_idx} and {other.x_idx} both start certified "
-                    f"conflations ending at {z_idx}")
-    return certified[0]
+    """The almost split conflation ending at a non-projective class Z: tau Z from the
+    Hom-dimension table, sigma from Z's sink components, certified by defect counts."""
+    reps, z, sink = ctx.reps, ctx.reps[z_idx], ctx.sink(z_idx)
+    where = f"at class {z_idx} ({z.label()})"
+    column = tuple(sum(ctx.h(v, w) for w, _ in sink) - ctx.h(v, z_idx)
+                   + ctx.t(z_idx) * (v == z_idx) for v in range(len(reps)))
+    matches = ctx.classes_with_column(column)
+    if len(matches) != 1:
+        raise NoCandidateFound(f"the predicted column of tau Z matches classes {matches} {where}")
+    x_idx, x = matches[0], reps[matches[0]]
+    espace = ext_classes(z, x)
+    exts = {w: ext_classes(reps[w], x) for w, _ in sink}
+    # sigma almost split <=> [sigma . a] = 0 for every sink component a: W -> Z
+    rows = [row for w, a in sink
+            for row in zip(*(exts[w].reduce(sigma.compose_right(a)) for sigma in espace.basis))]
+    sol = nullspace(z.alg.field, rows, espace.dimension)
+    if len(sol) != 1:
+        raise CertificationFailure(f"{len(sol)} almost split classes in Ext(Z, {x_idx}) {where}")
+    vec = [sum((c * v for c, v in zip(sol[0], col) if c), z.alg.field.zero)
+           for col in zip(*espace._qrep_vecs)]
+    y, i_map, d_map = assemble_extension(z, x, DegreeOneMap(z, x, espace._layout.materialize(vec)))
+    conf = Conflation(x, y, z, i_map, d_map, x_idx=x_idx, z_idx=z_idx,
+                      y_summands=[ctx.universe.find(w) for w, _, _ in decompose_with_maps(y)])
+    _certify(ctx, conf)
+    return conf
 
 
 def _certify(ctx: _Ctx, conf: Conflation):
-    """Full almost-split verification; raises CertificationFailure on any miss."""
-    if not is_indecomposable(conf.x) or not is_indecomposable(conf.z):
-        raise CertificationFailure("conflation end terms must be indecomposable")
-    if not is_right_almost_split(ctx.universe, conf.d, _ctx=ctx):
-        raise CertificationFailure("right map is not right almost split")
-    if not is_left_almost_split(ctx.universe, conf.i, _ctx=ctx):
-        raise CertificationFailure("left map is not left almost split")
-    summands = decompose_with_maps(conf.y)
-    conf.y_summands = [ctx.universe.find(w) for w, _, _ in summands]
-    if None in conf.y_summands:
-        raise CertificationFailure("middle summand escapes the universe")
-    if not is_right_minimal(ctx.universe, conf.d, summands, _ctx=ctx):
-        raise CertificationFailure("right map is not right minimal")
+    """Defect counts on the Hom-dimension table; CertificationFailure names Z on any miss.
+
+    With Y = (+) Y_k, the defect of d at V is h(V, X) - sum h(V, Y_k) + h(V, Z); a
+    defect t(Z) > 0 at Z also makes the conflation non-split.
+    """
+    x, z, ys = conf.x_idx, conf.z_idx, conf.y_summands
+    where = f"at class {z} ({ctx.reps[z].label()})"
+    if ctx.t(x) != 1 or ctx.t(z) != 1:
+        raise CertificationFailure(f"conflation end terms must be indecomposable {where}")
+    if None in ys or sorted(ys) != sorted(w for w, _ in ctx.sink(z)):
+        raise CertificationFailure(f"middle summands {ys} are not the sink sources {where}")
+    for v in range(len(ctx.reps)):
+        right = ctx.h(v, x) - sum(ctx.h(v, y) for y in ys) + ctx.h(v, z)
+        left = ctx.h(z, v) - sum(ctx.h(y, v) for y in ys) + ctx.h(x, v)
+        if (right, left) != (ctx.t(z) * (v == z), ctx.t(x) * (v == x)):
+            raise CertificationFailure(f"defects {right}, {left} at V = {v} {where}")
     conf.certified = True
 
 
@@ -315,18 +309,14 @@ def is_left_almost_split(universe: Universe, i_map: ChainMap, _ctx: _Ctx | None 
     return _factors_all(_ctx or _Ctx(universe), k, [i_map], into=False)
 
 
-def is_right_minimal(universe: Universe, d: ChainMap, summands=None,
-                     _ctx: _Ctx | None = None) -> bool:
+def is_right_minimal(universe: Universe, d: ChainMap, _ctx: _Ctx | None = None) -> bool:
     """No proper direct summand restriction of the source stays right almost split.
 
     For Y = (+) Y_k, Hom(W, Y) = (+) Hom(W, Y_k), so d restricted to the sum
     of a subset of the Y_k factors what its components d . incl_k do.
     """
     ctx = _ctx or _Ctx(universe)
-    if summands is None:
-        summands = decompose_with_maps(d.source)
-    if len(summands) <= 1:
-        return True
+    summands = decompose_with_maps(d.source)
     k = _representative_index(universe, d.target, "target")
     parts = [compose(d, incl) for _, incl, _ in summands]
     memo: dict = {}

@@ -5,10 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arquiver import (
+    _Ctx,
     build_ar_quiver,
     check_window_stability,
     classify_irreducible_components,
     gamma_bar,
+    is_left_almost_split,
+    is_right_almost_split,
+    is_right_minimal,
     require_characteristic_zero,
 )
 from .complexes import compose, mat_is_zero, mat_mul, strip_contractible
@@ -96,8 +100,8 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
     entries.append(CheckEntry("irreducible component shapes",
                               not bad_arrows, "; ".join(bad_arrows[:3])))
 
-    # conflation soundness: certified, ends indecomposable (certification did),
-    # middle multiset matches arrow multiplicities on both sides, uniqueness per end
+    # conflation soundness: certified (defect counts), middle multiset matches the
+    # arrow multiplicities out of X and into Z, and d . i = 0
     problems = []
     for z_idx, conf in q.conflations.items():
         if not conf.certified:
@@ -119,6 +123,15 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
         if not compose(conf.d, conf.i).is_zero():
             problems.append(f"d . i != 0 at {q.label(z_idx)}")
     entries.append(CheckEntry("conflation soundness", not problems, "; ".join(problems[:3])))
+
+    # the definitions behind the defect counts, on every conflation, in one context
+    ctx = _Ctx(q.universe)
+    unsplit = [q.label(z) for z, c in q.conflations.items()
+               if not (is_right_almost_split(q.universe, c.d, _ctx=ctx)
+                       and is_left_almost_split(q.universe, c.i, _ctx=ctx)
+                       and is_right_minimal(q.universe, c.d, _ctx=ctx))]
+    entries.append(CheckEntry("almost split (factorisation test)", not unsplit,
+                              ", ".join(unsplit[:4])))
 
     # gamma-bar extraction (only meaningful when eta >= 1)
     if eta >= 1:

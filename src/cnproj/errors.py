@@ -92,10 +92,6 @@ class NoCandidateFound(CnprojError):
     """No almost split conflation found ending at the given class."""
 
 
-class MultipleCertified(CnprojError):
-    """Two non-isomorphic certified conflations end at the same class."""
-
-
 class NoAnchorFound(CnprojError):
     """No class extends in neither direction."""
 

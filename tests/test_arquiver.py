@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import re
 
 import pytest
@@ -13,7 +15,13 @@ from cnproj.arquiver import (
     is_right_minimal,
 )
 from cnproj.complexes import ChainMap, Complex, direct_sum, make_J, make_stalk, mat_zero
-from cnproj.errors import EtaZero, NotClosed, ShapeViolation
+from cnproj.errors import (
+    CertificationFailure,
+    EtaZero,
+    NoCandidateFound,
+    NotClosed,
+    ShapeViolation,
+)
 from cnproj.homspaces import decompose
 
 
@@ -321,14 +329,21 @@ def test_radical_graph_and_early_stopping_rad2(request, alg_name):
     assert full > 0  # the early stop is reached
 
 
-def _criterion_nullspace(ctx, z, x, pairs):
+def _ext_memo(ctx):
+    """Ext(z, x) between classes of ``ctx``, each solved once."""
+    from cnproj.homspaces import ext_classes
+
+    return functools.cache(lambda z, x: ext_classes(ctx.reps[z], ctx.reps[x]))
+
+
+def _criterion_nullspace(ctx, ext, z, x, pairs):
     """The sigma in Ext(z, x) with sigma . g a boundary for every (w, g) of ``pairs``."""
     from cnproj.linalg import nullspace
 
-    espace = ctx.ext(z, x)
+    espace = ext(z, x)
     rows = []
     for w, g in pairs:
-        rows.extend(zip(*(ctx.ext(w, x).reduce(sigma.compose_right(g))
+        rows.extend(zip(*(ext(w, x).reduce(sigma.compose_right(g))
                           for sigma in espace.basis)))
     return nullspace(ctx.reps[z].alg.field, rows, espace.dimension)
 
@@ -345,14 +360,15 @@ def test_sink_rows_match_the_radical_criterion(fixtures_dir, fixture, n):
     from cnproj.universe import enumerate_indecomposables
 
     ctx = _Ctx(enumerate_indecomposables(load_algebra(str(fixtures_dir / fixture))[1], n))
+    ext = _ext_memo(ctx)
     m = len(ctx.reps)
     ends = set()
     for z in range(m):
         every = [(w, g) for w in range(m) for g in ctx.rad(w, z).basis]
         for x in range(m):
-            if ctx.ext(z, x).dimension:
-                assert (_criterion_nullspace(ctx, z, x, ctx.sink(z))
-                        == _criterion_nullspace(ctx, z, x, every)), (z, x)
+            if ext(z, x).dimension:
+                assert (_criterion_nullspace(ctx, ext, z, x, ctx.sink(z))
+                        == _criterion_nullspace(ctx, ext, z, x, every)), (z, x)
                 ends.add(z)
     assert ends
 
@@ -377,3 +393,76 @@ def test_sink_completes_rad2_to_rad(request, alg_name):
                 span.add(hs.coordinates(g))
             assert span.dim == rad.dimension
             assert all(span.contains(hs.coordinates(g)) for g in rad.basis), (w, z)
+
+
+def _scan_certified(universe, ctx, ext, z):
+    """The classes X whose almost split candidate in Ext(z, X), from the sink rows,
+    passes the definitional tests: a scan over every X, as the search once was."""
+    from cnproj.homspaces import DegreeOneMap, assemble_extension
+
+    reps = ctx.reps
+    found = []
+    for x in range(len(reps)):
+        sol = _criterion_nullspace(ctx, ext, z, x, ctx.sink(z))
+        if not sol:
+            continue
+        espace = ext(z, x)
+        field_ = reps[z].alg.field
+        vec = [sum((c * v for c, v in zip(sol[0], col) if c), field_.zero)
+               for col in zip(*espace._qrep_vecs)]
+        sigma = DegreeOneMap(reps[z], reps[x], espace._layout.materialize(vec))
+        _, i_map, d_map = assemble_extension(reps[z], reps[x], sigma)
+        if (is_right_almost_split(universe, d_map, _ctx=ctx)
+                and is_left_almost_split(universe, i_map, _ctx=ctx)
+                and is_right_minimal(universe, d_map, _ctx=ctx)):
+            found.append(x)
+    return found
+
+
+@pytest.mark.parametrize("fixture, n", [("a2.alg", 2), ("point.alg", 2),
+                                        ("a3_relation.alg", 3), ("a3_relation.alg", 4),
+                                        ("a6_relations.alg", 3), ("d4.alg", 2),
+                                        ("a4_abc.alg", 3), ("cyc2.alg", 3)])
+def test_predicted_tau_is_the_scan_certified_class(fixtures_dir, fixture, n):
+    # tau Z read off the Hom-dimension table is the one class that the scan
+    # over every X certifies with the factorisation tests; an E_n-projective
+    # Z has none, and the straight path refuses it by name
+    from cnproj.algfile import load_algebra
+    from cnproj.arquiver import _Ctx, almost_split_ending_at
+
+    q = build_ar_quiver(load_algebra(str(fixtures_dir / fixture))[1], n)
+    ctx = _Ctx(q.universe)
+    ext = _ext_memo(ctx)
+    assert q.conflations
+    for z in range(q.class_count()):
+        expected = [q.tau[z]] if z in q.tau else []
+        assert _scan_certified(q.universe, ctx, ext, z) == expected, z
+        if z not in q.tau:
+            with pytest.raises((NoCandidateFound, CertificationFailure),
+                               match=re.escape(f"class {z} ({q.label(z)})")):
+                almost_split_ending_at(ctx, z)
+    for conf in q.conflations.values():
+        assert conf.certified
+        assert is_right_almost_split(q.universe, conf.d, _ctx=ctx)
+        assert is_left_almost_split(q.universe, conf.i, _ctx=ctx)
+        assert is_right_minimal(q.universe, conf.d, _ctx=ctx)
+
+
+@pytest.mark.parametrize("alg_name, n", [("a2_alg", 2), ("a3_alg", 3)])
+def test_certify_refuses_a_swapped_start_or_a_dropped_summand(request, alg_name, n):
+    from cnproj.arquiver import _Ctx, _certify
+
+    q = build_ar_quiver(request.getfixturevalue(alg_name), n)
+    ctx = _Ctx(q.universe)
+    for conf in q.conflations.values():
+        named = re.escape(f"at class {conf.z_idx} ({q.label(conf.z_idx)})")
+        for other in range(q.class_count()):
+            if other != conf.x_idx:
+                with pytest.raises(CertificationFailure, match=named):
+                    _certify(ctx, dataclasses.replace(conf, x_idx=other, certified=False))
+        with pytest.raises(CertificationFailure, match=named):
+            _certify(ctx, dataclasses.replace(conf, y_summands=conf.y_summands[1:],
+                                              certified=False))
+        again = dataclasses.replace(conf, certified=False)
+        _certify(ctx, again)
+        assert again.certified
