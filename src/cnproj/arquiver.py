@@ -17,6 +17,17 @@ Hom(V, -) is left exact on X -> Y -> Z, so d: Y -> Z is right almost split iff
 its defect h(V, X) - h(V, Y) + h(V, Z) is 0 at every class V but Z and t(Z) at Z;
 i is left almost split dually, and an indecomposable X makes d right minimal.
 ``check`` runs the definitions (``_factors_all``) on every conflation.
+
+The pass works up to translation.  A class is a shape at a first position, and
+Hom(i, j) depends only on (shape of i, shape of j, lo_i - lo_j): translates
+share path coordinates, so ``_Ctx`` solves one Hom space per key and moves its
+basis to a translate pair (``HomSpace.moved``).  The first non-projective class
+Z of each shape is solved as above; a translate Z' of Z by k reuses Z's
+conflation, moved by k (``shift_window_map``), when the table predicts tau Z' =
+tau Z moved by k and Z''s sink sources are Z's middle summands moved by k.  The
+defects depend only on the classes of X, Y's summands and Z, so the moved
+conflation is certified exactly when a fresh solve would be; otherwise Z' is
+solved afresh.
 """
 
 from __future__ import annotations
@@ -32,6 +43,8 @@ from .complexes import (
     drop_last,
     embed_left,
     embed_right,
+    shift_window,
+    shift_window_map,
 )
 from .errors import (
     AmbiguousAnchor,
@@ -86,6 +99,7 @@ class ARQuiver:
     arrow_reps: dict      # (i, j) -> a radical chain map not in rad^2
     conflations: dict     # z_idx -> Conflation
     tau: dict             # z_idx -> x_idx
+    _ctx: _Ctx | None = field(default=None, repr=False, compare=False)  # the build's caches
 
     def class_count(self) -> int:
         return len(self.universe.representatives)
@@ -95,7 +109,12 @@ class ARQuiver:
 
 
 class _Ctx:
-    """Shared caches over one universe."""
+    """Shared caches over one universe, keyed by translation.
+
+    ``h[i][j]`` = dim Hom(i, j) is built once, with one ``hom_basis`` per key
+    (shape of i, shape of j, lo_i - lo_j); the Hom spaces, radicals and sink
+    maps below are built only for the pairs that the radical graph walks.
+    """
 
     def __init__(self, universe: Universe):
         if not universe.closed:
@@ -103,52 +122,81 @@ class _Ctx:
                             + (f"; {universe.cap_note}" if universe.cap_note else ""))
         self.universe = universe
         self.reps = universe.representatives
+        # key -> (its first class i, dim, the space; None for dim 0, rebuilt empty)
+        self._keys: dict[tuple, tuple[int, int, HomSpace | None]] = {}
+        self.h = [[self._keyed(i, j)[1] for j in range(len(self.reps))]
+                  for i in range(len(self.reps))]
         self._hom: dict[tuple[int, int], HomSpace] = {}
-        self._rad: dict[tuple[int, int], HomSpace] = {}
+        self._rad_end: dict[int, HomSpace] = {}
+        self._rad_coords: dict[int, list] = {}  # shape -> rad End coordinates
         self._neighbours: dict[tuple[int, bool], list[int]] = {}
         self._sink: dict[int, list] = {}
         self._columns: dict[tuple, list[int]] | None = None
 
+    def _keyed(self, i, j) -> tuple[int, int, HomSpace | None]:
+        (si, lo_i), (sj, lo_j) = self.universe.classes[i], self.universe.classes[j]
+        key = (si, sj, lo_i - lo_j)
+        if key not in self._keys:
+            hs = hom_basis(self.reps[i], self.reps[j])
+            self._keys[key] = (i, hs.dimension, hs if hs.dimension else None)
+        return self._keys[key]
+
     def hom(self, i, j) -> HomSpace:
+        """Hom(i, j): the key's space, moved to the pair when the pair is a translate."""
         if (i, j) not in self._hom:
-            self._hom[(i, j)] = hom_basis(self.reps[i], self.reps[j])
+            i0, _, hs = self._keyed(i, j)
+            x, y = self.reps[i], self.reps[j]
+            p = self.universe.classes[i][1] - self.universe.classes[i0][1]
+            if hs is None:
+                hs = HomSpace.zero(x, y)
+            elif p:
+                hs = hs.moved(x, y, p)
+            self._hom[(i, j)] = hs
         return self._hom[(i, j)]
 
-    def h(self, i, j) -> int:
-        return self.hom(i, j).dimension
+    def _end_radical(self, k) -> list:
+        """Coordinates of rad End(k) in End(k)'s basis, solved once per shape."""
+        sid = self.universe.classes[k][0]
+        if sid not in self._rad_coords:
+            self._rad_coords[sid] = end_radical_coords(self.reps[k], self.hom(k, k))
+        return self._rad_coords[sid]
 
     def t(self, k) -> int:
         """dim End(k) / rad End(k); is_indecomposable's test is t = 1."""
-        return self.h(k, k) - self.rad(k, k).dimension
+        return self.h[k][k] - len(self._end_radical(k))
+
+    def r(self, i, j) -> int:
+        """dim rad(i, j) from the table: h, less t on the diagonal."""
+        return self.h[i][j] - (self.t(i) if i == j else 0)
 
     def classes_with_column(self, col: tuple) -> list[int]:
         """The classes X whose Hom column (h(V, X) over every class V) is ``col``."""
         if self._columns is None:
-            m, self._columns = len(self.reps), {}
-            for x in range(m):
-                self._columns.setdefault(tuple(self.h(v, x) for v in range(m)), []).append(x)
+            self._columns = {}
+            for x, column in enumerate(zip(*self.h)):
+                self._columns.setdefault(column, []).append(x)
         return self._columns.get(col, [])
 
     def rad(self, i, j) -> HomSpace:
-        if (i, j) not in self._rad:
-            hs = self.hom(i, j)
-            self._rad[(i, j)] = (hs.subspace(end_radical_coords(self.reps[i], hs))
-                                 if i == j else hs)
-        return self._rad[(i, j)]
+        if i != j:
+            return self.hom(i, j)
+        if i not in self._rad_end:
+            self._rad_end[i] = self.hom(i, i).subspace(self._end_radical(i))
+        return self._rad_end[i]
 
     def neighbours(self, k, into: bool) -> list[int]:
         """The classes W with rad(W, k) != 0 (``into``) or with rad(k, W) != 0,
         in universe order."""
         if (k, into) not in self._neighbours:
             self._neighbours[(k, into)] = [
-                w for w in range(len(self.reps))
-                if (self.rad(w, k) if into else self.rad(k, w)).dimension]
+                w for w in range(len(self.reps)) if (self.r(w, k) if into else self.r(k, w))]
         return self._neighbours[(k, into)]
 
     def rad2(self, i, j) -> HomSpace:
         """rad^2(i, j) from the cached Hom and radical spaces, through the
-        classes W that i has a radical map to."""
-        factors = ((self.rad(i, w), self.rad(w, j)) for w in self.neighbours(i, into=False))
+        classes W with rad(i, W) != 0 and rad(W, j) != 0."""
+        factors = ((self.rad(i, w), self.rad(w, j))
+                   for w in self.neighbours(i, into=False) if self.r(w, j))
         return rad2_basis(self.reps[i], self.reps[j], self.universe, self.hom(i, j), factors)
 
     def sink(self, z) -> list:
@@ -194,23 +242,40 @@ def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
     for w, z, g in sorted(comps, key=lambda c: c[:2]):
         arrows[(w, z)] = arrows.get((w, z), 0) + 1
         arrow_reps.setdefault((w, z), g)
-    conflations = {z: almost_split_ending_at(ctx, z) for z in range(len(reps)) if not en_proj[z]}
+    conflations, first = {}, {}  # first: shape id -> its first non-projective class
+    for z, (sid, _) in enumerate(universe.classes):
+        if not en_proj[z]:
+            base = first.setdefault(sid, z)
+            conflations[z] = (almost_split_ending_at(ctx, z) if base == z
+                              else _translated_conflation(ctx, conflations[base], z))
     tau = {z: conf.x_idx for z, conf in conflations.items()}
     return ARQuiver(alg, n, universe, en_proj, en_inj, proj_inj,
-                    arrows, arrow_reps, conflations, tau)
+                    arrows, arrow_reps, conflations, tau, ctx)
+
+
+def _where(ctx: _Ctx, z_idx: int) -> str:
+    return f"at class {z_idx} ({ctx.reps[z_idx].label()})"
+
+
+def _predicted_tau(ctx: _Ctx, z_idx: int) -> int:
+    """The class X with h(-, X) = sum of h(-, W) over Z's sink sources W, minus
+    h(-, Z), plus t(Z) at Z; NoCandidateFound names Z unless exactly one matches."""
+    sources = [w for w, _ in ctx.sink(z_idx)]
+    column = tuple(sum(row[w] for w in sources) - row[z_idx] + ctx.t(z_idx) * (v == z_idx)
+                   for v, row in enumerate(ctx.h))
+    matches = ctx.classes_with_column(column)
+    if len(matches) != 1:
+        raise NoCandidateFound(f"the predicted column of tau Z matches classes {matches} "
+                               f"{_where(ctx, z_idx)}")
+    return matches[0]
 
 
 def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
     """The almost split conflation ending at a non-projective class Z: tau Z from the
     Hom-dimension table, sigma from Z's sink components, certified by defect counts."""
     reps, z, sink = ctx.reps, ctx.reps[z_idx], ctx.sink(z_idx)
-    where = f"at class {z_idx} ({z.label()})"
-    column = tuple(sum(ctx.h(v, w) for w, _ in sink) - ctx.h(v, z_idx)
-                   + ctx.t(z_idx) * (v == z_idx) for v in range(len(reps)))
-    matches = ctx.classes_with_column(column)
-    if len(matches) != 1:
-        raise NoCandidateFound(f"the predicted column of tau Z matches classes {matches} {where}")
-    x_idx, x = matches[0], reps[matches[0]]
+    x_idx = _predicted_tau(ctx, z_idx)
+    x = reps[x_idx]
     espace = ext_classes(z, x)
     exts = {w: ext_classes(reps[w], x) for w, _ in sink}
     # sigma almost split <=> [sigma . a] = 0 for every sink component a: W -> Z
@@ -218,7 +283,8 @@ def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
             for row in zip(*(exts[w].reduce(sigma.compose_right(a)) for sigma in espace.basis))]
     sol = nullspace(z.alg.field, rows, espace.dimension)
     if len(sol) != 1:
-        raise CertificationFailure(f"{len(sol)} almost split classes in Ext(Z, {x_idx}) {where}")
+        raise CertificationFailure(f"{len(sol)} almost split classes in Ext(Z, {x_idx}) "
+                                   f"{_where(ctx, z_idx)}")
     vec = [sum((c * v for c, v in zip(sol[0], col) if c), z.alg.field.zero)
            for col in zip(*espace._qrep_vecs)]
     y, i_map, d_map = assemble_extension(z, x, DegreeOneMap(z, x, espace._layout.materialize(vec)))
@@ -228,21 +294,44 @@ def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
     return conf
 
 
+def _translated_conflation(ctx: _Ctx, conf: Conflation, z_idx: int) -> Conflation:
+    """The almost split conflation ending at Z', a translate of conf's end Z by k.
+
+    When the table predicts tau Z' = tau Z moved by k and Z''s sink sources are
+    conf's middle summands moved by k, conf moved by k is certified instead of
+    solved: the defects depend only on the classes of X, Y's summands and Z.
+    Otherwise Z' is solved afresh.
+    """
+    uni = ctx.universe
+    k = uni.classes[z_idx][1] - uni.classes[conf.z_idx][1]
+    x_idx = uni.translate(conf.x_idx, k)
+    ys = [uni.translate(w, k) for w in conf.y_summands]
+    if (x_idx is None or None in ys or _predicted_tau(ctx, z_idx) != x_idx
+            or sorted(ys) != sorted(w for w, _ in ctx.sink(z_idx))):
+        return almost_split_ending_at(ctx, z_idx)
+    x, z, y = ctx.reps[x_idx], ctx.reps[z_idx], shift_window(conf.y, k, uni.window)
+    moved = Conflation(x, y, z, shift_window_map(conf.i, k, uni.window, x, y),
+                       shift_window_map(conf.d, k, uni.window, y, z),
+                       x_idx=x_idx, z_idx=z_idx, y_summands=ys)
+    _certify(ctx, moved)
+    return moved
+
+
 def _certify(ctx: _Ctx, conf: Conflation):
     """Defect counts on the Hom-dimension table; CertificationFailure names Z on any miss.
 
     With Y = (+) Y_k, the defect of d at V is h(V, X) - sum h(V, Y_k) + h(V, Z); a
     defect t(Z) > 0 at Z also makes the conflation non-split.
     """
-    x, z, ys = conf.x_idx, conf.z_idx, conf.y_summands
-    where = f"at class {z} ({ctx.reps[z].label()})"
+    x, z, ys, h = conf.x_idx, conf.z_idx, conf.y_summands, ctx.h
+    where = _where(ctx, z)
     if ctx.t(x) != 1 or ctx.t(z) != 1:
         raise CertificationFailure(f"conflation end terms must be indecomposable {where}")
     if None in ys or sorted(ys) != sorted(w for w, _ in ctx.sink(z)):
         raise CertificationFailure(f"middle summands {ys} are not the sink sources {where}")
-    for v in range(len(ctx.reps)):
-        right = ctx.h(v, x) - sum(ctx.h(v, y) for y in ys) + ctx.h(v, z)
-        left = ctx.h(z, v) - sum(ctx.h(y, v) for y in ys) + ctx.h(x, v)
+    for v, row in enumerate(h):
+        right = row[x] - sum(row[y] for y in ys) + row[z]
+        left = h[z][v] - sum(h[y][v] for y in ys) + h[x][v]
         if (right, left) != (ctx.t(z) * (v == z), ctx.t(x) * (v == x)):
             raise CertificationFailure(f"defects {right}, {left} at V = {v} {where}")
     conf.certified = True

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arquiver import (
-    _Ctx,
     build_ar_quiver,
     check_window_stability,
     classify_irreducible_components,
@@ -87,7 +86,8 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
             thm.ok(), f"checked {thm.checked}, violations {thm.violations[:4]}"))
     else:
         entries.append(CheckEntry("cross-window stability (conflations, boundary cells)", True,
-                                  "skipped: EtaZero (semisimple case, eta = 0)"))
+                                  "skipped: EtaZero (semisimple case, eta = 0)" if eta < 1 else
+                                  f"skipped: needs n >= eta + 2 (n = {n}, eta = {eta})"))
     q = quiver(n)
 
     # component shapes on every arrow representative
@@ -124,8 +124,8 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
             problems.append(f"d . i != 0 at {q.label(z_idx)}")
     entries.append(CheckEntry("conflation soundness", not problems, "; ".join(problems[:3])))
 
-    # the definitions behind the defect counts, on every conflation, in one context
-    ctx = _Ctx(q.universe)
+    # the definitions behind the defect counts, on every conflation, in the build's context
+    ctx = q._ctx
     unsplit = [q.label(z) for z, c in q.conflations.items()
                if not (is_right_almost_split(q.universe, c.d, _ctx=ctx)
                        and is_left_almost_split(q.universe, c.i, _ctx=ctx)

@@ -353,6 +353,27 @@ def shift_window(x: Complex, p: int, new_window: int) -> Complex:
     return Complex(x.alg, cells, diffs, check=False)
 
 
+def shift_window_map(f: ChainMap, p: int, new_window: int, source: Complex | None = None,
+                     target: Complex | None = None) -> ChainMap:
+    """``shift_window`` on a chain map: its components move by +p with its ends.
+
+    ``source`` and ``target`` are the shifted ends when the caller holds them
+    (they must equal ``shift_window`` of f's ends); by default they are built.
+    Raises SupportOverflow when the support of either end leaves 1..new_window.
+    """
+    comps = [[] for _ in range(new_window)]
+    for i, (tc, sc) in enumerate(zip(f.target.cells, f.source.cells)):
+        if tc or sc:
+            if not 0 <= i + p < new_window:
+                raise SupportOverflow(f"position {i + 1} shifted by {p} leaves 1..{new_window}")
+            comps[i + p] = f.comps[i]
+    if source is None:
+        source = shift_window(f.source, p, new_window)
+    if target is None:
+        target = shift_window(f.target, p, new_window)
+    return ChainMap(source, target, comps, check=False)
+
+
 def direct_sum(x: Complex, y: Complex) -> Complex:
     """Cellwise concatenation with block-diagonal differentials."""
     if x.window != y.window:

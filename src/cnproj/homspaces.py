@@ -42,6 +42,7 @@ from .complexes import (
     mat_is_zero,
     mat_mul,
     mat_zero,
+    shift_window_map,
 )
 from .errors import (
     CapExceeded,
@@ -205,6 +206,21 @@ class HomSpace:
         """Span of the given combinations of this basis; coordinates stay this space's."""
         basis = [_combine(self.basis, v) for v in coords]
         return HomSpace(self.source, self.target, basis, len(basis), self._layout, self._free)
+
+    @classmethod
+    def zero(cls, x: Complex, y: Complex) -> "HomSpace":
+        """What ``hom_basis(x, y)`` returns when Hom(x, y) = 0, built without the solve."""
+        return cls(x, y, [], 0, _VarLayout(x, y, 0), [])
+
+    def moved(self, x: Complex, y: Complex, p: int) -> "HomSpace":
+        """Hom(x, y) for the translates x and y of this space's ends by +p.
+
+        Translates have the same path coordinates in the same order, so the
+        kernel vectors and free columns are this space's, and the basis moved
+        by p is exactly what ``hom_basis(x, y)`` returns.
+        """
+        basis = [shift_window_map(g, p, x.window, x, y) for g in self.basis]
+        return HomSpace(x, y, basis, self.dimension, _VarLayout(x, y, 0), self._free)
 
 
 def hom_basis(x: Complex, y: Complex) -> HomSpace:
@@ -590,7 +606,7 @@ def rad2_basis(x: Complex, y: Complex, universe, hom: HomSpace | None = None,
 
     ``hom`` is Hom(X, Y) and ``factors`` yields the pairs (rad(X, W), rad(W, Y))
     over the universe classes W, in universe order; it may skip any W with
-    rad(X, W) = 0, which adds no composite.  Callers that cache these spaces
+    rad(X, W) = 0 or rad(W, Y) = 0, which adds no composite.  Callers that cache these spaces
     pass them, and by default both are solved afresh.  The scan stops
     once the picked composites span Hom(X, Y): no later composite can add to
     the span, so the space is the same.

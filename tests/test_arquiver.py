@@ -466,3 +466,99 @@ def test_certify_refuses_a_swapped_start_or_a_dropped_summand(request, alg_name,
         again = dataclasses.replace(conf, certified=False)
         _certify(ctx, again)
         assert again.certified
+
+
+def _built_with_fresh_solves(monkeypatch, fixtures_dir, fixture, n):
+    """The AR quiver of a fixture and the classes whose conflation was solved afresh."""
+    from cnproj import arquiver
+    from cnproj.algfile import load_algebra
+
+    fresh, solve = [], arquiver.almost_split_ending_at
+    monkeypatch.setattr(arquiver, "almost_split_ending_at",
+                        lambda ctx, z: fresh.append(z) or solve(ctx, z))
+    q = build_ar_quiver(load_algebra(str(fixtures_dir / fixture))[1], n)
+    monkeypatch.undo()
+    return q, fresh
+
+
+@pytest.mark.parametrize("fixture, n", [("a2.alg", 2), ("point.alg", 2),
+                                        ("a3_relation.alg", 3), ("a3_relation.alg", 4),
+                                        ("a6_relations.alg", 3), ("d4.alg", 2), ("d4.alg", 3),
+                                        ("a4_abc.alg", 3), ("cyc2.alg", 3)])
+def test_keyed_hom_table_is_hom_basis(fixtures_dir, fixture, n):
+    # one solve per (shape, shape, offset): the table is every pair's dimension,
+    # and a translate pair's moved basis is hom_basis's basis entry for entry
+    from cnproj.algfile import load_algebra
+    from cnproj.homspaces import hom_basis
+
+    q = build_ar_quiver(load_algebra(str(fixtures_dir / fixture))[1], n)
+    ctx, reps, classes = q._ctx, q.universe.representatives, q.universe.classes
+    m = len(reps)
+    fresh = {(i, j): hom_basis(reps[i], reps[j]) for i in range(m) for j in range(m)}
+    assert ctx.h == [[fresh[(i, j)].dimension for j in range(m)] for i in range(m)]
+    assert len(ctx._keys) == len({(classes[i][0], classes[j][0], classes[i][1] - classes[j][1])
+                                  for i, j in fresh})
+    walked = {(w, k) for k in range(m) for w in ctx.neighbours(k, into=True)}
+    walked |= {(k, w) for k in range(m) for w in ctx.neighbours(k, into=False)}
+    moved = 0
+    for i, j in sorted(walked):
+        hs = ctx.hom(i, j)
+        assert (hs.source, hs.target) == (reps[i], reps[j])
+        assert [g.comps for g in hs.basis] == [g.comps for g in fresh[(i, j)].basis], (i, j)
+        assert hs._free == fresh[(i, j)]._free
+        assert hs._layout.slots == fresh[(i, j)]._layout.slots
+        moved += ctx._keyed(i, j)[0] != i
+    assert moved or n == 2
+
+
+@pytest.mark.parametrize("fixture, n", [("a3_relation.alg", 3), ("a3_relation.alg", 4),
+                                        ("a6_relations.alg", 3), ("d4.alg", 3),
+                                        ("a4_abc.alg", 3), ("cyc2.alg", 3)])
+def test_translated_conflations_are_the_solved_ones(monkeypatch, fixtures_dir, fixture, n):
+    # a conflation moved from the first class of its shape has the end terms and
+    # middle summands of a fresh solve, and passes the definitional tests
+    from cnproj.arquiver import almost_split_ending_at
+
+    q, fresh = _built_with_fresh_solves(monkeypatch, fixtures_dir, fixture, n)
+    translated = [c for z, c in q.conflations.items() if z not in fresh]
+    assert translated
+    for conf in translated:
+        solved = almost_split_ending_at(q._ctx, conf.z_idx)
+        assert conf.certified and conf.x_idx == solved.x_idx
+        assert sorted(conf.y_summands) == sorted(solved.y_summands)
+        assert (conf.x, conf.z) == (q.universe.representatives[conf.x_idx],
+                                    q.universe.representatives[conf.z_idx])
+        assert is_right_almost_split(q.universe, conf.d, _ctx=q._ctx)
+        assert is_left_almost_split(q.universe, conf.i, _ctx=q._ctx)
+        assert is_right_minimal(q.universe, conf.d, _ctx=q._ctx)
+
+
+def test_certify_refuses_a_mistranslated_conflation(monkeypatch, fixtures_dir):
+    # a translated conflation that drops a middle summand, or whose start and
+    # middle moved by k +- 1 instead of k, fails to certify and names Z
+    from cnproj.arquiver import _certify
+
+    q, fresh = _built_with_fresh_solves(monkeypatch, fixtures_dir, "a3_relation.alg", 4)
+    uni, ctx, refused = q.universe, q._ctx, 0
+    firsts = {}
+    for z in q.conflations:
+        firsts.setdefault(uni.classes[z][0], z)
+    for z, conf in q.conflations.items():
+        if z in fresh:
+            continue
+        base = q.conflations[firsts[uni.classes[z][0]]]
+        named = re.escape(f"at class {z} ({q.label(z)})")
+        with pytest.raises(CertificationFailure, match=named):
+            _certify(ctx, dataclasses.replace(conf, y_summands=conf.y_summands[1:],
+                                              certified=False))
+        k = uni.classes[z][1] - uni.classes[base.z_idx][1]
+        for off in (k - 1, k + 1):
+            x_idx = uni.translate(base.x_idx, off)
+            ys = [uni.translate(w, off) for w in base.y_summands]
+            if x_idx is None or None in ys:
+                continue
+            with pytest.raises(CertificationFailure, match=named):
+                _certify(ctx, dataclasses.replace(conf, x_idx=x_idx, y_summands=ys,
+                                                  certified=False))
+            refused += 1
+    assert refused

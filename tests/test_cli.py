@@ -231,13 +231,32 @@ def test_check_reuses_the_sgldim_window(a3_alg, monkeypatch):
         monkeypatch.setattr(mod, "enumerate_indecomposables", counting_enumerate)
     for mod in (arquiver, checks):
         monkeypatch.setattr(mod, "build_ar_quiver", counting_build)
+    contexts = []
+    real_init = arquiver._Ctx.__init__
+    monkeypatch.setattr(arquiver._Ctx, "__init__",
+                        lambda self, uni: contexts.append(uni) or real_init(self, uni))
     for n in (3, 5):
         enumerated.clear()
         built.clear()
+        contexts.clear()
         assert run_check_battery(a3_alg, n).ok()
         assert sorted(enumerated) == list(range(2, max(n, 4) + 1))
         assert set(enumerated.values()) == {1}
         assert sorted(built) == sorted({n, 3}) and set(built.values()) == {1}
+        # the factorisation-test entry reuses the build's Hom table
+        assert len(contexts) == len(built)
+
+
+@pytest.mark.parametrize("alg_name, n, reason", [
+    ("point_alg", 2, "skipped: EtaZero (semisimple case, eta = 0)"),
+    ("a3_alg", 3, "skipped: needs n >= eta + 2 (n = 3, eta = 2)"),
+])
+def test_check_names_why_cross_window_stability_is_skipped(request, alg_name, n, reason):
+    from cnproj.checks import run_check_battery
+
+    report = run_check_battery(request.getfixturevalue(alg_name), n)
+    entry, = (e for e in report.entries if e.name.startswith("cross-window stability"))
+    assert report.ok() and entry.detail == reason
 
 
 def test_check_detects_corrupted_differential(point_alg):

@@ -4,6 +4,7 @@ from cnproj.complexes import (
     ChainMap,
     Complex,
     canonical_sort,
+    compose,
     cone,
     direct_sum,
     drop_first,
@@ -21,6 +22,7 @@ from cnproj.complexes import (
     make_stalk,
     mat_zero,
     shift_window,
+    shift_window_map,
     strip_contractible,
     zero_complex,
 )
@@ -178,6 +180,39 @@ def test_shift_window(a3_alg):
     assert sh.cells == ((), (3,), (2,))
     with pytest.raises(SupportOverflow):
         shift_window(w, 1, 3)
+
+
+def test_shift_window_map(a3_alg):
+    # every chain map between window-3 classes, moved into window 4: it is a
+    # chain map between the moved ends, and moving commutes with composition
+    from cnproj.homspaces import hom_basis
+    from cnproj.universe import enumerate_indecomposables
+
+    reps = enumerate_indecomposables(a3_alg, 3).representatives
+    homs = {(i, j): hom_basis(x, y).basis
+            for i, x in enumerate(reps) for j, y in enumerate(reps)}
+    composites = 0
+    for (i, j), basis in homs.items():
+        lo = min(r.support()[0] for r in (reps[i], reps[j]))
+        hi = max(r.support()[1] for r in (reps[i], reps[j]))
+        for f in basis:
+            for p in range(1 - lo, 5 - hi):
+                g = shift_window_map(f, p, 4)
+                assert (g.source, g.target) == (shift_window(reps[i], p, 4),
+                                                shift_window(reps[j], p, 4))
+                ChainMap(g.source, g.target, g.comps, check=True)
+            with pytest.raises(SupportOverflow):
+                shift_window_map(f, 5 - hi, 4)
+            with pytest.raises(SupportOverflow):
+                shift_window_map(f, -lo, 4)
+            for k in range(len(reps)):
+                p = 4 - max(hi, reps[k].support()[1])  # >= 1, and the three ends fit
+                for h in homs[(j, k)]:
+                    gf = compose(h, f)
+                    composites += not gf.is_zero()
+                    moved = compose(shift_window_map(h, p, 4), shift_window_map(f, p, 4))
+                    assert moved.comps == shift_window_map(gf, p, 4).comps
+    assert composites
 
 
 def test_canonical_sort(a3_alg):
