@@ -18,16 +18,12 @@ its defect h(V, X) - h(V, Y) + h(V, Z) is 0 at every class V but Z and t(Z) at Z
 i is left almost split dually, and an indecomposable X makes d right minimal.
 ``check`` runs the definitions (``_factors_all``) on every conflation.
 
-The pass works up to translation.  A class is a shape at a first position, and
-Hom(i, j) depends only on (shape of i, shape of j, lo_i - lo_j): translates
-share path coordinates, so ``_Ctx`` solves one Hom space per key and moves its
-basis to a translate pair (``HomSpace.moved``).  The first non-projective class
-Z of each shape is solved as above; a translate Z' of Z by k reuses Z's
-conflation, moved by k (``shift_window_map``), when the table predicts tau Z' =
-tau Z moved by k and Z''s sink sources are Z's middle summands moved by k.  The
-defects depend only on the classes of X, Y's summands and Z, so the moved
-conflation is certified exactly when a fresh solve would be; otherwise Z' is
-solved afresh.
+The pass works up to translation, through ``Universe.key(i, j)`` = (shape of i,
+shape of j, lo_i - lo_j).  ``_Ctx`` solves one Hom space per key and moves its
+basis to the translate pairs (``HomSpace.moved``).  Z's terms up to translation
+are its shape, key(tau Z, Z) and the keys key(W, Z) of its sink sources; Z is
+solved only when no earlier class had equal terms, else that conflation is
+moved to Z and certified.  The defects depend only on the terms.
 """
 
 from __future__ import annotations
@@ -111,8 +107,8 @@ class ARQuiver:
 class _Ctx:
     """Shared caches over one universe, keyed by translation.
 
-    ``h[i][j]`` = dim Hom(i, j) is built once, with one ``hom_basis`` per key
-    (shape of i, shape of j, lo_i - lo_j); the Hom spaces, radicals and sink
+    ``h[i][j]`` = dim Hom(i, j) is built once, with one ``hom_basis`` per
+    ``Universe.key``; the Hom spaces, radicals and sink
     maps below are built only for the pairs that the radical graph walks.
     """
 
@@ -134,9 +130,7 @@ class _Ctx:
         self._columns: dict[tuple, list[int]] | None = None
 
     def _keyed(self, i, j) -> tuple[int, int, HomSpace | None]:
-        (si, lo_i), (sj, lo_j) = self.universe.classes[i], self.universe.classes[j]
-        key = (si, sj, lo_i - lo_j)
-        if key not in self._keys:
+        if (key := self.universe.key(i, j)) not in self._keys:
             hs = hom_basis(self.reps[i], self.reps[j])
             self._keys[key] = (i, hs.dimension, hs if hs.dimension else None)
         return self._keys[key]
@@ -242,12 +236,14 @@ def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
     for w, z, g in sorted(comps, key=lambda c: c[:2]):
         arrows[(w, z)] = arrows.get((w, z), 0) + 1
         arrow_reps.setdefault((w, z), g)
-    conflations, first = {}, {}  # first: shape id -> its first non-projective class
-    for z, (sid, _) in enumerate(universe.classes):
+    conflations, solved = {}, {}  # solved: Z's terms up to translation -> Z's conflation
+    for z in range(len(reps)):
         if not en_proj[z]:
-            base = first.setdefault(sid, z)
-            conflations[z] = (almost_split_ending_at(ctx, z) if base == z
-                              else _translated_conflation(ctx, conflations[base], z))
+            terms = _terms(ctx, z)
+            if terms in solved:
+                conflations[z] = _moved(ctx, solved[terms], z)
+            else:
+                conflations[z] = solved[terms] = almost_split_ending_at(ctx, z)
     tau = {z: conf.x_idx for z, conf in conflations.items()}
     return ARQuiver(alg, n, universe, en_proj, en_inj, proj_inj,
                     arrows, arrow_reps, conflations, tau, ctx)
@@ -294,25 +290,24 @@ def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
     return conf
 
 
-def _translated_conflation(ctx: _Ctx, conf: Conflation, z_idx: int) -> Conflation:
-    """The almost split conflation ending at Z', a translate of conf's end Z by k.
+def _terms(ctx: _Ctx, z_idx: int) -> tuple:
+    """The terms of Z's conflation up to translation: Z's shape, key(tau Z, Z) and
+    the sorted key(W, Z) over Z's sink sources W."""
+    key = ctx.universe.key
+    return (ctx.universe.classes[z_idx][0], key(_predicted_tau(ctx, z_idx), z_idx),
+            tuple(sorted(key(w, z_idx) for w, _ in ctx.sink(z_idx))))
 
-    When the table predicts tau Z' = tau Z moved by k and Z''s sink sources are
-    conf's middle summands moved by k, conf moved by k is certified instead of
-    solved: the defects depend only on the classes of X, Y's summands and Z.
-    Otherwise Z' is solved afresh.
-    """
+
+def _moved(ctx: _Ctx, conf: Conflation, z_idx: int) -> Conflation:
+    """conf moved by k to end at Z, a translate of its end by k with equal terms, and
+    certified: its X is tau Z and its middle summands are Z's sink sources."""
     uni = ctx.universe
     k = uni.classes[z_idx][1] - uni.classes[conf.z_idx][1]
     x_idx = uni.translate(conf.x_idx, k)
-    ys = [uni.translate(w, k) for w in conf.y_summands]
-    if (x_idx is None or None in ys or _predicted_tau(ctx, z_idx) != x_idx
-            or sorted(ys) != sorted(w for w, _ in ctx.sink(z_idx))):
-        return almost_split_ending_at(ctx, z_idx)
     x, z, y = ctx.reps[x_idx], ctx.reps[z_idx], shift_window(conf.y, k, uni.window)
     moved = Conflation(x, y, z, shift_window_map(conf.i, k, uni.window, x, y),
-                       shift_window_map(conf.d, k, uni.window, y, z),
-                       x_idx=x_idx, z_idx=z_idx, y_summands=ys)
+                       shift_window_map(conf.d, k, uni.window, y, z), x_idx=x_idx, z_idx=z_idx,
+                       y_summands=[uni.translate(w, k) for w in conf.y_summands])
     _certify(ctx, moved)
     return moved
 

@@ -163,6 +163,8 @@ def cmd_check(args) -> int:
     _, alg = load_algebra(args.file)
     if args.n < 2:
         raise _UsageError("--n must be >= 2")
+    if args.bound < 1:  # no complex with at most 0 summands per cell is a class
+        raise _UsageError("--bound must be >= 1")
     report = run_check_battery(alg, args.n, oracle=args.oracle, bound=args.bound)
     width = max(len(e.name) for e in report.entries)
     for e in report.entries:

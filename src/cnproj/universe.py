@@ -26,13 +26,14 @@ translates the window lacks at first positions 1..n - w + 1, in that order.
 
 The rules are translation-equivariant, so they run up to translation too.
 Rule (a) for class i runs once per key (shape of i, lo >= 2, hi <= n - 1)
-and rules (b) and (c) for the pair (i, j) once per key (shape of i, shape of
-j, lo_i - lo_j); a later translate is skipped, because ``admit`` has already
-placed every translate of the first translate's candidates.  The registry
-keeps the candidates of each key stripped and normalised to support 1..w,
-before the window's width and summand checks; when a growth run (``sgldim``)
-meets the key again in a later window, they go back through ``admit`` in
-the same order, and no Hom or Ext is solved for it.
+and rules (b) and (c) for the pair (i, j) once per ``Universe.key(i, j)`` =
+(shape of i, shape of j, lo_i - lo_j); a later translate is skipped, as
+``admit`` has already placed every translate of the first translate's
+candidates.  The registry keeps the candidates of each key stripped and
+normalised to support 1..w, before the window's width and summand checks;
+when a growth run (``sgldim``) meets the key again in a later window, they
+go back through ``admit`` in the same order, and no Hom or Ext is solved for
+it.
 """
 
 from __future__ import annotations
@@ -160,6 +161,11 @@ class Universe:
         *_, lo, sid = self.shapes._lookup(x)
         return self._index.get((sid, lo))
 
+    def key(self, i: int, j: int) -> tuple[int, int, int]:
+        """(shape of i, shape of j, lo_i - lo_j): equal for a pair and its translates."""
+        (si, lo_i), (sj, lo_j) = self.classes[i], self.classes[j]
+        return si, sj, lo_i - lo_j
+
     def translate(self, i: int, k: int = 1) -> int | None:
         """Index of class i moved k positions right; None if it leaves the window."""
         sid, lo = self.classes[i]
@@ -265,10 +271,6 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         if uni.place(sid, lo) is not None:
             stats["added_by_rule"]["seed"] += 1
 
-    def pair_key(i, j):
-        (si, lo_i), (sj, lo_j) = classes[i], classes[j]
-        return ("bc", si, sj, lo_i - lo_j)
-
     done: set[tuple] = set()
 
     def run(key, produce, *args) -> list[int]:
@@ -286,13 +288,13 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         return [idx for rule, y in cands for idx in admit(y, rule)]
 
     ext_cache: dict[tuple, object] = {}
+    key = uni.key
 
     def ext(i, j):
         # classes of conflations rep[j] -> Y -> rep[i], one solve per pair key
-        key = pair_key(i, j)
-        if key not in ext_cache:
-            ext_cache[key] = ext_classes(reps[i], reps[j])
-        return ext_cache[key]
+        if (k := key(i, j)) not in ext_cache:
+            ext_cache[k] = ext_classes(reps[i], reps[j])
+        return ext_cache[k]
 
     def rule_a(i):
         return (("ext", c) for c in _support_extensions(alg, reps[i]))
@@ -345,7 +347,7 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                     continue
                 if uni.j_flags[i] or uni.j_flags[j]:
                     continue
-                added.extend(run(pair_key(i, j), rules_bc, i, j))
+                added.extend(run(key(i, j), rules_bc, i, j))
         if not added:
             break
         new_idxs = added

@@ -515,8 +515,8 @@ def test_keyed_hom_table_is_hom_basis(fixtures_dir, fixture, n):
                                         ("a6_relations.alg", 3), ("d4.alg", 3),
                                         ("a4_abc.alg", 3), ("cyc2.alg", 3)])
 def test_translated_conflations_are_the_solved_ones(monkeypatch, fixtures_dir, fixture, n):
-    # a conflation moved from the first class of its shape has the end terms and
-    # middle summands of a fresh solve, and passes the definitional tests
+    # a conflation moved from an earlier class with equal terms has the end terms
+    # and middle summands of a fresh solve, and passes the definitional tests
     from cnproj.arquiver import almost_split_ending_at
 
     q, fresh = _built_with_fresh_solves(monkeypatch, fixtures_dir, fixture, n)
@@ -533,25 +533,48 @@ def test_translated_conflations_are_the_solved_ones(monkeypatch, fixtures_dir, f
         assert is_right_minimal(q.universe, conf.d, _ctx=q._ctx)
 
 
+def _moved_from(q) -> dict:
+    """Each conflation's end Z -> the first class with Z's terms up to translation,
+    whose solved conflation was moved to Z (Z itself when Z was solved)."""
+    from cnproj.arquiver import _terms
+
+    first = {}
+    return {z: first.setdefault(_terms(q._ctx, z), z) for z in sorted(q.conflations)}
+
+
+@pytest.mark.parametrize("fixture, n", [("a3_relation.alg", 4), ("a6_relations.alg", 3),
+                                        ("d4.alg", 3), ("a4_abc.alg", 3), ("cyc2.alg", 3)])
+def test_one_fresh_solve_per_terms_up_to_translation(monkeypatch, fixtures_dir, fixture, n):
+    # Z is solved only when no earlier class has its terms up to translation; a
+    # translate may reuse any earlier class with equal terms, not only the
+    # first non-projective class of its shape
+    q, fresh = _built_with_fresh_solves(monkeypatch, fixtures_dir, fixture, n)
+    bases = _moved_from(q)
+    assert sorted(fresh) == sorted(set(bases.values()))
+    shape_firsts = {}
+    for z in sorted(q.conflations):
+        shape_firsts.setdefault(q.universe.classes[z][0], z)
+    later = [z for z, b in bases.items() if b != z and b != shape_firsts[q.universe.classes[b][0]]]
+    assert later or (fixture, n) != ("a3_relation.alg", 4)
+
+
 def test_certify_refuses_a_mistranslated_conflation(monkeypatch, fixtures_dir):
-    # a translated conflation that drops a middle summand, or whose start and
-    # middle moved by k +- 1 instead of k, fails to certify and names Z
+    # a moved conflation that drops a middle summand, or whose start and middle
+    # moved by k +- 1 instead of k from the conflation it was moved from, fails to
+    # certify and names Z
     from cnproj.arquiver import _certify
 
     q, fresh = _built_with_fresh_solves(monkeypatch, fixtures_dir, "a3_relation.alg", 4)
     uni, ctx, refused = q.universe, q._ctx, 0
-    firsts = {}
-    for z in q.conflations:
-        firsts.setdefault(uni.classes[z][0], z)
-    for z, conf in q.conflations.items():
+    for z, b in _moved_from(q).items():
         if z in fresh:
             continue
-        base = q.conflations[firsts[uni.classes[z][0]]]
+        conf, base = q.conflations[z], q.conflations[b]
         named = re.escape(f"at class {z} ({q.label(z)})")
         with pytest.raises(CertificationFailure, match=named):
             _certify(ctx, dataclasses.replace(conf, y_summands=conf.y_summands[1:],
                                               certified=False))
-        k = uni.classes[z][1] - uni.classes[base.z_idx][1]
+        k = uni.classes[z][1] - uni.classes[b][1]
         for off in (k - 1, k + 1):
             x_idx = uni.translate(base.x_idx, off)
             ys = [uni.translate(w, off) for w in base.y_summands]

@@ -127,6 +127,16 @@ def test_usage_error_exit(fixtures_dir):
     assert rc == 1
 
 
+def test_check_bound_below_one_is_a_usage_error(fixtures_dir, monkeypatch, capsys):
+    _forbid_enumeration(monkeypatch)
+    rc = main(["check", path(fixtures_dir, "a3_relation.alg"), "--n", "3",
+               "--oracle", "gf2", "--bound", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "usage error: --bound must be >= 1" in captured.err
+    assert "FAIL" not in captured.out
+
+
 def test_ar_quiver_outputs(fixtures_dir, tmp_path, capsys):
     dot = tmp_path / "point.dot"
     js = tmp_path / "point.json"

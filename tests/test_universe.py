@@ -193,6 +193,9 @@ def test_find_maps_every_fitting_shift_to_its_translate(alg_name, request):
             assert j is not None and uni.classes[j] == (sid, lo + p)
             assert uni.representatives[j] == shift_window(rep, p, n)
             assert uni.translate(i, p) == j
+            assert all(uni.key(j, m) == uni.key(i, mi) and uni.key(m, j) == uni.key(mi, i)
+                       for mi in range(len(uni.classes))
+                       if (m := uni.translate(mi, p)) is not None)
         assert uni.translate(i, n - width - lo + 2) is None
 
 
