@@ -20,7 +20,8 @@ i is left almost split dually, and an indecomposable X makes d right minimal.
 
 The pass works up to translation, through ``Universe.key(i, j)`` = (shape of i,
 shape of j, lo_i - lo_j).  ``_Ctx`` solves one Hom space per key and moves its
-basis to the translate pairs (``HomSpace.moved``).  Z's terms up to translation
+basis to the translate pairs (``HomSpace.moved``); a pair with disjoint
+supports has Hom = 0 and is not solved.  Z's terms up to translation
 are its shape, key(tau Z, Z) and the keys key(W, Z) of its sink sources; Z is
 solved only when no earlier class had equal terms, else that conflation is
 moved to Z and certified.  The defects depend only on the terms.
@@ -108,7 +109,7 @@ class _Ctx:
     """Shared caches over one universe, keyed by translation.
 
     ``h[i][j]`` = dim Hom(i, j) is built once, with one ``hom_basis`` per
-    ``Universe.key``; the Hom spaces, radicals and sink
+    ``Universe.key`` of supports that meet; the Hom spaces, radicals and sink
     maps below are built only for the pairs that the radical graph walks.
     """
 
@@ -120,8 +121,11 @@ class _Ctx:
         self.reps = universe.representatives
         # key -> (its first class i, dim, the space; None for dim 0, rebuilt empty)
         self._keys: dict[tuple, tuple[int, int, HomSpace | None]] = {}
-        self.h = [[self._keyed(i, j)[1] for j in range(len(self.reps))]
-                  for i in range(len(self.reps))]
+        # a chain map needs a shared position: disjoint supports give h = 0 unsolved,
+        # and as the test reads only widths and offset, a key's translates agree
+        spans = universe.spans
+        self.h = [[0 if c > b or a > d else self._keyed(i, j)[1]
+                   for j, (c, d) in enumerate(spans)] for i, (a, b) in enumerate(spans)]
         self._hom: dict[tuple[int, int], HomSpace] = {}
         self._rad_end: dict[int, HomSpace] = {}
         self._rad_coords: dict[int, list] = {}  # shape -> rad End coordinates
@@ -138,13 +142,13 @@ class _Ctx:
     def hom(self, i, j) -> HomSpace:
         """Hom(i, j): the key's space, moved to the pair when the pair is a translate."""
         if (i, j) not in self._hom:
-            i0, _, hs = self._keyed(i, j)
             x, y = self.reps[i], self.reps[j]
-            p = self.universe.classes[i][1] - self.universe.classes[i0][1]
-            if hs is None:
+            if not self.h[i][j]:
                 hs = HomSpace.zero(x, y)
-            elif p:
-                hs = hs.moved(x, y, p)
+            else:
+                i0, _, hs = self._keyed(i, j)
+                if p := self.universe.classes[i][1] - self.universe.classes[i0][1]:
+                    hs = hs.moved(x, y, p)
             self._hom[(i, j)] = hs
         return self._hom[(i, j)]
 
@@ -257,7 +261,8 @@ def _predicted_tau(ctx: _Ctx, z_idx: int) -> int:
     """The class X with h(-, X) = sum of h(-, W) over Z's sink sources W, minus
     h(-, Z), plus t(Z) at Z; NoCandidateFound names Z unless exactly one matches."""
     sources = [w for w, _ in ctx.sink(z_idx)]
-    column = tuple(sum(row[w] for w in sources) - row[z_idx] + ctx.t(z_idx) * (v == z_idx)
+    tz = ctx.t(z_idx)
+    column = tuple(sum(row[w] for w in sources) - row[z_idx] + tz * (v == z_idx)
                    for v, row in enumerate(ctx.h))
     matches = ctx.classes_with_column(column)
     if len(matches) != 1:
@@ -320,14 +325,15 @@ def _certify(ctx: _Ctx, conf: Conflation):
     """
     x, z, ys, h = conf.x_idx, conf.z_idx, conf.y_summands, ctx.h
     where = _where(ctx, z)
-    if ctx.t(x) != 1 or ctx.t(z) != 1:
+    tx, tz = ctx.t(x), ctx.t(z)
+    if tx != 1 or tz != 1:
         raise CertificationFailure(f"conflation end terms must be indecomposable {where}")
     if None in ys or sorted(ys) != sorted(w for w, _ in ctx.sink(z)):
         raise CertificationFailure(f"middle summands {ys} are not the sink sources {where}")
     for v, row in enumerate(h):
         right = row[x] - sum(row[y] for y in ys) + row[z]
         left = h[z][v] - sum(h[y][v] for y in ys) + h[x][v]
-        if (right, left) != (ctx.t(z) * (v == z), ctx.t(x) * (v == x)):
+        if (right, left) != (tz * (v == z), tx * (v == x)):
             raise CertificationFailure(f"defects {right}, {left} at V = {v} {where}")
     conf.certified = True
 

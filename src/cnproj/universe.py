@@ -20,20 +20,25 @@ A universe is its shapes times their translates.  Isomorphic complexes have
 equal supports, so a class of window n is a pair (shape, first position), a
 shape being the class moved to support 1..w.  One ``_ShapeRegistry``, shared
 by the windows of a run, keeps each shape once (moved, never stripped, so the
-J seeds are shapes too).  ``admit`` looks a candidate up once, proves it
+J seeds are shapes too).  ``admit`` looks a new candidate up, proves it
 indecomposable only when its shape is new to the run, and places the
 translates the window lacks at first positions 1..n - w + 1, in that order.
 
 The rules are translation-equivariant, so they run up to translation too.
-Rule (a) for class i runs once per key (shape of i, lo >= 2, hi <= n - 1)
-and rules (b) and (c) for the pair (i, j) once per ``Universe.key(i, j)`` =
-(shape of i, shape of j, lo_i - lo_j); a later translate is skipped, as
-``admit`` has already placed every translate of the first translate's
-candidates.  The registry keeps the candidates of each key stripped and
-normalised to support 1..w, before the window's width and summand checks;
-when a growth run (``sgldim``) meets the key again in a later window, they
-go back through ``admit`` in the same order, and no Hom or Ext is solved for
-it.
+Rule (a) for class i runs once per key (shape of i, side): the left key when
+lo >= 2 and the right key when hi <= n - 1, as the normalised candidates of
+a side do not depend on lo.  Rules (b) and (c) for the pair (i, j) run once
+per ``Universe.key(i, j)`` = (shape of i, shape of j, lo_i - lo_j), and not
+at all when the supports are two or more apart: a chain map needs a shared
+position and a degree-1 map positions p and p + 1, so Hom and Ext vanish
+both ways.  A later translate is skipped, as ``admit`` has already placed
+every translate of the first translate's candidates.  The registry keeps the
+candidates of each key stripped and normalised to support 1..w, before the
+window's width and summand checks, each with the shape id its first fitting
+``admit`` looked up.  When a growth run (``sgldim``) meets the key again in a
+later window, they go back through ``admit`` in the same order: no Hom or Ext
+is solved for the key, and a candidate with a stored shape id places its
+translates with no lookup.
 """
 
 from __future__ import annotations
@@ -90,14 +95,15 @@ class _ShapeRegistry:
     ``contractible[sid]`` says whether it is a J complex.  A bucket holds the
     ``(shape id, serial key)`` pairs of one signature, so a lookup computes
     only the candidate's key.  ``candidates`` maps a rule key to its
-    normalised candidates, each with the rule that produced it.
+    normalised candidates, each a ``[rule, candidate, shape id]`` entry whose
+    shape id is None until ``admit`` has looked the candidate up.
     """
 
     def __init__(self):
         self.reps: list[Complex] = []
         self.contractible: list[bool] = []
         self.buckets: dict[tuple, list[tuple[int, tuple]]] = {}
-        self.candidates: dict[tuple, list[tuple[str, Complex]]] = {}
+        self.candidates: dict[tuple, list[list]] = {}
 
     def _lookup(self, x: Complex):
         """(shape of a nonzero x, its signature and key, first position, shape id or None)."""
@@ -127,7 +133,8 @@ class Universe:
     """Iso classes of indecomposables in C_n, with a closure certificate.
 
     Class i is the translate ``classes[i]`` = (shape id, first position) of a
-    shape of ``shapes``; ``representatives[i]`` is that shape moved there.
+    shape of ``shapes``; ``representatives[i]`` is that shape moved there, and
+    ``spans[i]`` its support (first, last position).
     An enumeration that stops short of closure names the caps it hit, their
     values and how far it got in ``cap_note``.
     """
@@ -137,6 +144,7 @@ class Universe:
     shapes: _ShapeRegistry = field(repr=False)
     representatives: list[Complex] = field(default_factory=list)
     classes: list[tuple[int, int]] = field(default_factory=list)
+    spans: list[tuple[int, int]] = field(default_factory=list)
     j_flags: list[bool] = field(default_factory=list)
     closed: bool = False
     stats: dict = field(default_factory=dict)
@@ -148,8 +156,10 @@ class Universe:
         if (sid, lo) in self._index:
             return None
         idx = self._index[(sid, lo)] = len(self.classes)
+        rep = self.shapes.reps[sid]
         self.classes.append((sid, lo))
-        self.representatives.append(shift_window(self.shapes.reps[sid], lo - 1, self.window))
+        self.spans.append((lo, lo + rep.window - 1))
+        self.representatives.append(shift_window(rep, lo - 1, self.window))
         self.j_flags.append(self.shapes.contractible[sid])
         return idx
 
@@ -190,22 +200,18 @@ def _seeds(alg: MonomialAlgebra, n: int):
     return out
 
 
-def _support_extensions(alg: MonomialAlgebra, x: Complex):
-    """Rule (a): grow the support by one cell on either side, inside the window.
+def _support_extensions(alg: MonomialAlgebra, x: Complex, left: bool):
+    """Rule (a): grow the support by one cell on the left or right, inside the window.
 
     With support lo..hi, a new first cell P_v at lo - 1 has as its
     differential a basis chain map from the stalk P_v at lo into X; a new
     last cell P_v at hi + 1 has a basis chain map from X to the stalk at hi.
     """
     out = []
-    sup = x.support()
-    if sup is None:
-        return out
-    lo, hi = sup
+    lo, hi = x.support()
     n = x.window
-    vertices = sorted(alg.quiver.vertices)
-    if lo >= 2:
-        for v in vertices:
+    for v in sorted(alg.quiver.vertices):
+        if left:
             for g in hom_basis(make_stalk(alg, v, lo, n), x).basis:
                 cells = list(x.cells)
                 cells[lo - 2] = (v,)
@@ -214,8 +220,7 @@ def _support_extensions(alg: MonomialAlgebra, x: Complex):
                 if lo >= 3:
                     diffs[lo - 3] = [[]]  # one empty row into the new single summand
                 out.append(Complex(alg, cells, diffs))
-    if hi <= n - 1:
-        for v in vertices:
+        else:
             for g in hom_basis(x, make_stalk(alg, v, hi, n)).basis:
                 cells = list(x.cells)
                 cells[hi] = (v,)
@@ -242,25 +247,33 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
              "replayed": 0,
              "added_by_rule": {"seed": 0, "ext": 0, "cone": 0, "summand": 0}}
     uni = Universe(alg, n, shapes, stats=stats)
-    reps, classes = uni.representatives, uni.classes
+    reps, classes, spans = uni.representatives, uni.classes, uni.spans
 
-    def admit(x: Complex, rule: str) -> list[int]:
-        """Place the missing translates of a normalised candidate; returns new indices."""
+    def admit(cand: list) -> list[int]:
+        """Place the missing translates of a normalised candidate; returns new indices.
+
+        The first admit that fits the window stores the candidate's shape id in
+        its entry, so a replay places translates with no lookup: the registry
+        never drops a shape, and this candidate is already isomorphic to it.
+        """
+        rule, x, sid = cand
         stats["candidates"] += 1
         if x.total_summands() > config.max_total_summands:
             stats["cap_skips"] += 1
             return []
         if x.window > n:  # no translate fits; a later window replays it
             return []
-        sid, _, new_shape = shapes.add(x)
-        # Only a new shape needs the indecomposability proof.  A registry hit
-        # is either an equal serial key or an equal signature with a
-        # composite rep -> cand -> rep that is an automorphism; then rep is a
-        # summand of cand, equal cell multisets leave a zero complement, so
-        # cand is isomorphic to the indecomposable rep.
-        if new_shape and not is_indecomposable(shapes.reps[sid]):
-            raise AssertionError(
-                f"rule {rule} produced a decomposable candidate {shapes.reps[sid]!r}")
+        if sid is None:
+            sid, _, new_shape = shapes.add(x)
+            # Only a new shape needs the indecomposability proof.  A registry hit
+            # is either an equal serial key or an equal signature with a
+            # composite rep -> cand -> rep that is an automorphism; then rep is a
+            # summand of cand, equal cell multisets leave a zero complement, so
+            # cand is isomorphic to the indecomposable rep.
+            if new_shape and not is_indecomposable(shapes.reps[sid]):
+                raise AssertionError(
+                    f"rule {rule} produced a decomposable candidate {shapes.reps[sid]!r}")
+            cand[2] = sid
         new = [idx for lo in range(1, n - x.window + 2)
                if (idx := uni.place(sid, lo)) is not None]
         stats["added_by_rule"][rule] += len(new)
@@ -282,10 +295,10 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         cands = shapes.candidates.get(key)
         if cands is None:
             cands = shapes.candidates[key] = [
-                (rule, y) for rule, c in produce(*args) if (y := _normalise(c)) is not None]
+                [rule, y, None] for rule, c in produce(*args) if (y := _normalise(c)) is not None]
         else:
             stats["replayed"] += 1
-        return [idx for rule, y in cands for idx in admit(y, rule)]
+        return [idx for cand in cands for idx in admit(cand)]
 
     ext_cache: dict[tuple, object] = {}
     key = uni.key
@@ -296,8 +309,8 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             ext_cache[k] = ext_classes(reps[i], reps[j])
         return ext_cache[k]
 
-    def rule_a(i):
-        return (("ext", c) for c in _support_extensions(alg, reps[i]))
+    def rule_a(i, left):
+        return (("ext", c) for c in _support_extensions(alg, reps[i], left))
 
     def rules_bc(i, j):
         # rule (b): cones of basis maps f: rep[i] -> rep[j] that are nonzero
@@ -334,18 +347,28 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         stats["rounds"] += 1
         added: list[int] = []
         new_set = set(new_idxs)
-        # rule (a): one-cell support extensions of the new representatives
+        # rule (a): one-cell support extensions of the new representatives,
+        # one key per shape and side, as the normalised candidates ignore lo
         for i in sorted(new_set):
-            sid, lo = classes[i]
-            hi = lo + shapes.reps[sid].window - 1
-            added.extend(run(("a", sid, lo >= 2, hi <= n - 1), rule_a, i))
-        # rules (b) and (c) over pairs touching a new representative
+            sid = classes[i][0]
+            lo, hi = spans[i]
+            if lo >= 2:
+                added.extend(run(("a", sid, "left"), rule_a, i, True))
+            if hi <= n - 1:
+                added.extend(run(("a", sid, "right"), rule_a, i, False))
+        # rules (b) and (c) over pairs touching a new representative; supports
+        # two or more apart leave no shared position for a chain map and no
+        # adjacent pair for a degree-1 map, so such a pair has no candidates
         count = len(reps)
         for i in range(count):
+            a, b = spans[i]
             for j in range(count):
                 if i not in new_set and j not in new_set:
                     continue
                 if uni.j_flags[i] or uni.j_flags[j]:
+                    continue
+                c, d = spans[j]
+                if c >= b + 2 or a >= d + 2:
                     continue
                 added.extend(run(key(i, j), rules_bc, i, j))
         if not added:

@@ -486,18 +486,22 @@ def _built_with_fresh_solves(monkeypatch, fixtures_dir, fixture, n):
                                         ("a6_relations.alg", 3), ("d4.alg", 2), ("d4.alg", 3),
                                         ("a4_abc.alg", 3), ("cyc2.alg", 3)])
 def test_keyed_hom_table_is_hom_basis(fixtures_dir, fixture, n):
-    # one solve per (shape, shape, offset): the table is every pair's dimension,
-    # and a translate pair's moved basis is hom_basis's basis entry for entry
+    # one solve per (shape, shape, offset) of a pair whose supports overlap: the
+    # table is every pair's dimension, and a translate pair's moved basis is
+    # hom_basis's basis entry for entry
     from cnproj.algfile import load_algebra
     from cnproj.homspaces import hom_basis
 
     q = build_ar_quiver(load_algebra(str(fixtures_dir / fixture))[1], n)
-    ctx, reps, classes = q._ctx, q.universe.representatives, q.universe.classes
+    uni = q.universe
+    ctx, reps, classes, spans = q._ctx, uni.representatives, uni.classes, uni.spans
     m = len(reps)
     fresh = {(i, j): hom_basis(reps[i], reps[j]) for i in range(m) for j in range(m)}
     assert ctx.h == [[fresh[(i, j)].dimension for j in range(m)] for i in range(m)]
-    assert len(ctx._keys) == len({(classes[i][0], classes[j][0], classes[i][1] - classes[j][1])
-                                  for i, j in fresh})
+    overlapping = [(i, j) for i, j in fresh
+                   if spans[j][0] <= spans[i][1] and spans[i][0] <= spans[j][1]]
+    assert len(ctx._keys) == len({uni.key(i, j) for i, j in overlapping})
+    assert len(overlapping) < len(fresh)  # the stalks at 1 and at n never overlap
     walked = {(w, k) for k in range(m) for w in ctx.neighbours(k, into=True)}
     walked |= {(k, w) for k in range(m) for w in ctx.neighbours(k, into=False)}
     moved = 0

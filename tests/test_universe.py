@@ -212,12 +212,82 @@ def test_find_rejects_other_windows_zero_and_sums(alg_name, request):
 
 
 def test_new_decomposable_candidate_still_raises(point_alg, monkeypatch):
-    def split_candidate(alg, x):
+    def split_candidate(alg, x, left):
         return [direct_sum(make_stalk(alg, 1, 1, 2), make_stalk(alg, 1, 2, 2))]
 
     monkeypatch.setattr(universe_mod, "_support_extensions", split_candidate)
     with pytest.raises(AssertionError, match="decomposable"):
         enumerate_indecomposables(point_alg, 2)
+
+
+@pytest.mark.parametrize("fixture, n", [("point.alg", 4), ("a2.alg", 4), ("a3_relation.alg", 4),
+                                        ("a6_relations.alg", 3), ("d4.alg", 3),
+                                        ("a4_abc.alg", 3), ("cyc2.alg", 3)])
+def test_support_gate_is_exact(fixtures_dir, fixture, n):
+    # disjoint supports leave no shared position for a chain map, and supports
+    # two or more apart no positions p, p + 1 for a degree-1 map either way
+    from cnproj.homspaces import ext_classes, hom_basis
+
+    shapes = _ShapeRegistry()  # keeps the rule keys the pair loop ran
+    uni = enumerate_indecomposables(load_algebra(str(fixtures_dir / fixture))[1], n,
+                                    _registry=shapes)
+    reps, spans = uni.representatives, uni.spans
+    assert spans == [rep.support() for rep in reps]
+    apart = adjacent_ext = 0
+    for i, (a, b) in enumerate(spans):
+        for j, (c, d) in enumerate(spans):
+            if c > b or a > d:
+                assert hom_basis(reps[i], reps[j]).dimension == 0, (i, j)
+            gated = c >= b + 2 or a >= d + 2
+            if gated:
+                apart += 1
+                assert ext_classes(reps[i], reps[j]).dimension == 0, (i, j)
+            elif c == b + 1 or a == d + 1:
+                adjacent_ext += ext_classes(reps[i], reps[j]).dimension > 0
+            # every non-J pair is visited; exactly the gated ones skip rules (b), (c)
+            if not (uni.j_flags[i] or uni.j_flags[j]):
+                assert (uni.key(i, j) in shapes.candidates) != gated, (i, j)
+    # the gate skips some pairs, and one position closer Ext can be nonzero
+    assert apart and adjacent_ext
+
+
+@pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
+def test_replayed_candidates_keep_their_shape_id(alg_name, request, monkeypatch):
+    # a later window of a sgldim run places the candidates it replays from the
+    # shape id their first admit stored, with no lookup, and each window still
+    # equals a standalone enumeration
+    from cnproj import sgldim as sgldim_mod
+
+    alg = request.getfixturevalue(alg_name)
+    real_lookup, real_enumerate = _ShapeRegistry._lookup, sgldim_mod.enumerate_indecomposables
+    stored: set[int] = set()  # ids of candidates with a stored shape id, kept alive by the registry
+    replayed_lookups = []
+
+    def lookup(self, x):
+        replayed_lookups.append(id(x) in stored)
+        return real_lookup(self, x)
+
+    def window(alg, n, config=None, *, _registry):
+        stored.clear()
+        stored.update(id(y) for cands in _registry.candidates.values()
+                      for _, y, sid in cands if sid is not None)
+        replayed_lookups.clear()
+        uni = real_enumerate(alg, n, config, _registry=_registry)
+        assert replayed_lookups and not any(replayed_lookups)
+        assert bool(stored) == (uni.stats["replayed"] > 0) == (n > 2)
+        # a stored id is the shape a fresh lookup finds
+        assert all(real_lookup(_registry, y)[-1] == sid
+                   for cands in _registry.candidates.values() for _, y, sid in cands
+                   if sid is not None)
+        return uni
+
+    monkeypatch.setattr(_ShapeRegistry, "_lookup", lookup)
+    monkeypatch.setattr(sgldim_mod, "enumerate_indecomposables", window)
+    grown = compute_sgldim(alg).universes
+    monkeypatch.undo()
+    assert len(grown) >= 3
+    assert _window_rows(grown) == _window_rows(
+        {n: enumerate_indecomposables(alg, n) for n in grown})
 
 
 # sha256 of repr([(n, serial keys, sorted added_by_rule items)]) over the
