@@ -494,7 +494,7 @@ def test_keyed_hom_table_is_hom_basis(fixtures_dir, fixture, n):
 
     q = build_ar_quiver(load_algebra(str(fixtures_dir / fixture))[1], n)
     uni = q.universe
-    ctx, reps, classes, spans = q._ctx, uni.representatives, uni.classes, uni.spans
+    ctx, reps, spans = q._ctx, uni.representatives, uni.spans
     m = len(reps)
     fresh = {(i, j): hom_basis(reps[i], reps[j]) for i in range(m) for j in range(m)}
     assert ctx.h == [[fresh[(i, j)].dimension for j in range(m)] for i in range(m)]
