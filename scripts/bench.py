@@ -9,7 +9,8 @@ checkout's ``perfbench/run.py`` twice at seed 0, for the benchmark's
 setup_s, peak_rss_mb) and ``--trace 1`` for the per-layer counts and self
 times.  It writes ``BENCH_<label>.json`` to the top of this checkout.  The
 file records the measured checkout's commit, whether its ``src/`` differs
-from that commit, and a sha256 of the ``src/cnproj`` sources.
+from that commit, a sha256 of the ``src/cnproj`` sources and their line
+count (``src_lines``), from which a change's net line count is read.
 
 A file is one run per workload: a trajectory point, not evidence of a gain.
 Per-layer counts compare exactly across files; end-to-end rows do not, since
@@ -36,14 +37,22 @@ def _git(root: pathlib.Path, *args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
+def _sources(root: pathlib.Path) -> list[pathlib.Path]:
+    return sorted((root / "src" / "cnproj").glob("*.py"))
+
+
 def source_sha256(root: pathlib.Path) -> str:
     """sha256 over the relative paths and bytes of src/cnproj/*.py."""
     digest = hashlib.sha256()
-    pkg = root / "src" / "cnproj"
-    for path in sorted(pkg.glob("*.py")):
+    for path in _sources(root):
         digest.update(path.relative_to(root).as_posix().encode() + b"\0")
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def source_lines(root: pathlib.Path) -> int:
+    """Line count of src/cnproj/*.py, as ``wc -l`` counts it."""
+    return sum(path.read_bytes().count(b"\n") for path in _sources(root))
 
 
 def run_benchmark(root: pathlib.Path, workload: str, seconds: int, trace: int) -> dict:
@@ -86,6 +95,7 @@ def main(argv=None) -> int:
         "commit": _git(root, "rev-parse", "HEAD"),
         "src_differs_from_commit": bool(_git(root, "status", "--porcelain", "--", "src")),
         "src_sha256": source_sha256(root),
+        "src_lines": source_lines(root),
         "command": spec["command"],
         "seed": SEED,
         "seconds": seconds,

@@ -640,10 +640,8 @@ def check_window_stability(alg, n: int, eta: int, config: EnumConfig | None = No
         qm = quivers.get(m)
         uni = (qm.universe if qm else universes.get(m)
                or enumerate_indecomposables(alg, m, config))
-        for rep, is_j in zip(uni.representatives, uni.j_flags):
-            checked["boundary"] += 1
-            if not is_j and rep.cells[0] and rep.cells[-1]:
-                violations.append(("boundary", m, rep.label()))
+        checked["boundary"] += len(uni.representatives)
+        violations.extend(("boundary", m, rep.label()) for rep in uni.violators())
     # (1) drop every window-n conflation to eta+1, (2) embed every eta+1
     # conflation to n, and look each result up among the certified ones there
     for kind, src, dst, rule in (("drop", q_hi, q_lo, _drop_rule),

@@ -81,6 +81,8 @@ def _algebra_echo(model) -> dict:
 
 def cmd_sgldim(args) -> int:
     model, alg = load_algebra(args.file)
+    if args.max_n < 2:  # the window loop starts at n = 2
+        raise _UsageError("--max-n must be >= 2")
     t0 = time.monotonic()
     report = (sgldim_fast if args.fast else compute_sgldim)(alg, max_n=args.max_n)
     ms = int((time.monotonic() - t0) * 1000)

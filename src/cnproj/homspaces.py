@@ -298,13 +298,10 @@ def end_radical_coords(x: Complex, end: HomSpace | None = None) -> list[list]:
 
 
 def is_indecomposable(x: Complex) -> bool:
-    """End(X) local?  Trace-form radical in char 0; idempotent scan over GF(p)."""
+    """End(X) local: no splitting idempotent (``_splitting_idempotent``)."""
     if x.is_zero():
         raise ZeroComplex("the zero complex is not indecomposable")
-    end = hom_basis(x, x)
-    if x.alg.field.char == 0:
-        return end.dimension - len(end_radical_coords(x, end)) == 1
-    return _scan_idempotent(x, end) is None
+    return _splitting_idempotent(x) is None
 
 
 def _scan_idempotent(x: Complex, end: HomSpace):
@@ -429,11 +426,15 @@ def decompose_with_maps(x: Complex):
 def _splitting_idempotent(x: Complex):
     """A nontrivial idempotent of End(X), or None when End(X) is local.
 
-    Over GF(p) all p^m elements are scanned.  In characteristic 0 the
-    candidates b (basis elements, their pairwise sums and products) are tried
-    through their scalar images: the Fitting projection of phi(b) onto a
-    rational generalised eigenspace lies in phi(End(X)), is pulled back by one
-    linear solve and lifted to an idempotent of End(X) by e -> 3e^2 - 2e^3.
+    ``is_indecomposable`` is this test.  Over GF(p) all p^m elements are
+    scanned.  In characteristic 0, End(X) is local when End(X)/rad is Q;
+    otherwise the candidates b (basis elements, their pairwise sums and
+    products) are tried through their scalar images: the Fitting projection
+    of phi(b) onto a rational generalised eigenspace lies in phi(End(X)), is
+    pulled back by one linear solve and lifted to an idempotent of End(X) by
+    e -> 3e^2 - 2e^3.  When no candidate splits, DecompositionFailure is
+    raised, as exact rational arithmetic cannot tell a residue field larger
+    than Q from a split it cannot see.
     """
     end = hom_basis(x, x)
     m = end.dimension
@@ -467,8 +468,9 @@ def _splitting_idempotent(x: Complex):
                 return e
             e = e2.scale(f.of(3)) + compose(e2, e).scale(f.of(-2))
     raise DecompositionFailure(
-        "End(X) is not local but no candidate element produced a rational "
-        "spectral split; an irrational field extension is involved")
+        "End(X)/rad End(X) has dimension > 1 over Q but no candidate element produced a "
+        "rational spectral split: End(X) may be local with a residue field larger "
+        "than Q (X indecomposable), or split only over a field extension")
 
 
 def _fitting_projection(f, blocks):

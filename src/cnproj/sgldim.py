@@ -41,11 +41,6 @@ class SgldimReport:
         return self.witness.witness_label() if self.witness is not None else "-"
 
 
-def _violators(universe: Universe):
-    return [rep for rep, is_j in zip(universe.representatives, universe.j_flags)
-            if not is_j and rep.cells[0] and rep.cells[-1]]
-
-
 def _gldim_report(alg, max_n: int) -> SgldimReport | None:
     """An unterminated report when gl.dim alone rules out termination by
     window max_n, since s.gl.dim >= gl.dim; None otherwise."""
@@ -80,7 +75,7 @@ def _grow(alg, max_n: int, config: EnumConfig | None, stop) -> SgldimReport:
     try:
         for n in range(2, max_n + 1):
             uni = window(n)
-            viol = _violators(uni)
+            viol = uni.violators()
             per_window.append((n, len(uni.representatives), len(viol)))
             if not uni.closed:
                 reason = uni.cap_note

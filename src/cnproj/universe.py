@@ -4,8 +4,9 @@ The main path is a cone-closure engine: seed with the stalk and contractible
 complexes, then repeatedly apply the three growth rules
 
   (a) one-cell support extensions by an indecomposable projective P_v: the
-      new end cell attaches by a basis chain map from the stalk complex P_v
-      into X (new first cell) or from X to the stalk (new last cell);
+      middle terms, unsplit, of a basis of Ext(S, X) for the stalk S = P_v at
+      lo - 1 (new first cell) and of Ext(X, S) for S at hi + 1 (new last
+      cell);
   (b) cones of basis homs f: A -> B between known classes whenever
       Hom_{K^b}(B, A[1]) vanishes, which guarantees the cone stays
       indecomposable, re-windowed at every fitting shift;
@@ -24,12 +25,18 @@ J seeds are shapes too).  ``admit`` looks a new candidate up, proves it
 indecomposable only when its shape is new to the run, and places the
 translates the window lacks at first positions 1..n - w + 1, in that order.
 
+Rule (a) is rule (c) on a stalk pair, run first and unsplit.  The supports
+of S and X are disjoint, so Hom vanishes both ways and no degree-0 family
+bounds; Ext(S at lo - 1, X) is then the space of chain maps from the stalk at
+lo into X, and each class glues S onto X by one cell.  ``admit`` proves a new
+candidate indecomposable or the run stops, so rule (c)'s split would add
+nothing; a stalk pair's key is run by whichever rule meets it first.
+
 The rules are translation-equivariant, so they run up to translation too.
-Rule (a) for class i runs once per key (shape of i, side): the left key when
-lo >= 2 and the right key when hi <= n - 1, as the normalised candidates of
-a side do not depend on lo.  Rules (b) and (c) for the pair (i, j) run once
-per ``Universe.key(i, j)`` = (shape of i, shape of j, lo_i - lo_j), and not
-at all when the supports are two or more apart: a chain map needs a shared
+Each rule runs once per ``Universe.key`` = (shape of i, shape of j,
+lo_i - lo_j): rule (a) per key(S, X) when lo >= 2 and key(X, S) when
+hi <= n - 1, for every vertex, and rules (b) and (c) per key(i, j).  No pair
+whose supports are two or more apart is solved: a chain map needs a shared
 position and a degree-1 map positions p and p + 1, so Hom and Ext vanish
 both ways.  A later translate is skipped, as ``admit`` has already placed
 every translate of the first translate's candidates.  The registry keeps the
@@ -181,6 +188,12 @@ class Universe:
         sid, lo = self.classes[i]
         return self._index.get((sid, lo + k))
 
+    def violators(self) -> list[Complex]:
+        """Representatives that are not contractible and fill the whole window:
+        both the first and the last cell nonzero."""
+        return [rep for rep, is_j in zip(self.representatives, self.j_flags)
+                if not is_j and rep.cells[0] and rep.cells[-1]]
+
     def signatures(self):
         return sorted(rep.signature() for rep in self.representatives)
 
@@ -197,36 +210,6 @@ def _seeds(alg: MonomialAlgebra, n: int):
     for k in range(1, n):
         for v in sorted(alg.quiver.vertices):
             out.append(make_J(alg, v, k, n))
-    return out
-
-
-def _support_extensions(alg: MonomialAlgebra, x: Complex, left: bool):
-    """Rule (a): grow the support by one cell on the left or right, inside the window.
-
-    With support lo..hi, a new first cell P_v at lo - 1 has as its
-    differential a basis chain map from the stalk P_v at lo into X; a new
-    last cell P_v at hi + 1 has a basis chain map from X to the stalk at hi.
-    """
-    out = []
-    lo, hi = x.support()
-    n = x.window
-    for v in sorted(alg.quiver.vertices):
-        if left:
-            for g in hom_basis(make_stalk(alg, v, lo, n), x).basis:
-                cells = list(x.cells)
-                cells[lo - 2] = (v,)
-                diffs = list(x.diffs)
-                diffs[lo - 2] = g.comps[lo - 1]
-                if lo >= 3:
-                    diffs[lo - 3] = [[]]  # one empty row into the new single summand
-                out.append(Complex(alg, cells, diffs))
-        else:
-            for g in hom_basis(x, make_stalk(alg, v, hi, n)).basis:
-                cells = list(x.cells)
-                cells[hi] = (v,)
-                diffs = list(x.diffs)
-                diffs[hi - 1] = g.comps[hi - 1]
-                out.append(Complex(alg, cells, diffs))
     return out
 
 
@@ -247,7 +230,7 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
              "replayed": 0,
              "added_by_rule": {"seed": 0, "ext": 0, "cone": 0, "summand": 0}}
     uni = Universe(alg, n, shapes, stats=stats)
-    reps, classes, spans = uni.representatives, uni.classes, uni.spans
+    reps, spans = uni.representatives, uni.spans
 
     def admit(cand: list) -> list[int]:
         """Place the missing translates of a normalised candidate; returns new indices.
@@ -284,6 +267,7 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         if uni.place(sid, lo) is not None:
             stats["added_by_rule"]["seed"] += 1
 
+    stalks = range(len(alg.quiver.vertices))
     done: set[tuple] = set()
 
     def run(key, produce, *args) -> list[int]:
@@ -309,8 +293,12 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             ext_cache[k] = ext_classes(reps[i], reps[j])
         return ext_cache[k]
 
-    def rule_a(i, left):
-        return (("ext", c) for c in _support_extensions(alg, reps[i], left))
+    def rule_a(i, j):
+        # rule (a): Y of each class of conflations rep[j] -> Y -> rep[i], unsplit;
+        # one side is a stalk, and no other rule reads this Ext space
+        espace = ext_classes(reps[i], reps[j])
+        return (("ext", assemble_extension(reps[i], reps[j], sigma)[0])
+                for sigma in espace.basis)
 
     def rules_bc(i, j):
         # rule (b): cones of basis maps f: rep[i] -> rep[j] that are nonzero
@@ -347,15 +335,19 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         stats["rounds"] += 1
         added: list[int] = []
         new_set = set(new_idxs)
-        # rule (a): one-cell support extensions of the new representatives,
-        # one key per shape and side, as the normalised candidates ignore lo
+        # rule (a): one-cell support extensions of the new representatives by
+        # the stalk at lo - 1 (left) and at hi + 1 (right); class v < |V| is
+        # the stalk of the v-th vertex at position 1, the first seeds
         for i in sorted(new_set):
-            sid = classes[i][0]
             lo, hi = spans[i]
             if lo >= 2:
-                added.extend(run(("a", sid, "left"), rule_a, i, True))
+                for v in stalks:
+                    s = uni.translate(v, lo - 2)
+                    added.extend(run(key(s, i), rule_a, s, i))
             if hi <= n - 1:
-                added.extend(run(("a", sid, "right"), rule_a, i, False))
+                for v in stalks:
+                    s = uni.translate(v, hi)
+                    added.extend(run(key(i, s), rule_a, i, s))
         # rules (b) and (c) over pairs touching a new representative; supports
         # two or more apart leave no shared position for a chain map and no
         # adjacent pair for a degree-1 map, so such a pair has no candidates

@@ -23,6 +23,7 @@ from cnproj.errors import (
     ShapeViolation,
 )
 from cnproj.homspaces import decompose
+from cnproj.sgldim import compute_sgldim
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +169,18 @@ def test_window_stability_a2(a2_alg):
     rep = check_window_stability(a2_alg, 3, 1)
     assert rep.ok()
     assert rep.checked["drop"] > 0 and rep.checked["embed"] > 0
+
+
+def test_window_stability_boundary_check_is_the_sgldim_violators(a3_alg):
+    # with eta one short, window eta + 2 = 3 still has a full-support class: the
+    # boundary check names exactly the classes the sgldim window loop counts
+    rep = check_window_stability(a3_alg, 4, 1)
+    report = compute_sgldim(a3_alg)
+    windows = report.universes
+    assert [v for v in rep.violations if v[0] == "boundary"] == [
+        ("boundary", m, x.label()) for m in (3, 4) for x in windows[m].violators()]
+    assert [v for _, _, v in report.per_window] == [2, 1, 0]
+    assert rep.checked["boundary"] == sum(len(windows[m].representatives) for m in (3, 4))
 
 
 def test_window_stability_eta_zero(point_alg):

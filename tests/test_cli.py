@@ -137,6 +137,15 @@ def test_check_bound_below_one_is_a_usage_error(fixtures_dir, monkeypatch, capsy
     assert "FAIL" not in captured.out
 
 
+def test_sgldim_max_n_below_two_is_a_usage_error(fixtures_dir, monkeypatch, capsys):
+    _forbid_enumeration(monkeypatch)
+    rc = main(["sgldim", path(fixtures_dir, "point.alg"), "--max-n", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "usage error: --max-n must be >= 2" in captured.err
+    assert "cap exceeded" not in captured.out
+
+
 def test_ar_quiver_outputs(fixtures_dir, tmp_path, capsys):
     dot = tmp_path / "point.dot"
     js = tmp_path / "point.json"

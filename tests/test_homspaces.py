@@ -409,14 +409,15 @@ def test_irrational_endomorphism_field_fails_loudly():
 
     # Kronecker P2^2 -> P1^2 with d = [[a, 2b], [b, a]]: End(X) is Q[J] with
     # J^2 = 2, so End(X)/rad is Q(sqrt 2), not Q, and no rational
-    # eigenvalue of a candidate gives an idempotent
+    # eigenvalue of a candidate gives an idempotent; X is indecomposable, and
+    # both the indecomposability test and the splitting say they cannot decide
     alg = build_algebra(Quiver((1, 2), (("a", 1, 2), ("b", 1, 2))), [], "rational")
     a, b = alg.hom_proj_basis(2, 1)
     x = Complex(alg, [(2, 2), (1, 1)], [[[a, b.scale(2)], [b, a]]])
     assert hom_basis(x, x).dimension == 2
-    assert not is_indecomposable(x)
-    with pytest.raises(DecompositionFailure):
-        decompose_with_maps(x)
+    for decide in (is_indecomposable, decompose_with_maps):
+        with pytest.raises(DecompositionFailure, match="residue field larger than Q"):
+            decide(x)
 
 
 def test_refused_root_search_is_a_named_cap(point_alg):

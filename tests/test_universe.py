@@ -3,9 +3,10 @@ import hashlib
 import pytest
 
 from cnproj import universe as universe_mod
-from cnproj.algebra import build_algebra
+from cnproj.algebra import Quiver, build_algebra
 from cnproj.algfile import load_algebra
 from cnproj.complexes import (
+    Complex,
     direct_sum,
     drop_first,
     length,
@@ -15,7 +16,7 @@ from cnproj.complexes import (
     zero_complex,
 )
 from cnproj.errors import NotClosed, SearchSpaceTooLarge
-from cnproj.homspaces import is_isomorphic
+from cnproj.homspaces import hom_basis, is_isomorphic
 from cnproj.sgldim import compute_sgldim
 from cnproj.universe import (
     EnumConfig,
@@ -212,12 +213,85 @@ def test_find_rejects_other_windows_zero_and_sums(alg_name, request):
 
 
 def test_new_decomposable_candidate_still_raises(point_alg, monkeypatch):
-    def split_candidate(alg, x, left):
-        return [direct_sum(make_stalk(alg, 1, 1, 2), make_stalk(alg, 1, 2, 2))]
+    # rule (a) admits its assembled extensions unsplit, so a decomposable one
+    # must stop the run at its new shape's indecomposability proof
+    def split_candidate(z, x, sigma):
+        return direct_sum(make_stalk(point_alg, 1, 1, 2), make_stalk(point_alg, 1, 2, 2)), None, None
 
-    monkeypatch.setattr(universe_mod, "_support_extensions", split_candidate)
-    with pytest.raises(AssertionError, match="decomposable"):
+    monkeypatch.setattr(universe_mod, "assemble_extension", split_candidate)
+    with pytest.raises(AssertionError, match="rule ext produced a decomposable"):
         enumerate_indecomposables(point_alg, 2)
+
+
+def _one_cell_extensions(alg, x, left):
+    """Rule (a) built by hand: a new first cell P_v at lo - 1 whose differential
+    is a basis chain map from the stalk P_v at lo into X, or a new last cell
+    P_v at hi + 1 fed by a basis chain map from X to the stalk at hi."""
+    out = []
+    lo, hi = x.support()
+    n = x.window
+    for v in sorted(alg.quiver.vertices):
+        if left:
+            for g in hom_basis(make_stalk(alg, v, lo, n), x).basis:
+                cells, diffs = list(x.cells), list(x.diffs)
+                cells[lo - 2] = (v,)
+                diffs[lo - 2] = g.comps[lo - 1]
+                if lo >= 3:
+                    diffs[lo - 3] = [[]]  # one empty row into the new single summand
+                out.append(Complex(alg, cells, diffs))
+        else:
+            for g in hom_basis(x, make_stalk(alg, v, hi, n)).basis:
+                cells, diffs = list(x.cells), list(x.diffs)
+                cells[hi] = (v,)
+                diffs[hi - 1] = g.comps[hi - 1]
+                out.append(Complex(alg, cells, diffs))
+    return out
+
+
+@pytest.mark.parametrize("fixture, n", [("a3_relation.alg", 4), ("a6_relations.alg", 4),
+                                        ("d4.alg", 3), ("kronecker", 3)])
+def test_rule_a_is_the_one_cell_extension(fixtures_dir, fixture, n):
+    # Ext(stalk at lo - 1, X) has the slots and equations of Hom(stalk at lo, X)
+    # (and likewise on the right), so assembling each Ext class gives the
+    # hand-built extensions, in order, and the engine keeps exactly those; a
+    # key that the pair loop met first holds the same complexes, as rule (c)
+    # splits none of them
+    from cnproj.homspaces import assemble_extension, ext_classes
+
+    if fixture == "kronecker":
+        # Hom(P_2, P_1) has basis a, b, so a stalk gains a new cell in two ways;
+        # the closure does not end, and one round runs rule (a) on the seeds
+        alg = build_algebra(Quiver((1, 2), (("a", 1, 2), ("b", 1, 2))), [], "rational")
+        config = EnumConfig(max_rounds=1)
+    else:
+        _, alg = load_algebra(str(fixtures_dir / fixture))
+        config = None
+    shapes = _ShapeRegistry()  # keeps the rule keys the pair loop ran
+    uni = enumerate_indecomposables(alg, n, config, _registry=shapes)
+    reps = uni.representatives
+    stalks = range(len(alg.quiver.vertices))
+    sides, widest = 0, 0
+    for i in range(len(reps) if config is None else uni.stats["added_by_rule"]["seed"]):
+        lo, hi = uni.spans[i]
+        for left, ok, offset in ((True, lo >= 2, lo - 2), (False, hi <= n - 1, hi)):
+            if not ok:
+                continue
+            sides += 1
+            assembled, kept = [], []
+            for v in stalks:
+                s = uni.translate(v, offset)
+                z, sub = (s, i) if left else (i, s)
+                espace = ext_classes(reps[z], reps[sub])
+                assembled += [assemble_extension(reps[z], reps[sub], sigma)[0]
+                              for sigma in espace.basis]
+                cands = shapes.candidates[uni.key(z, sub)]
+                kept += [y for _, y, _ in cands]
+                widest = max(widest, len(cands))
+            reference = _one_cell_extensions(alg, reps[i], left)
+            assert assembled == reference, (i, left)
+            assert kept == [y for c in reference if (y := universe_mod._normalise(c)) is not None]
+    assert sides and uni.stats["added_by_rule"]["ext"] > 0
+    assert widest == (2 if fixture == "kronecker" else 1)
 
 
 @pytest.mark.parametrize("fixture, n", [("point.alg", 4), ("a2.alg", 4), ("a3_relation.alg", 4),
