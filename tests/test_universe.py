@@ -216,7 +216,8 @@ def test_new_decomposable_candidate_still_raises(point_alg, monkeypatch):
     # rule (a) admits its assembled extensions unsplit, so a decomposable one
     # must stop the run at its new shape's indecomposability proof
     def split_candidate(z, x, sigma):
-        return direct_sum(make_stalk(point_alg, 1, 1, 2), make_stalk(point_alg, 1, 2, 2)), None, None
+        y = direct_sum(make_stalk(point_alg, 1, 1, 2), make_stalk(point_alg, 1, 2, 2))
+        return y, None, None
 
     monkeypatch.setattr(universe_mod, "assemble_extension", split_candidate)
     with pytest.raises(AssertionError, match="rule ext produced a decomposable"):
