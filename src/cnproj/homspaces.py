@@ -658,12 +658,6 @@ def null_homotopy_span(hs: HomSpace) -> SpanBasis:
     return _boundaries(x, y, _VarLayout(x, y, -1), hs._layout, -1)
 
 
-def is_null_homotopic(hs: HomSpace, f_map: ChainMap, span: SpanBasis | None = None) -> bool:
-    if span is None:
-        span = null_homotopy_span(hs)
-    return span.contains(hs._layout.vectorize(f_map.comps))
-
-
 # -- degree-1 extension classes ---------------------------------------------------
 
 

@@ -1,17 +1,19 @@
 """Enumeration of the indecomposable objects of C_n(proj Lambda).
 
 The main path is a cone-closure engine: seed with the stalk and contractible
-complexes, then repeatedly apply the three growth rules
+complexes, then repeatedly apply two growth rules
 
   (a) one-cell support extensions by an indecomposable projective P_v: the
       middle terms, unsplit, of a basis of Ext(S, X) for the stalk S = P_v at
       lo - 1 (new first cell) and of Ext(X, S) for S at hi + 1 (new last
-      cell);
-  (b) cones of basis homs f: A -> B between known classes whenever
-      Hom_{K^b}(B, A[1]) vanishes, which guarantees the cone stays
-      indecomposable, re-windowed at every fitting shift;
-  (c) indecomposable summands of assembled degree-1 extensions of known
-      pairs;
+      cell), written X (+) Z as ``assemble_extension`` writes them;
+  the pair rule: for known classes A and B, the indecomposable summands of
+      the middle term Y of each basis class of conflations B -> Y -> A.  A
+      class is a map f: A -> B[1] in the homotopy category, B[1] being B
+      moved one cell left, picked from a basis of chain maps modulo null
+      homotopies as ``ext_classes`` picks cocycles modulo boundaries; Y is
+      cone(f), A (+) B with -d_A.  On the pair (A, B moved one cell right)
+      these are the cones of the maps A -> B;
 
 until a full pass adds nothing.  Closure is certified only in that fixpoint
 sense; completeness is checked against the brute-force finite-field oracle
@@ -25,27 +27,27 @@ J seeds are shapes too).  ``admit`` looks a new candidate up, proves it
 indecomposable only when its shape is new to the run, and places the
 translates the window lacks at first positions 1..n - w + 1, in that order.
 
-Rule (a) is rule (c) on a stalk pair, run first and unsplit.  The supports
-of S and X are disjoint, so Hom vanishes both ways and no degree-0 family
-bounds; Ext(S at lo - 1, X) is then the space of chain maps from the stalk at
-lo into X, and each class glues S onto X by one cell.  ``admit`` proves a new
-candidate indecomposable or the run stops, so rule (c)'s split would add
-nothing; a stalk pair's key is run by whichever rule meets it first.
+Rule (a) is the pair rule on a stalk pair, run first and unsplit.  The
+supports of S and X are disjoint, so Hom vanishes both ways and no degree-0
+family bounds; Ext(S at lo - 1, X) is then the space of chain maps from the
+stalk at lo into X, and each class glues S onto X by one cell.  ``admit``
+proves a new candidate indecomposable or the run stops, so the pair rule's
+split would add nothing; a stalk pair's key is run by whichever rule meets it
+first, in that rule's sign.
 
 The rules are translation-equivariant, so they run up to translation too.
 Each rule runs once per ``Universe.key`` = (shape of i, shape of j,
 lo_i - lo_j): rule (a) per key(S, X) when lo >= 2 and key(X, S) when
-hi <= n - 1, for every vertex, and rules (b) and (c) per key(i, j).  No pair
-whose supports are two or more apart is solved: a chain map needs a shared
-position and a degree-1 map positions p and p + 1, so Hom and Ext vanish
-both ways.  A later translate is skipped, as ``admit`` has already placed
-every translate of the first translate's candidates.  The registry keeps the
-candidates of each key stripped and normalised to support 1..w, before the
-window's width and summand checks, each with the shape id its first fitting
-``admit`` looked up.  When a growth run (``sgldim``) meets the key again in a
-later window, they go back through ``admit`` in the same order: no Hom or Ext
-is solved for the key, and a candidate with a stored shape id places its
-translates with no lookup.
+hi <= n - 1, for every vertex and every X but the J classes, which are
+projective-injective, and the pair rule per key(i, j) when some position p
+of rep[i] has p + 1 in rep[j], as Ext(i, j) vanishes otherwise.  A later
+translate is skipped, as ``admit`` has already placed every translate
+of the first translate's candidates.  The registry keeps the candidates of
+each key stripped and normalised to support 1..w, each with the shape id its
+first ``admit`` looked up.  When a growth run (``sgldim``) meets the key
+again in a later window, they go back through ``admit`` in the same order: no
+Hom or Ext is solved for the key, and a candidate with a stored shape id
+places its translates with no lookup.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from .homspaces import (
     ext_classes,
     hom_basis,
     is_indecomposable,
-    is_null_homotopic,
     null_homotopy_span,
     _iso_indecomposable,
 )
@@ -228,14 +229,14 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
     shapes = _ShapeRegistry() if _registry is None else _registry
     stats = {"rounds": 0, "candidates": 0, "cap_skips": 0, "translate_skips": 0,
              "replayed": 0,
-             "added_by_rule": {"seed": 0, "ext": 0, "cone": 0, "summand": 0}}
+             "added_by_rule": {"seed": 0, "ext": 0, "cone": 0}}
     uni = Universe(alg, n, shapes, stats=stats)
     reps, spans = uni.representatives, uni.spans
 
     def admit(cand: list) -> list[int]:
         """Place the missing translates of a normalised candidate; returns new indices.
 
-        The first admit that fits the window stores the candidate's shape id in
+        The first admit under the summand cap stores the candidate's shape id in
         its entry, so a replay places translates with no lookup: the registry
         never drops a shape, and this candidate is already isomorphic to it.
         """
@@ -243,8 +244,6 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         stats["candidates"] += 1
         if x.total_summands() > config.max_total_summands:
             stats["cap_skips"] += 1
-            return []
-        if x.window > n:  # no translate fits; a later window replays it
             return []
         if sid is None:
             sid, _, new_shape = shapes.add(x)
@@ -284,14 +283,7 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             stats["replayed"] += 1
         return [idx for cand in cands for idx in admit(cand)]
 
-    ext_cache: dict[tuple, object] = {}
     key = uni.key
-
-    def ext(i, j):
-        # classes of conflations rep[j] -> Y -> rep[i], one solve per pair key
-        if (k := key(i, j)) not in ext_cache:
-            ext_cache[k] = ext_classes(reps[i], reps[j])
-        return ext_cache[k]
 
     def rule_a(i, j):
         # rule (a): Y of each class of conflations rep[j] -> Y -> rep[i], unsplit;
@@ -300,34 +292,31 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         return (("ext", assemble_extension(reps[i], reps[j], sigma)[0])
                 for sigma in espace.basis)
 
-    def rules_bc(i, j):
-        # rule (b): cones of basis maps f: rep[i] -> rep[j] that are nonzero
-        # and non-invertible in the homotopy category, gated on ext(j, i) = 0
-        hspace = hom_basis(reps[i], reps[j])
-        if hspace.dimension and ext(j, i).dimension == 0:
-            h_span = None
-            for f_ in hspace.basis:
-                if f_.is_zero() or f_.is_isomorphism():
-                    continue
-                if h_span is None:
-                    h_span = null_homotopy_span(hspace)
-                if is_null_homotopic(hspace, f_, h_span):
-                    continue
-                yield "cone", cone(f_)
-        # rule (c): summands of assembled extensions rep[j] -> Y -> rep[i]; the
-        # Ext space may belong to a translate of the pair, so use its own ends
-        espace = ext(i, j)
-        for sigma in espace.basis:
-            y, _, _ = assemble_extension(espace.source, espace.target, sigma)
-            y = strip_contractible(y)
-            if y.is_zero():
+    def rule_pair(i, j):
+        # the conflations rep[j] -> Y -> rep[i] as cones; Hom(rep[i], rep[j]
+        # moved one cell left) is solved with rep[i] moved one cell right
+        # instead, in the smallest window that holds both: wider complexes
+        # than the run's others held more peak memory
+        (a, b), (c, d) = spans[i], spans[j]
+        lo = min(a + 1, c)
+        width = max(b + 1, d) - lo + 1
+        hspace = hom_basis(shift_window(reps[i], 2 - lo, width),
+                           shift_window(reps[j], 1 - lo, width))
+        if not hspace.dimension:
+            return
+        classes = null_homotopy_span(hspace)
+        for f_ in hspace.basis:
+            if not classes.add(hspace._layout.vectorize(f_.comps)):
+                continue  # null-homotopic modulo the maps already taken
+            y = _normalise(cone(f_))
+            if y is None:
                 continue
             if alg.field.char == 0:
                 for w, _, _ in decompose_with_maps(y):
-                    yield "summand", w
+                    yield "cone", w
             elif is_indecomposable(y):
                 # no exact splitting over GF(p); keep indecomposables only
-                yield "summand", y
+                yield "cone", y
 
     new_idxs = list(range(len(reps)))
     caps = []
@@ -337,8 +326,11 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         new_set = set(new_idxs)
         # rule (a): one-cell support extensions of the new representatives by
         # the stalk at lo - 1 (left) and at hi + 1 (right); class v < |V| is
-        # the stalk of the v-th vertex at position 1, the first seeds
+        # the stalk of the v-th vertex at position 1, the first seeds.  J is
+        # projective-injective, so Ext with it vanishes both ways
         for i in sorted(new_set):
+            if uni.j_flags[i]:
+                continue
             lo, hi = spans[i]
             if lo >= 2:
                 for v in stalks:
@@ -348,9 +340,9 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                 for v in stalks:
                     s = uni.translate(v, hi)
                     added.extend(run(key(i, s), rule_a, i, s))
-        # rules (b) and (c) over pairs touching a new representative; supports
-        # two or more apart leave no shared position for a chain map and no
-        # adjacent pair for a degree-1 map, so such a pair has no candidates
+        # the pair rule over pairs touching a new representative; Ext(i, j) needs
+        # a position p of rep[i] with p + 1 in rep[j], so the other pairs have
+        # no conflations
         count = len(reps)
         for i in range(count):
             a, b = spans[i]
@@ -360,9 +352,9 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                 if uni.j_flags[i] or uni.j_flags[j]:
                     continue
                 c, d = spans[j]
-                if c >= b + 2 or a >= d + 2:
+                if c >= b + 2 or d <= a:
                     continue
-                added.extend(run(key(i, j), rules_bc, i, j))
+                added.extend(run(key(i, j), rule_pair, i, j))
         if not added:
             break
         new_idxs = added

@@ -116,6 +116,8 @@ FIXTURE_GLDIM = {
     "a4_abc.alg": 2,
     "a6_relations.alg": 3,
     "d4.alg": 1,
+    "e6.alg": 2,
+    "d8_linear.alg": 4,
     "cyc2.alg": math.inf,
     "syzygy_cycle.alg": math.inf,
 }

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from cnproj.algfile import parse_algebra_file, serialize_algebra_file
-from cnproj.checks import CheckReport, d_squared_entry
+from cnproj.checks import CheckReport, d_squared_entry, oracle_entry
 from cnproj.cli import main
 from cnproj.errors import AlgebraFileError
 
@@ -226,6 +226,29 @@ def test_check_passes(fixtures_dir, capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "oracle equivalence" in out
+
+
+@pytest.mark.parametrize("n, bound, inside, outside", [(2, 2, 18, 2), (3, 1, 26, 10)])
+def test_oracle_entry_compares_the_classes_within_the_bound(fixtures_dir, n, bound, inside,
+                                                            outside):
+    # d4 has classes with a 3-summand cell, such as P4 -> P1+P2+P3, which the
+    # oracle cannot list at these bounds; `check --n 3` (bound 2) runs in ci.sh
+    from cnproj.algfile import load_algebra
+    from cnproj.universe import brute_force_indecomposables, enumerate_indecomposables
+
+    _, alg = load_algebra(path(fixtures_dir, "d4.alg"))
+    engine = enumerate_indecomposables(alg, n)
+    oracle = brute_force_indecomposables(alg, n, bound, 2)
+    entry = oracle_entry(engine, oracle, bound)
+    assert entry.ok
+    assert entry.detail == (f"engine {inside} vs oracle {inside} within the bound; "
+                            f"{outside} engine classes outside it")
+    # an engine that misses one class within the bound fails
+    reps = engine.representatives
+    del reps[max(i for i, rep in enumerate(reps) if max(map(len, rep.cells)) <= bound)]
+    entry = oracle_entry(engine, oracle, bound)
+    assert not entry.ok
+    assert entry.detail.startswith(f"engine {inside - 1} vs oracle {inside} within the bound")
 
 
 def test_check_reuses_the_sgldim_window(a3_alg, monkeypatch):

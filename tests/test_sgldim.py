@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from cnproj.complexes import Complex, length
 from cnproj.homspaces import is_isomorphic
 from cnproj.sgldim import compute_sgldim, sgldim_fast
@@ -97,10 +99,12 @@ def test_round_cap_note_names_the_cap(a3_alg):
 def test_summand_cap_note_names_the_cap(a3_alg):
     from cnproj.universe import EnumConfig
 
+    # every window-2 candidate has at most 2 summands, so window 2 closes with
+    # its full table; window 3 skips the first wider ones
     r = compute_sgldim(a3_alg, config=EnumConfig(max_total_summands=2))
     assert not r.terminated and "indistinguishable" in r.cap_note
-    assert re.search(r"window 2: max_total_summands = 2 skipped [1-9]\d* candidates",
-                     r.cap_note)
+    assert r.per_window[0] == (2, 11, 2) and "window 2" not in r.cap_note
+    assert "window 3: max_total_summands = 2 skipped 3 candidates" in r.cap_note
 
 
 def test_exhausted_max_n_note_names_max_n(a6_alg):
@@ -113,6 +117,8 @@ def test_exhausted_max_n_note_names_max_n(a6_alg):
 
 FIELD_FIXTURES = ["a2.alg", "a3_relation.alg", "a4_abc.alg", "a6_relations.alg",
                   "cyc2.alg", "d4.alg", "point.alg", "syzygy_cycle.alg"]
+# seconds per sgldim run; test_large_dynkin_fixtures_first_windows pins them
+LARGE_FIXTURES = ["d8_linear.alg", "e6.alg"]
 
 
 def test_sgldim_agrees_over_q_gf2_gf3(fixtures_dir):
@@ -121,8 +127,8 @@ def test_sgldim_agrees_over_q_gf2_gf3(fixtures_dir):
     from cnproj.algfile import parse_algebra_file
 
     names = sorted(p.name for p in fixtures_dir.glob("*.alg") if p.name != "bad_key.alg")
-    assert names == FIELD_FIXTURES
-    for name in names:
+    assert names == sorted(FIELD_FIXTURES + LARGE_FIXTURES)
+    for name in FIELD_FIXTURES:
         text = (fixtures_dir / name).read_text(encoding="utf-8")
         answers = {}
         for tag in ("rational", "gf2", "gf3"):
@@ -131,3 +137,22 @@ def test_sgldim_agrees_over_q_gf2_gf3(fixtures_dir):
             r = compute_sgldim(parse_algebra_file(swapped).build())
             answers[tag] = (r.per_window, r.sgldim, r.m0, r.witness_line())
         assert answers["gf2"] == answers["rational"] == answers["gf3"], name
+
+
+@pytest.mark.parametrize("name, rows", [("e6.alg", [(28, 10), (62, 12)]),
+                                        ("d8_linear.alg", [(35, 11), (74, 12)])])
+def test_large_dynkin_fixtures_first_windows(fixtures_dir, name, rows):
+    # (classes, violators) of windows 2 and 3, grown through one registry as
+    # compute_sgldim grows them; the full runs take seconds, with class counts
+    # 28/62/104/146 on E6 (s.gl.dim 3) and 35/74/122/179/243/307 on D8 (s.gl.dim 5)
+    from cnproj.algfile import load_algebra
+    from cnproj.universe import _ShapeRegistry, enumerate_indecomposables
+
+    _, alg = load_algebra(str(fixtures_dir / name))
+    shapes = _ShapeRegistry()
+    got = []
+    for n in (2, 3):
+        uni = enumerate_indecomposables(alg, n, _registry=shapes)
+        assert uni.closed, n
+        got.append((len(uni.representatives), len(uni.violators())))
+    assert got == rows
