@@ -4,8 +4,10 @@
 #   2. the check battery on a3 at n = 4 against the GF(2) oracle
 #   3. the check battery on a6 at n = 5
 #   4. the check battery on d4 at n = 3 against the GF(2) oracle
-#   5. the golden DOT files, regenerated and compared with the committed ones
-#   6. one short perfbench run per workload of BENCHMARK.json, which must answer
+#   5. the check battery on a4_abc (a length-3 relation) at n = 3 against the
+#      GF(2) oracle
+#   6. the golden DOT files, regenerated and compared with the committed ones
+#   7. one short perfbench run per workload of BENCHMARK.json, which must answer
 #      correctly (DOT sha256, sgldim table) with no failed sample
 #
 # Usage, from any directory:  scripts/ci.sh
@@ -31,6 +33,7 @@ step python -m pytest -q --continue-on-collection-errors
 step python -m cnproj check tests/fixtures/a3_relation.alg --n 4 --oracle gf2
 step python -m cnproj check tests/fixtures/a6_relations.alg --n 5
 step python -m cnproj check tests/fixtures/d4.alg --n 3 --oracle gf2
+step python -m cnproj check tests/fixtures/a4_abc.alg --n 3 --oracle gf2
 step python scripts/regen_goldens.py
 step git diff --exit-code tests/golden
 for workload in $(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do

@@ -404,7 +404,11 @@ def decompose(x: Complex):
 
 
 def decompose_with_maps(x: Complex):
-    """List of (summand, inclusion, projection); empty for the zero complex."""
+    """List of (summand, inclusion, projection); empty for the zero complex.
+
+    Each piece is first cut along ``components``, which needs no End solve;
+    only a connected piece looks for a splitting idempotent.
+    """
     if x.is_zero():
         return []
     ident = ChainMap.identity(x)
@@ -412,15 +416,68 @@ def decompose_with_maps(x: Complex):
     out = []
     while stack:
         w, incl, proj = stack.pop()
-        e = _splitting_idempotent(w)
-        if e is None:
-            out.append((w, incl, proj))
-            continue
-        (w1, i1, p1), (w2, i2, p2) = _split_by_idempotent(w, e)
-        stack.append((w1, compose(incl, i1), compose(p1, proj)))
-        stack.append((w2, compose(incl, i2), compose(p2, proj)))
+        parts = components(w)
+        if not parts:
+            e = _splitting_idempotent(w)
+            if e is None:
+                out.append((w, incl, proj))
+                continue
+            parts = _split_by_idempotent(w, e)
+        for wk, ik, pk in parts:
+            stack.append((wk, compose(incl, ik), compose(pk, proj)))
     out.sort(key=lambda t: t[0].serial_key())
     return out
+
+
+def components(x: Complex) -> list:
+    """(W, inclusion, projection) for each connected component of X's summand
+    graph, in the order of their first summands; [] when the graph is connected.
+
+    The nodes are the summands P_v of the cells, joined when the differential
+    entry between them is nonzero.  A component's summands, in X's order, carry
+    a subcomplex W that no other summand's differential enters or leaves, so X
+    is the direct sum of its components: the inclusion i_k and projection p_k
+    pick W's summands with unit entries, p_k i_k = 1 and the i_k p_k sum to 1.
+    Splitting along components needs no End solve.
+    """
+    keeps = _component_summands(x)
+    if len(keeps) <= 1:
+        return []
+    alg = x.alg
+    out = []
+    for keep in keeps:
+        cells = [tuple(cell[r] for r in rs) for cell, rs in zip(x.cells, keep)]
+        diffs = [[[d[r][c] for c in keep[p]] for r in keep[p + 1]]
+                 for p, d in enumerate(x.diffs)]
+        w = Complex(alg, cells, diffs, check=False)
+        incl = [[[alg.unit(v) if r == s else alg.zero_element(v, cell[s]) for s in rs]
+                 for r, v in enumerate(cell)] for cell, rs in zip(x.cells, keep)]
+        proj = [[[alg.unit(cell[s]) if r == s else alg.zero_element(cell[s], v)
+                  for r, v in enumerate(cell)] for s in rs] for cell, rs in zip(x.cells, keep)]
+        out.append((w, ChainMap(w, x, incl, check=False), ChainMap(x, w, proj, check=False)))
+    return out
+
+
+def _component_summands(x: Complex) -> list:
+    """Per connected component of X's summand graph (see ``components``), in
+    the order of their first summands, the summand indices it holds in each cell."""
+    offsets = list(itertools.accumulate((len(c) for c in x.cells), initial=0))
+    parent = list(range(offsets[-1]))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for p, d in enumerate(x.diffs):
+        for r, row in enumerate(d):
+            for c, e in enumerate(row):
+                if not e.is_zero():
+                    parent[find(offsets[p] + c)] = find(offsets[p + 1] + r)
+    roots = [find(a) for a in range(len(parent))]
+    return [[[r for r in range(len(cell)) if roots[offsets[p] + r] == root]
+             for p, cell in enumerate(x.cells)] for root in dict.fromkeys(roots)]
 
 
 def _splitting_idempotent(x: Complex):

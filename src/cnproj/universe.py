@@ -40,14 +40,28 @@ Each rule runs once per ``Universe.key`` = (shape of i, shape of j,
 lo_i - lo_j): rule (a) per key(S, X) when lo >= 2 and key(X, S) when
 hi <= n - 1, for every vertex and every X but the J classes, which are
 projective-injective, and the pair rule per key(i, j) when some position p
-of rep[i] has p + 1 in rep[j], as Ext(i, j) vanishes otherwise.  A later
-translate is skipped, as ``admit`` has already placed every translate
-of the first translate's candidates.  The registry keeps the candidates of
-each key stripped and normalised to support 1..w, each with the shape id its
-first ``admit`` looked up.  When a growth run (``sgldim``) meets the key
-again in a later window, they go back through ``admit`` in the same order: no
-Hom or Ext is solved for the key, and a candidate with a stored shape id
-places its translates with no lookup.
+of rep[i] has p + 1 in rep[j], as Ext(i, j) vanishes otherwise.  A round
+visits only the pairs that hold a representative new in the last round:
+every non-J j for a new i, the new j for an old i.  A later translate is
+skipped, as ``admit`` has already placed every translate of the first
+translate's candidates.
+
+The pair rule does only work that can be new.  It solves Hom only when a
+vertex of rep[i] at some p has a path to a vertex of rep[j] at p + 1; without
+one the Hom layout has no unknown, Hom and Ext are 0, and the key keeps an
+empty entry.  It looks each cone up in the registry before any End solve: a
+hit is a proven indecomposable shape (the lookup is sound for any complex, by
+``admit``'s argument, and buckets only grow, so ``admit`` would find the same
+id), and its entry keeps that shape id.  A cone that is no shape is split by
+``decompose_with_maps``, which cuts along the components of the summand graph
+before it seeks an idempotent; over GF(p) a disconnected cone is dropped
+with no idempotent scan.
+
+The registry keeps the candidates of each key stripped and normalised to
+support 1..w, each with the shape id a lookup found.  When a growth run
+(``sgldim``) meets the key again in a later window, they go back through
+``admit`` in the same order: no Hom or Ext is solved for the key, and a
+candidate with a stored shape id places its translates with no lookup.
 """
 
 from __future__ import annotations
@@ -76,6 +90,7 @@ from .homspaces import (
     hom_basis,
     is_indecomposable,
     null_homotopy_span,
+    _component_summands,
     _iso_indecomposable,
 )
 
@@ -104,7 +119,8 @@ class _ShapeRegistry:
     ``(shape id, serial key)`` pairs of one signature, so a lookup computes
     only the candidate's key.  ``candidates`` maps a rule key to its
     normalised candidates, each a ``[rule, candidate, shape id]`` entry whose
-    shape id is None until ``admit`` has looked the candidate up.
+    shape id is None until a lookup has found it, the pair rule's for a cone
+    that is already a shape and ``admit``'s for the others.
     """
 
     def __init__(self):
@@ -277,8 +293,7 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         done.add(key)
         cands = shapes.candidates.get(key)
         if cands is None:
-            cands = shapes.candidates[key] = [
-                [rule, y, None] for rule, c in produce(*args) if (y := _normalise(c)) is not None]
+            cands = shapes.candidates[key] = list(produce(*args))
         else:
             stats["replayed"] += 1
         return [idx for cand in cands for idx in admit(cand)]
@@ -288,15 +303,19 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
     def rule_a(i, j):
         # rule (a): Y of each class of conflations rep[j] -> Y -> rep[i], unsplit;
         # one side is a stalk, and no other rule reads this Ext space
-        espace = ext_classes(reps[i], reps[j])
-        return (("ext", assemble_extension(reps[i], reps[j], sigma)[0])
-                for sigma in espace.basis)
+        for sigma in ext_classes(reps[i], reps[j]).basis:
+            if (y := _normalise(assemble_extension(reps[i], reps[j], sigma)[0])) is not None:
+                yield ["ext", y, None]
 
     def rule_pair(i, j):
         # the conflations rep[j] -> Y -> rep[i] as cones; Hom(rep[i], rep[j]
         # moved one cell left) is solved with rep[i] moved one cell right
         # instead, in the smallest window that holds both: wider complexes
         # than the run's others held more peak memory
+        xi, xj = reps[i].cells, reps[j].cells
+        if not any(alg.paths_between(t, s)
+                   for p in range(n - 1) for s in xi[p] for t in xj[p + 1]):
+            return  # no path coordinate: Hom is 0 with no solve
         (a, b), (c, d) = spans[i], spans[j]
         lo = min(a + 1, c)
         width = max(b + 1, d) - lo + 1
@@ -311,12 +330,17 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             y = _normalise(cone(f_))
             if y is None:
                 continue
-            if alg.field.char == 0:
+            sid = shapes._lookup(y)[-1]
+            if sid is not None:
+                yield ["cone", y, sid]  # a proven indecomposable shape: no split
+            elif alg.field.char == 0:
                 for w, _, _ in decompose_with_maps(y):
-                    yield "cone", w
-            elif is_indecomposable(y):
-                # no exact splitting over GF(p); keep indecomposables only
-                yield "cone", y
+                    if (w := _normalise(w)) is not None:
+                        yield ["cone", w, None]
+            elif len(_component_summands(y)) == 1 and is_indecomposable(y):
+                # no exact splitting over GF(p): keep indecomposables only, and
+                # drop a disconnected cone with no idempotent scan
+                yield ["cone", y, None]
 
     new_idxs = list(range(len(reps)))
     caps = []
@@ -340,17 +364,18 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                 for v in stalks:
                     s = uni.translate(v, hi)
                     added.extend(run(key(i, s), rule_a, i, s))
-        # the pair rule over pairs touching a new representative; Ext(i, j) needs
-        # a position p of rep[i] with p + 1 in rep[j], so the other pairs have
-        # no conflations
+        # the pair rule over pairs touching a new representative, in row-major
+        # order: every non-J j for a new i, the new ones for an old i.  Ext(i, j)
+        # needs a position p of rep[i] with p + 1 in rep[j], so the other pairs
+        # have no conflations
         count = len(reps)
+        every_j = [j for j in range(count) if not uni.j_flags[j]]
+        new_js = [j for j in sorted(new_set) if not uni.j_flags[j]]
         for i in range(count):
+            if uni.j_flags[i]:
+                continue
             a, b = spans[i]
-            for j in range(count):
-                if i not in new_set and j not in new_set:
-                    continue
-                if uni.j_flags[i] or uni.j_flags[j]:
-                    continue
+            for j in (every_j if i in new_set else new_js):
                 c, d = spans[j]
                 if c >= b + 2 or d <= a:
                     continue
@@ -445,38 +470,11 @@ def brute_force_indecomposables(alg: MonomialAlgebra, n: int, bound: int, p: int
                 continue
             stats["d2_ok"] += 1
             x = Complex(gf, shape, diffs, check=False)
-            if _obviously_decomposable(x):
-                continue
+            if len(_component_summands(x)) > 1:
+                continue  # disconnected: a sum of its components
             if not is_indecomposable(x):
                 continue
             uni.place(*uni.shapes.add(x)[:2])
     stats["classes"] = len(uni.representatives)
     return uni
 
-
-def _obviously_decomposable(x: Complex) -> bool:
-    """Summand graph disconnected => decomposable (cheap pre-filter)."""
-    nodes = [(i, j) for i in range(x.window) for j in range(len(x.cells[i]))]
-    if len(nodes) <= 1:
-        return False
-    index = {nd: k for k, nd in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i in range(x.window - 1):
-        for r in range(len(x.cells[i + 1])):
-            for c in range(len(x.cells[i])):
-                if not x.diffs[i][r][c].is_zero():
-                    union(index[(i, c)], index[(i + 1, r)])
-    root = find(0)
-    return any(find(k) != root for k in range(len(nodes)))

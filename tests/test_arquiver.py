@@ -602,3 +602,23 @@ def test_certify_refuses_a_mistranslated_conflation(monkeypatch, fixtures_dir):
                                                   certified=False))
             refused += 1
     assert refused
+
+
+# sha256 of the AR-quiver DOT of a branching quiver (d4) and of a length-3
+# relation (a4_abc), which the linear goldens of tests/golden do not cover
+_DOT_SHA256 = {
+    ("d4.alg", 3): "3b16a4920a725b5f91ca8f3a01bcdb6cb0ec07553298ee2ede3130e2bef8ef1b",
+    ("a4_abc.alg", 4): "c81370269330946849479eaeff53fefe288275d7ad34c3f7f501c7ec6665cc37",
+}
+
+
+@pytest.mark.parametrize("fixture, n", sorted(_DOT_SHA256))
+def test_ar_quiver_dot_is_pinned(fixtures_dir, fixture, n):
+    import hashlib
+
+    from cnproj.algfile import load_algebra
+    from cnproj.exports import ar_quiver_to_dot
+
+    _, alg = load_algebra(str(fixtures_dir / fixture))
+    dot = ar_quiver_to_dot(build_ar_quiver(alg, n))
+    assert hashlib.sha256(dot.encode()).hexdigest() == _DOT_SHA256[(fixture, n)]

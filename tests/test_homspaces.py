@@ -403,6 +403,65 @@ def test_split_maps_are_complementary(field_tag):
     _assert_complementary(x, parts)
 
 
+@pytest.mark.parametrize("field_tag", ["rational", "gf2"])
+def test_components_of_a_direct_sum(field_tag, monkeypatch):
+    from cnproj import homspaces
+    from cnproj.homspaces import components
+
+    alg = _a3_over(field_tag)
+    w = two_cell(alg)
+    s = make_stalk(alg, 2, 2, 2)
+    x = direct_sum(w, s)
+    parts = components(x)
+    assert [wk for wk, _, _ in parts] == [w, s]
+    _assert_complementary(x, parts)
+    # Krull-Schmidt seeks an idempotent on each component, never on the sum
+    sought = []
+    real = homspaces._splitting_idempotent
+    monkeypatch.setattr(homspaces, "_splitting_idempotent",
+                        lambda y: sought.append(y) or real(y))
+    assert [wk for wk, _, _ in decompose_with_maps(x)] == [s, w]
+    assert sought == [s, w]
+    monkeypatch.undo()
+    # a connected graph gives no parts, even when X splits: P2 -> P2 (+) P2
+    # with d = (1, 1) is (P2 -> P2) (+) (0 -> P2) after a change of basis
+    one = alg.unit(2)
+    y = Complex(alg, [(2,), (2, 2)], [[[one], [one]]])
+    assert components(w) == components(s) == components(y) == []
+    assert components(Complex(alg, [()], [])) == []
+    parts = decompose_with_maps(y)
+    assert [wk.label() for wk, _, _ in parts] == ["0->P2", "P2->P2"]
+    _assert_complementary(y, parts)
+
+
+def test_component_split_matches_the_idempotent_route(a6_alg, monkeypatch):
+    # the cones the pair rule splits over a6 at n = 4 include disconnected
+    # ones; cutting them along components gives the summands, in serial-key
+    # order, that splitting idempotents give
+    from cnproj import homspaces
+    from cnproj import universe as universe_mod
+    from cnproj.homspaces import components
+
+    cones = []
+    real = universe_mod.decompose_with_maps
+
+    def recording(y):
+        cones.append(y)
+        return real(y)
+
+    monkeypatch.setattr(universe_mod, "decompose_with_maps", recording)
+    enumerate_indecomposables(a6_alg, 4)
+    disconnected = [y for y in cones if components(y)]
+    assert disconnected and len(disconnected) < len(cones)
+    by_components = [decompose_with_maps(y) for y in disconnected]
+    monkeypatch.setattr(homspaces, "components", lambda x: [])
+    for y, cut in zip(disconnected, by_components):
+        split = decompose_with_maps(y)
+        assert [w.serial_key() for w, _, _ in cut] == [w.serial_key() for w, _, _ in split]
+        _assert_complementary(y, cut)
+        _assert_complementary(y, split)
+
+
 def test_irrational_endomorphism_field_fails_loudly():
     from cnproj.algebra import Quiver, build_algebra
     from cnproj.errors import DecompositionFailure

@@ -322,18 +322,41 @@ def test_rule_a_is_the_one_cell_extension(fixtures_dir, fixture, n):
 @pytest.mark.parametrize("fixture, n", [("point.alg", 4), ("a2.alg", 4), ("a3_relation.alg", 4),
                                         ("a6_relations.alg", 3), ("d4.alg", 3),
                                         ("a4_abc.alg", 3), ("cyc2.alg", 3)])
-def test_support_gate_is_exact(fixtures_dir, fixture, n):
+def test_support_gate_is_exact(fixtures_dir, fixture, n, monkeypatch):
     # disjoint supports leave no shared position for a chain map, and a
     # degree-1 map rep[i] -> rep[j] needs a position p of rep[i] with p + 1 in
-    # rep[j], so Ext(i, j) vanishes on the pairs the pair rule's gate skips
+    # rep[j], so Ext(i, j) vanishes on the pairs the pair rule's gate skips.
+    # Inside that gate, the pair rule solves Hom(rep[i], rep[j] moved one cell
+    # left) exactly for the keys with a path from a vertex of rep[i] at p to
+    # one of rep[j] at p + 1 that rule (a) did not meet first; the others have
+    # no path coordinate, so Hom and Ext are 0, and their keys keep an empty entry
     from cnproj.homspaces import ext_classes, hom_basis
 
+    solved, by_rule_a, nvars = [], set(), []
+    real_hom, real_ext = universe_mod.hom_basis, universe_mod.ext_classes
+
+    def recording_hom(x, y):
+        # x is rep[i] moved one cell right of rep[j]'s alignment
+        sx, sy, offset = _translation_key(x, y)
+        solved.append((sx, sy, offset - 1))
+        hs = real_hom(x, y)
+        nvars.append(hs._layout.nvars)
+        return hs
+
+    def recording_ext(z, x):
+        by_rule_a.add(_translation_key(z, x))
+        return real_ext(z, x)
+
+    monkeypatch.setattr(universe_mod, "hom_basis", recording_hom)
+    monkeypatch.setattr(universe_mod, "ext_classes", recording_ext)
+    alg = load_algebra(str(fixtures_dir / fixture))[1]
     shapes = _ShapeRegistry()  # keeps the rule keys the pair loop ran
-    uni = enumerate_indecomposables(load_algebra(str(fixtures_dir / fixture))[1], n,
-                                    _registry=shapes)
+    uni = enumerate_indecomposables(alg, n, _registry=shapes)
+    monkeypatch.undo()
     reps, spans = uni.representatives, uni.spans
     assert spans == [rep.support() for rep in reps]
-    skipped = edge_ext = 0
+    skipped = edge_ext = path_gated = 0
+    with_path = set()
     for i, (a, b) in enumerate(spans):
         for j, (c, d) in enumerate(spans):
             if c > b or a > d:
@@ -344,11 +367,70 @@ def test_support_gate_is_exact(fixtures_dir, fixture, n):
                 assert ext_classes(reps[i], reps[j]).dimension == 0, (i, j)
             elif c == b + 1 or d == a + 1:
                 edge_ext += ext_classes(reps[i], reps[j]).dimension > 0
+            if uni.j_flags[i] or uni.j_flags[j]:
+                continue
             # every non-J pair is visited; exactly the gated ones skip the pair rule
-            if not (uni.j_flags[i] or uni.j_flags[j]):
-                assert (uni.key(i, j) in shapes.candidates) != gated, (i, j)
+            assert (uni.key(i, j) in shapes.candidates) != gated, (i, j)
+            if gated:
+                continue
+            if any(alg.paths_between(t, s)
+                   for p in range(n - 1) for s in reps[i].cells[p] for t in reps[j].cells[p + 1]):
+                with_path.add(_translation_key(reps[i], reps[j]))
+            else:
+                path_gated += 1
+                assert shapes.candidates[uni.key(i, j)] == []
+                assert ext_classes(reps[i], reps[j]).dimension == 0, (i, j)
     # the gate skips some pairs, and one position inside it Ext can be nonzero
     assert skipped and edge_ext
+    assert 0 not in nvars
+    assert len(solved) == len(set(solved))
+    assert set(solved) == with_path - by_rule_a
+    # a path joins every two vertices of one vertex or of a 2-cycle
+    assert bool(path_gated) == (fixture not in ("point.alg", "cyc2.alg"))
+
+
+def test_registry_cone_is_admitted_unsplit(a6_alg, monkeypatch):
+    # a second run of window 3 over the first run's shapes, with nothing to
+    # replay: every indecomposable cone is a registry shape and is admitted with
+    # the shape id its lookup found; only the cones that are no shape are split,
+    # and every splitting idempotent is sought inside those splits
+    from cnproj import homspaces
+
+    shapes = _ShapeRegistry()
+    first = enumerate_indecomposables(a6_alg, 3, _registry=shapes)
+    shapes.candidates.clear()
+    cones, split, outside = [], [], []
+    real_cone, real_decompose = universe_mod.cone, universe_mod.decompose_with_maps
+    real_split = homspaces._splitting_idempotent
+
+    def recording_cone(f):
+        cones.append(real_cone(f))
+        return cones[-1]
+
+    def recording_decompose(y):
+        split.append(y)
+        try:
+            return real_decompose(y)
+        finally:
+            split.append(None)
+
+    def recording_split(x):
+        outside.append(not split or split[-1] is None)
+        return real_split(x)
+
+    monkeypatch.setattr(universe_mod, "cone", recording_cone)
+    monkeypatch.setattr(universe_mod, "decompose_with_maps", recording_decompose)
+    monkeypatch.setattr(homspaces, "_splitting_idempotent", recording_split)
+    again = enumerate_indecomposables(a6_alg, 3, _registry=shapes)
+    monkeypatch.undo()
+    assert again.representatives == first.representatives
+    split = [y for y in split if y is not None]
+    hits = [y for c in cones
+            if (y := universe_mod._normalise(c)) is not None and shapes._lookup(y)[-1] is not None]
+    assert hits and split and len(hits) + len(split) <= len(cones)
+    assert all(shapes._lookup(y)[-1] is None for y in split)
+    assert outside and not any(outside)
+    assert all(sid is not None for cands in shapes.candidates.values() for _, _, sid in cands)
 
 
 @pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
