@@ -14,10 +14,16 @@ from .arquiver import (
     is_right_minimal,
     require_characteristic_zero,
 )
-from .complexes import compose, mat_is_zero, mat_mul, strip_contractible
+from .complexes import compose, mat_is_zero, mat_mul, shift_window, strip_contractible
 from .errors import EtaZero, NoAnchorFound, ShapeViolation
+from .homspaces import decompose_with_maps
 from .sgldim import compute_sgldim
-from .universe import brute_force_indecomposables, enumerate_indecomposables
+from .universe import (
+    _ShapeRegistry,
+    brute_force_indecomposables,
+    enumerate_indecomposables,
+    pair_cones,
+)
 
 
 @dataclass
@@ -48,6 +54,31 @@ def d_squared_entry(universe) -> CheckEntry:
     return CheckEntry("d^2 = 0 on all classes", not bad, ", ".join(bad[:4]))
 
 
+def split_closure_entry(universe) -> CheckEntry:
+    """The enumeration keeps only the indecomposable cones of the pair rule.
+    Here every cone of every ``Universe.key`` is split by Krull-Schmidt
+    (``decompose_with_maps``), and each summand must be a class already: the
+    closure under the full split rule adds nothing.  Failures name the
+    missing summands up to isomorphism, moved to support 1..w."""
+    n, keys, cones, missing = universe.window, set(), 0, _ShapeRegistry()
+    for i in range(len(universe.classes)):
+        for j in range(len(universe.classes)):
+            key = universe.key(i, j)
+            if universe.j_flags[i] or universe.j_flags[j] or key in keys:
+                continue
+            keys.add(key)
+            for y in pair_cones(universe, i, j):
+                cones += 1
+                for w, _, _ in decompose_with_maps(y):
+                    if universe.find(shift_window(w, 0, n)) is None:
+                        missing.add(w)
+    labels = ", ".join(x.label() for x in missing.reps)
+    return CheckEntry("split closure adds nothing", not labels,
+                      f"{cones} cones of {len(keys)} keys; "
+                      + (f"summands outside the universe: {labels}" if labels
+                         else "every summand is a class"))
+
+
 def oracle_entry(universe, oracle, bound: int) -> CheckEntry:
     """The engine's classes with at most ``bound`` summands per cell, which the
     oracle lists exactly, against the oracle's; the others are only counted."""
@@ -76,6 +107,7 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
     entries.append(CheckEntry("universe closed", universe.closed,
                               f"{len(universe.representatives)} classes at n = {n}"))
     entries.append(d_squared_entry(universe))
+    entries.append(split_closure_entry(universe))
 
     # strip-stability: non-J classes are their own minimal form
     unstable = [rep.label() for rep, is_j in zip(universe.representatives, universe.j_flags)

@@ -336,20 +336,19 @@ def shift_window(x: Complex, p: int, new_window: int) -> Complex:
     A pure relocation: differentials are copied unchanged (the sign-free
     convention; any global sign yields an isomorphic complex).
     """
+    if p == 0 and new_window == x.window:
+        return x  # complexes are immutable, so no copy
     sup = x.support()
     if sup is None:
         return zero_complex(x.alg, new_window)
     lo, hi = sup
     if lo + p < 1 or hi + p > new_window:
         raise SupportOverflow(f"support {sup} shifted by {p} leaves 1..{new_window}")
-    cells = [() for _ in range(new_window)]
-    for i, c in enumerate(x.cells):
-        if c:
-            cells[i + p] = c
-    diffs = [mat_zero(x.alg, cells[i + 1], cells[i]) for i in range(new_window - 1)]
-    for i in range(x.window - 1):
-        if x.cells[i] and x.cells[i + 1]:
-            diffs[i + p] = [list(r) for r in x.diffs[i]]
+    cells = [()] * new_window
+    cells[lo - 1 + p:hi + p] = x.cells[lo - 1:hi]
+    # x's differentials between its support cells; the others have an empty side
+    diffs = [x.diffs[k - p] if lo - 1 <= k - p < hi - 1 else [[]] * len(cells[k + 1])
+             for k in range(new_window - 1)]
     return Complex(x.alg, cells, diffs, check=False)
 
 

@@ -7,8 +7,8 @@ complexes, then repeatedly apply two growth rules
       middle terms, unsplit, of a basis of Ext(S, X) for the stalk S = P_v at
       lo - 1 (new first cell) and of Ext(X, S) for S at hi + 1 (new last
       cell), written X (+) Z as ``assemble_extension`` writes them;
-  the pair rule: for known classes A and B, the indecomposable summands of
-      the middle term Y of each basis class of conflations B -> Y -> A.  A
+  the pair rule: for known classes A and B, the middle term Y of each basis
+      class of conflations B -> Y -> A, kept when Y is indecomposable.  A
       class is a map f: A -> B[1] in the homotopy category, B[1] being B
       moved one cell left, picked from a basis of chain maps modulo null
       homotopies as ``ext_classes`` picks cocycles modulo boundaries; Y is
@@ -23,39 +23,36 @@ A universe is its shapes times their translates.  Isomorphic complexes have
 equal supports, so a class of window n is a pair (shape, first position), a
 shape being the class moved to support 1..w.  One ``_ShapeRegistry``, shared
 by the windows of a run, keeps each shape once (moved, never stripped, so the
-J seeds are shapes too).  ``admit`` looks a new candidate up, proves it
-indecomposable only when its shape is new to the run, and places the
-translates the window lacks at first positions 1..n - w + 1, in that order.
+J seeds are shapes too), proven indecomposable once, when it is registered.
+``admit`` places the translates a window lacks of each candidate at first
+positions 1..n - w + 1, in that order.
 
-Rule (a) is the pair rule on a stalk pair, run first and unsplit.  The
-supports of S and X are disjoint, so Hom vanishes both ways and no degree-0
-family bounds; Ext(S at lo - 1, X) is then the space of chain maps from the
-stalk at lo into X, and each class glues S onto X by one cell.  ``admit``
-proves a new candidate indecomposable or the run stops, so the pair rule's
-split would add nothing; a stalk pair's key is run by whichever rule meets it
-first, in that rule's sign.
+Rule (a) is the pair rule on a stalk pair, run first.  The supports of S and
+X are disjoint, so Hom vanishes both ways and no degree-0 family bounds;
+Ext(S at lo - 1, X) is then the space of chain maps from the stalk at lo into
+X, and each class glues S onto X by one cell.  ``admit`` proves a new
+candidate indecomposable or the run stops; a stalk pair's key is run by
+whichever rule meets it first, in that rule's sign.
 
 The rules are translation-equivariant, so they run up to translation too.
 Each rule runs once per ``Universe.key`` = (shape of i, shape of j,
 lo_i - lo_j): rule (a) per key(S, X) when lo >= 2 and key(X, S) when
-hi <= n - 1, for every vertex and every X but the J classes, which are
-projective-injective, and the pair rule per key(i, j) when some position p
-of rep[i] has p + 1 in rep[j], as Ext(i, j) vanishes otherwise.  A round
-visits only the pairs that hold a representative new in the last round:
-every non-J j for a new i, the new j for an old i.  A later translate is
-skipped, as ``admit`` has already placed every translate of the first
-translate's candidates.
+hi <= n - 1, for every vertex and every X but the projective-injective J
+classes, and the pair rule per key(i, j) when some position p of rep[i] has
+p + 1 in rep[j], as Ext(i, j) vanishes otherwise.  A round visits only the
+pairs that hold a representative new in the last round: every non-J j for a
+new i, the new j for an old i.  A later translate is skipped, as ``admit``
+has already placed every translate of the first translate's candidates.
 
-The pair rule does only work that can be new.  It solves Hom only when a
-vertex of rep[i] at some p has a path to a vertex of rep[j] at p + 1; without
-one the Hom layout has no unknown, Hom and Ext are 0, and the key keeps an
-empty entry.  It looks each cone up in the registry before any End solve: a
-hit is a proven indecomposable shape (the lookup is sound for any complex, by
-``admit``'s argument, and buckets only grow, so ``admit`` would find the same
-id), and its entry keeps that shape id.  A cone that is no shape is split by
-``decompose_with_maps``, which cuts along the components of the summand graph
-before it seeks an idempotent; over GF(p) a disconnected cone is dropped
-with no idempotent scan.
+The pair rule does only work that can be new, and splits nothing.  It solves
+Hom only when a vertex of rep[i] at some p has a path to a vertex of rep[j] at
+p + 1 (else Hom and Ext are 0 and the key keeps an empty entry).  It drops a
+disconnected cone with no End solve; a registry hit is a proven shape (the
+lookup is sound for any complex, by ``admit``'s argument) and keeps its id; a
+miss that ``is_indecomposable`` proves is registered with a new id; any other
+cone is dropped.  Indecomposable middle terms suffice for modules over a
+representation-finite algebra (Bongartz 2013); here the check entry "split
+closure adds nothing" tests that on one window.
 
 The registry keeps the candidates of each key stripped and normalised to
 support 1..w, each with the shape id a lookup found.  When a growth run
@@ -85,7 +82,6 @@ from .complexes import (
 from .errors import NotClosed, SearchSpaceTooLarge
 from .homspaces import (
     assemble_extension,
-    decompose_with_maps,
     ext_classes,
     hom_basis,
     is_indecomposable,
@@ -106,9 +102,7 @@ def _normalise(x: Complex) -> Complex | None:
     """x stripped and moved to support 1..w in window w; None if contractible."""
     x = strip_contractible(x)
     sup = x.support()
-    if sup is None:
-        return None
-    return shift_window(x, 1 - sup[0], sup[1] - sup[0] + 1)
+    return None if sup is None else shift_window(x, 1 - sup[0], sup[1] - sup[0] + 1)
 
 
 class _ShapeRegistry:
@@ -119,8 +113,8 @@ class _ShapeRegistry:
     ``(shape id, serial key)`` pairs of one signature, so a lookup computes
     only the candidate's key.  ``candidates`` maps a rule key to its
     normalised candidates, each a ``[rule, candidate, shape id]`` entry whose
-    shape id is None until a lookup has found it, the pair rule's for a cone
-    that is already a shape and ``admit``'s for the others.
+    shape id is None until one is found: by the pair rule for a cone (None for
+    one over the summand cap), by ``admit`` for an extension.
     """
 
     def __init__(self):
@@ -132,7 +126,7 @@ class _ShapeRegistry:
     def _lookup(self, x: Complex):
         """(shape of a nonzero x, its signature and key, first position, shape id or None)."""
         lo, hi = x.support()
-        x = canonical_sort(shift_window(x, 1 - lo, hi - lo + 1))
+        x = canonical_sort(shift_window(x, 1 - lo, hi - lo + 1))  # no copy if normalised
         sig = x.signature()
         key = x.serial_key()
         for sid, rep_key in self.buckets.get(sig, ()):
@@ -140,9 +134,9 @@ class _ShapeRegistry:
                 return x, sig, key, lo, sid
         return x, sig, key, lo, None
 
-    def add(self, x: Complex) -> tuple[int, int, bool]:
-        """(shape id, first position, whether the shape is new) of a nonzero complex."""
-        x, sig, key, lo, sid = self._lookup(x)
+    def add(self, x: Complex, found: tuple | None = None) -> tuple[int, int, bool]:
+        """(shape id, first position, whether it is new) of a nonzero x, ``found`` its lookup."""
+        x, sig, key, lo, sid = found or self._lookup(x)
         if sid is not None:
             return sid, lo, False
         sid = len(self.reps)
@@ -230,6 +224,30 @@ def _seeds(alg: MonomialAlgebra, n: int):
     return out
 
 
+def pair_cones(uni: Universe, i: int, j: int):
+    """The normalised middle terms of a basis of the conflations rep[j] -> Y -> rep[i];
+    Hom(rep[i], rep[j] moved one cell left) is solved as Hom(rep[i] moved one cell
+    right, rep[j]) in the smallest window that holds both, to save memory."""
+    alg, reps = uni.alg, uni.representatives
+    xi, xj = reps[i].cells, reps[j].cells
+    if not any(alg.paths_between(t, s)
+               for p in range(uni.window - 1) for s in xi[p] for t in xj[p + 1]):
+        return  # no path coordinate: Hom is 0 with no solve
+    (a, b), (c, d) = uni.spans[i], uni.spans[j]
+    lo = min(a + 1, c)
+    width = max(b + 1, d) - lo + 1
+    hspace = hom_basis(shift_window(reps[i], 2 - lo, width),
+                       shift_window(reps[j], 1 - lo, width))
+    if not hspace.dimension:
+        return
+    classes = null_homotopy_span(hspace)
+    for f_ in hspace.basis:
+        if not classes.add(hspace._layout.vectorize(f_.comps)):
+            continue  # null-homotopic modulo the maps already taken
+        if (y := _normalise(cone(f_))) is not None:
+            yield y
+
+
 def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                               config: EnumConfig | None = None, *,
                               _registry: _ShapeRegistry | None = None) -> Universe:
@@ -244,17 +262,15 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
     config = config or EnumConfig()
     shapes = _ShapeRegistry() if _registry is None else _registry
     stats = {"rounds": 0, "candidates": 0, "cap_skips": 0, "translate_skips": 0,
-             "replayed": 0,
-             "added_by_rule": {"seed": 0, "ext": 0, "cone": 0}}
+             "replayed": 0, "added_by_rule": {"seed": 0, "ext": 0, "cone": 0}}
     uni = Universe(alg, n, shapes, stats=stats)
     reps, spans = uni.representatives, uni.spans
 
     def admit(cand: list) -> list[int]:
         """Place the missing translates of a normalised candidate; returns new indices.
 
-        The first admit under the summand cap stores the candidate's shape id in
-        its entry, so a replay places translates with no lookup: the registry
-        never drops a shape, and this candidate is already isomorphic to it.
+        The entry keeps the shape id, the pair rule's or that of the first admit
+        under the cap: the registry never drops a shape, so replays need no lookup.
         """
         rule, x, sid = cand
         stats["candidates"] += 1
@@ -308,39 +324,18 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                 yield ["ext", y, None]
 
     def rule_pair(i, j):
-        # the conflations rep[j] -> Y -> rep[i] as cones; Hom(rep[i], rep[j]
-        # moved one cell left) is solved with rep[i] moved one cell right
-        # instead, in the smallest window that holds both: wider complexes
-        # than the run's others held more peak memory
-        xi, xj = reps[i].cells, reps[j].cells
-        if not any(alg.paths_between(t, s)
-                   for p in range(n - 1) for s in xi[p] for t in xj[p + 1]):
-            return  # no path coordinate: Hom is 0 with no solve
-        (a, b), (c, d) = spans[i], spans[j]
-        lo = min(a + 1, c)
-        width = max(b + 1, d) - lo + 1
-        hspace = hom_basis(shift_window(reps[i], 2 - lo, width),
-                           shift_window(reps[j], 1 - lo, width))
-        if not hspace.dimension:
-            return
-        classes = null_homotopy_span(hspace)
-        for f_ in hspace.basis:
-            if not classes.add(hspace._layout.vectorize(f_.comps)):
-                continue  # null-homotopic modulo the maps already taken
-            y = _normalise(cone(f_))
-            if y is None:
+        # registry hits and proven cones only; one over the summand cap is left
+        # unregistered for admit to skip
+        for y in pair_cones(uni, i, j):
+            if len(_component_summands(y)) > 1:
                 continue
-            sid = shapes._lookup(y)[-1]
-            if sid is not None:
-                yield ["cone", y, sid]  # a proven indecomposable shape: no split
-            elif alg.field.char == 0:
-                for w, _, _ in decompose_with_maps(y):
-                    if (w := _normalise(w)) is not None:
-                        yield ["cone", w, None]
-            elif len(_component_summands(y)) == 1 and is_indecomposable(y):
-                # no exact splitting over GF(p): keep indecomposables only, and
-                # drop a disconnected cone with no idempotent scan
-                yield ["cone", y, None]
+            found = shapes._lookup(y)
+            if (sid := found[-1]) is None:
+                if not is_indecomposable(found[0]):
+                    continue
+                if y.total_summands() <= config.max_total_summands:
+                    sid = shapes.add(y, found)[0]
+            yield ["cone", y, sid]
 
     new_idxs = list(range(len(reps)))
     caps = []
@@ -378,6 +373,9 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             for j in (every_j if i in new_set else new_js):
                 c, d = spans[j]
                 if c >= b + 2 or d <= a:
+                    continue
+                if a > 1 and c > 1:  # its key's pair one position left came first
+                    stats["translate_skips"] += 1
                     continue
                 added.extend(run(key(i, j), rule_pair, i, j))
         if not added:

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from cnproj.algfile import parse_algebra_file, serialize_algebra_file
-from cnproj.checks import CheckReport, d_squared_entry, oracle_entry
+from cnproj.checks import CheckReport, d_squared_entry, oracle_entry, split_closure_entry
 from cnproj.cli import main
 from cnproj.errors import AlgebraFileError
 
@@ -249,6 +249,39 @@ def test_oracle_entry_compares_the_classes_within_the_bound(fixtures_dir, n, bou
     entry = oracle_entry(engine, oracle, bound)
     assert not entry.ok
     assert entry.detail.startswith(f"engine {inside - 1} vs oracle {inside} within the bound")
+
+
+@pytest.mark.parametrize("name, n", [("a3_relation.alg", 4), ("a6_relations.alg", 4),
+                                     ("d4.alg", 3), ("a4_abc.alg", 3), ("cyc2.alg", 3)])
+def test_split_closure_entry_passes(fixtures_dir, name, n):
+    from cnproj.algfile import load_algebra
+    from cnproj.universe import enumerate_indecomposables
+
+    _, alg = load_algebra(path(fixtures_dir, name))
+    entry = split_closure_entry(enumerate_indecomposables(alg, n))
+    assert entry.ok and entry.detail.endswith("; every summand is a class")
+
+
+@pytest.mark.parametrize("name, n", [("a3_relation.alg", 4), ("d4.alg", 3)])
+def test_split_closure_entry_names_a_dropped_class(fixtures_dir, name, n):
+    # a closed universe without the translates of one non-seed shape fails the
+    # entry, which names that shape and nothing else; every shape is tried
+    from cnproj.algfile import load_algebra
+    from cnproj.universe import Universe, enumerate_indecomposables
+
+    _, alg = load_algebra(path(fixtures_dir, name))
+    uni = enumerate_indecomposables(alg, n)
+    shapes = uni.shapes.reps
+    seeds = 2 * len(alg.quiver.vertices)
+    assert len(shapes) > seeds
+    for sid in range(seeds, len(shapes)):
+        cut = Universe(alg, n, uni.shapes, closed=True)
+        for s, lo in uni.classes:
+            if s != sid:
+                cut.place(s, lo)
+        entry = split_closure_entry(cut)
+        assert not entry.ok
+        assert entry.detail.endswith(f"; summands outside the universe: {shapes[sid].label()}")
 
 
 def test_check_reuses_the_sgldim_window(a3_alg, monkeypatch):

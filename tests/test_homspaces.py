@@ -435,22 +435,21 @@ def test_components_of_a_direct_sum(field_tag, monkeypatch):
 
 
 def test_component_split_matches_the_idempotent_route(a6_alg, monkeypatch):
-    # the cones the pair rule splits over a6 at n = 4 include disconnected
-    # ones; cutting them along components gives the summands, in serial-key
-    # order, that splitting idempotents give
-    from cnproj import homspaces
-    from cnproj import universe as universe_mod
+    # the cones that the "split closure adds nothing" check splits over a6 at
+    # n = 4 include disconnected ones; cutting them along components gives the
+    # summands, in serial-key order, that splitting idempotents give
+    from cnproj import checks, homspaces
     from cnproj.homspaces import components
 
     cones = []
-    real = universe_mod.decompose_with_maps
+    real = checks.decompose_with_maps
 
     def recording(y):
         cones.append(y)
         return real(y)
 
-    monkeypatch.setattr(universe_mod, "decompose_with_maps", recording)
-    enumerate_indecomposables(a6_alg, 4)
+    monkeypatch.setattr(checks, "decompose_with_maps", recording)
+    assert checks.split_closure_entry(enumerate_indecomposables(a6_alg, 4)).ok
     disconnected = [y for y in cones if components(y)]
     assert disconnected and len(disconnected) < len(cones)
     by_components = [decompose_with_maps(y) for y in disconnected]

@@ -100,11 +100,14 @@ def test_summand_cap_note_names_the_cap(a3_alg):
     from cnproj.universe import EnumConfig
 
     # every window-2 candidate has at most 2 summands, so window 2 closes with
-    # its full table; window 3 skips the first wider ones
+    # its full table; window 3 skips the first wider ones: the two indecomposable
+    # cones P3->P2->P1 (d = b, a and -b, a).  The connected cone
+    # P3->P2+P2->P1 is decomposable, so the pair rule drops it and does not
+    # offer its summand P3->P2->P1 as a third candidate
     r = compute_sgldim(a3_alg, config=EnumConfig(max_total_summands=2))
     assert not r.terminated and "indistinguishable" in r.cap_note
     assert r.per_window[0] == (2, 11, 2) and "window 2" not in r.cap_note
-    assert "window 3: max_total_summands = 2 skipped 3 candidates" in r.cap_note
+    assert "window 3: max_total_summands = 2 skipped 2 candidates" in r.cap_note
 
 
 def test_exhausted_max_n_note_names_max_n(a6_alg):

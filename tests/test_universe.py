@@ -152,27 +152,35 @@ def _non_seed_shapes(alg, shapes):
 
 @pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
 def test_admit_verifies_each_new_class_once(alg_name, request, monkeypatch):
+    # each non-seed shape is proven indecomposable exactly once per run, by the
+    # pair rule for a cone and by admit for a rule (a) extension, always at
+    # support 1..w; the other proofs are connected cones that the pair rule
+    # drops as decomposable
     alg = request.getfixturevalue(alg_name)
     calls = []
     real = universe_mod.is_indecomposable
 
     def counting(x):
-        calls.append(x)
-        return real(x)
+        calls.append((x, real(x)))
+        return calls[-1][1]
+
+    def proven():
+        return [x for x, ok in calls if ok]
 
     monkeypatch.setattr(universe_mod, "is_indecomposable", counting)
     uni = enumerate_indecomposables(alg, 4)
     added = uni.stats["added_by_rule"]
     non_seed = added["ext"] + added["cone"]
     assert len(uni.representatives) - added["seed"] == non_seed
-    assert len(calls) == _non_seed_shapes(alg, uni.shapes) > 0
-    # each proof is on a shape, at support 1..w
-    assert all(x.support() == (1, x.window) for x in calls)
+    seeds = len(uni.shapes.reps) - _non_seed_shapes(alg, uni.shapes)
+    # the proven complexes are the non-seed shapes, in the order they were registered
+    assert proven() == uni.shapes.reps[seeds:] and len(proven()) > 0
+    assert all(x.support() == (1, x.window) for x, _ in calls)
     # a growth run proves each shape once, not once per window
     calls.clear()
     report = compute_sgldim(alg)
     shapes = report.universes[report.m0].shapes
-    assert len(calls) == _non_seed_shapes(alg, shapes)
+    assert proven() == shapes.reps[seeds:]
     # the rule candidates are dropped once nothing can replay them
     assert uni.shapes.candidates == {} and shapes.candidates == {}
     # integer-first rationals: no coefficient of these classes needs a denominator
@@ -389,48 +397,56 @@ def test_support_gate_is_exact(fixtures_dir, fixture, n, monkeypatch):
     assert bool(path_gated) == (fixture not in ("point.alg", "cyc2.alg"))
 
 
+def test_lookup_of_a_normalised_complex_makes_no_copy(a6_alg, monkeypatch):
+    # a complex with support 1..w in window w is sorted as it is, with no
+    # shift_window copy; a shifted copy in a wider window finds the same shape
+    # and id, at its own first position
+    uni = enumerate_indecomposables(a6_alg, 4)
+    shapes = uni.shapes
+    sorted_args = []
+    real = universe_mod.canonical_sort
+    monkeypatch.setattr(universe_mod, "canonical_sort",
+                        lambda x: sorted_args.append(x) or real(x))
+    for sid, rep in enumerate(shapes.reps):
+        x, sig, key, lo, found = shapes._lookup(rep)
+        assert (x, lo, found) == (rep, 1, sid) and sorted_args.pop() is rep
+        for p in range(1, uni.window - rep.window + 1):
+            moved = shift_window(rep, p, uni.window)
+            assert shapes._lookup(moved) == (x, sig, key, 1 + p, sid)
+            assert sorted_args.pop() == rep
+    assert shift_window(rep, 0, rep.window) is rep
+
+
 def test_registry_cone_is_admitted_unsplit(a6_alg, monkeypatch):
-    # a second run of window 3 over the first run's shapes, with nothing to
-    # replay: every indecomposable cone is a registry shape and is admitted with
-    # the shape id its lookup found; only the cones that are no shape are split,
-    # and every splitting idempotent is sought inside those splits
+    # no enumeration splits a complex: the pair rule keeps registry shapes and
+    # proven indecomposable cones only.  A second run of window 3 over the first
+    # run's shapes, with nothing to replay, proves nothing new: every cone it
+    # keeps is a registry shape, admitted with the shape id its lookup found
     from cnproj import homspaces
 
+    def refuse(*args):
+        raise AssertionError("an enumeration split a complex")
+
+    monkeypatch.setattr(homspaces, "decompose_with_maps", refuse)
+    monkeypatch.setattr(homspaces, "_split_by_idempotent", refuse)
+    assert not hasattr(universe_mod, "decompose_with_maps")
     shapes = _ShapeRegistry()
     first = enumerate_indecomposables(a6_alg, 3, _registry=shapes)
     shapes.candidates.clear()
-    cones, split, outside = [], [], []
-    real_cone, real_decompose = universe_mod.cone, universe_mod.decompose_with_maps
-    real_split = homspaces._splitting_idempotent
-
-    def recording_cone(f):
-        cones.append(real_cone(f))
-        return cones[-1]
-
-    def recording_decompose(y):
-        split.append(y)
-        try:
-            return real_decompose(y)
-        finally:
-            split.append(None)
-
-    def recording_split(x):
-        outside.append(not split or split[-1] is None)
-        return real_split(x)
-
-    monkeypatch.setattr(universe_mod, "cone", recording_cone)
-    monkeypatch.setattr(universe_mod, "decompose_with_maps", recording_decompose)
-    monkeypatch.setattr(homspaces, "_splitting_idempotent", recording_split)
+    count = len(shapes.reps)
+    proofs = []
+    real = universe_mod.is_indecomposable
+    monkeypatch.setattr(universe_mod, "is_indecomposable",
+                        lambda x: proofs.append(real(x)) or proofs[-1])
     again = enumerate_indecomposables(a6_alg, 3, _registry=shapes)
-    monkeypatch.undo()
     assert again.representatives == first.representatives
-    split = [y for y in split if y is not None]
-    hits = [y for c in cones
-            if (y := universe_mod._normalise(c)) is not None and shapes._lookup(y)[-1] is not None]
-    assert hits and split and len(hits) + len(split) <= len(cones)
-    assert all(shapes._lookup(y)[-1] is None for y in split)
-    assert outside and not any(outside)
-    assert all(sid is not None for cands in shapes.candidates.values() for _, _, sid in cands)
+    assert len(shapes.reps) == count and not any(proofs)
+    cands = [c for cands in shapes.candidates.values() for c in cands]
+    assert any(rule == "cone" for rule, _, _ in cands)
+    assert all(sid is not None for _, _, sid in cands)
+    # the same holds for a growth run and over GF(2)
+    compute_sgldim(a6_alg)
+    enumerate_indecomposables(build_algebra(a6_alg.quiver, a6_alg.relations, "gf2"), 4)
 
 
 @pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
