@@ -7,8 +7,10 @@
 #   5. the check battery on a4_abc (a length-3 relation) at n = 3 against the
 #      GF(2) oracle
 #   6. the check battery on e6 (a branching quiver, 104 classes) at n = 4
-#   7. the golden DOT files, regenerated and compared with the committed ones
-#   8. one short perfbench run per workload of BENCHMARK.json, which must answer
+#   7. the check battery on d8 (the fixture with the most classes) at n = 4,
+#      whose "split closure adds nothing" entry catches a lost class
+#   8. the golden DOT files, regenerated and compared with the committed ones
+#   9. one short perfbench run per workload of BENCHMARK.json, which must answer
 #      correctly (DOT sha256, sgldim table) with no failed sample
 #
 # Usage, from any directory:  scripts/ci.sh
@@ -36,6 +38,7 @@ step python -m cnproj check tests/fixtures/a6_relations.alg --n 5
 step python -m cnproj check tests/fixtures/d4.alg --n 3 --oracle gf2
 step python -m cnproj check tests/fixtures/a4_abc.alg --n 3 --oracle gf2
 step python -m cnproj check tests/fixtures/e6.alg --n 4
+step python -m cnproj check tests/fixtures/d8_linear.alg --n 4
 step python scripts/regen_goldens.py
 step git diff --exit-code tests/golden
 for workload in $(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do

@@ -4,9 +4,8 @@ The main path is a cone-closure engine: seed with the stalk and contractible
 complexes, then repeatedly apply two growth rules
 
   (a) one-cell support extensions by an indecomposable projective P_v: the
-      middle terms, unsplit, of a basis of Ext(S, X) for the stalk S = P_v at
-      lo - 1 (new first cell) and of Ext(X, S) for S at hi + 1 (new last
-      cell), written X (+) Z as ``assemble_extension`` writes them;
+      middle terms of a basis of Ext(S, X) for the stalk S = P_v at lo - 1
+      (new first cell) and of Ext(X, S) for S at hi + 1 (new last cell);
   the pair rule: for known classes A and B, the middle term Y of each basis
       class of conflations B -> Y -> A, kept when Y is indecomposable.  A
       class is a map f: A -> B[1] in the homotopy category, B[1] being B
@@ -30,9 +29,8 @@ positions 1..n - w + 1, in that order.
 Rule (a) is the pair rule on a stalk pair, run first.  The supports of S and
 X are disjoint, so Hom vanishes both ways and no degree-0 family bounds;
 Ext(S at lo - 1, X) is then the space of chain maps from the stalk at lo into
-X, and each class glues S onto X by one cell.  ``admit`` proves a new
-candidate indecomposable or the run stops; a stalk pair's key is run by
-whichever rule meets it first, in that rule's sign.
+X, and each class glues S onto X by one cell.  A stalk pair's key is run
+once, by whichever loop meets it first; either way its candidates are cones.
 
 The rules are translation-equivariant, so they run up to translation too.
 Each rule runs once per ``Universe.key`` = (shape of i, shape of j,
@@ -47,18 +45,22 @@ has already placed every translate of the first translate's candidates.
 The pair rule does only work that can be new, and splits nothing.  It solves
 Hom only when a vertex of rep[i] at some p has a path to a vertex of rep[j] at
 p + 1 (else Hom and Ext are 0 and the key keeps an empty entry).  It drops a
-disconnected cone with no End solve; a registry hit is a proven shape (the
-lookup is sound for any complex, by ``admit``'s argument) and keeps its id; a
-miss that ``is_indecomposable`` proves is registered with a new id; any other
-cone is dropped.  Indecomposable middle terms suffice for modules over a
+disconnected cone with no End solve; a registry hit is a proven shape and
+keeps its id; a miss that ``is_indecomposable`` proves is registered with a
+new id (or kept with None over the summand cap); any other cone is dropped.
+That is the one place a candidate gets its shape id.  The lookup is sound for
+any complex: a hit is an equal serial key or an equal signature with a
+composite rep -> y -> rep that is an automorphism; then rep is a summand of
+y, equal cell multisets leave a zero complement, and y is isomorphic to the
+indecomposable rep.  Indecomposable middle terms suffice for modules over a
 representation-finite algebra (Bongartz 2013); here the check entry "split
 closure adds nothing" tests that on one window.
 
 The registry keeps the candidates of each key stripped and normalised to
-support 1..w, each with the shape id a lookup found.  When a growth run
-(``sgldim``) meets the key again in a later window, they go back through
-``admit`` in the same order: no Hom or Ext is solved for the key, and a
-candidate with a stored shape id places its translates with no lookup.
+support 1..w, each with the shape id the pair rule gave it.  When a growth
+run (``sgldim``) meets the key again in a later window, they go back through
+``admit`` in the same order: no Hom or Ext is solved for the key, and each
+candidate places its translates with no lookup.
 """
 
 from __future__ import annotations
@@ -81,8 +83,6 @@ from .complexes import (
 )
 from .errors import NotClosed, SearchSpaceTooLarge
 from .homspaces import (
-    assemble_extension,
-    ext_classes,
     hom_basis,
     is_indecomposable,
     null_homotopy_span,
@@ -112,16 +112,15 @@ class _ShapeRegistry:
     ``contractible[sid]`` says whether it is a J complex.  A bucket holds the
     ``(shape id, serial key)`` pairs of one signature, so a lookup computes
     only the candidate's key.  ``candidates`` maps a rule key to its
-    normalised candidates, each a ``[rule, candidate, shape id]`` entry whose
-    shape id is None until one is found: by the pair rule for a cone (None for
-    one over the summand cap), by ``admit`` for an extension.
+    normalised candidates, each a ``(rule, candidate, shape id)`` tuple with
+    the shape id the pair rule gave it, None for a cone over the summand cap.
     """
 
     def __init__(self):
         self.reps: list[Complex] = []
         self.contractible: list[bool] = []
         self.buckets: dict[tuple, list[tuple[int, tuple]]] = {}
-        self.candidates: dict[tuple, list[list]] = {}
+        self.candidates: dict[tuple, list[tuple]] = {}
 
     def _lookup(self, x: Complex):
         """(shape of a nonzero x, its signature and key, first position, shape id or None)."""
@@ -266,28 +265,15 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
     uni = Universe(alg, n, shapes, stats=stats)
     reps, spans = uni.representatives, uni.spans
 
-    def admit(cand: list) -> list[int]:
-        """Place the missing translates of a normalised candidate; returns new indices.
-
-        The entry keeps the shape id, the pair rule's or that of the first admit
-        under the cap: the registry never drops a shape, so replays need no lookup.
-        """
+    def admit(cand: tuple) -> list[int]:
+        """Place the missing translates of a ``(rule, candidate, shape id)`` entry;
+        returns new indices.  A shape id None is a proven cone over the summand
+        cap, which is counted and skipped."""
         rule, x, sid = cand
         stats["candidates"] += 1
-        if x.total_summands() > config.max_total_summands:
+        if sid is None:
             stats["cap_skips"] += 1
             return []
-        if sid is None:
-            sid, _, new_shape = shapes.add(x)
-            # Only a new shape needs the indecomposability proof.  A registry hit
-            # is either an equal serial key or an equal signature with a
-            # composite rep -> cand -> rep that is an automorphism; then rep is a
-            # summand of cand, equal cell multisets leave a zero complement, so
-            # cand is isomorphic to the indecomposable rep.
-            if new_shape and not is_indecomposable(shapes.reps[sid]):
-                raise AssertionError(
-                    f"rule {rule} produced a decomposable candidate {shapes.reps[sid]!r}")
-            cand[2] = sid
         new = [idx for lo in range(1, n - x.window + 2)
                if (idx := uni.place(sid, lo)) is not None]
         stats["added_by_rule"][rule] += len(new)
@@ -301,31 +287,10 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
     stalks = range(len(alg.quiver.vertices))
     done: set[tuple] = set()
 
-    def run(key, produce, *args) -> list[int]:
-        """Admit the candidates of one rule key, once per window."""
-        if key in done:
-            stats["translate_skips"] += 1
-            return []
-        done.add(key)
-        cands = shapes.candidates.get(key)
-        if cands is None:
-            cands = shapes.candidates[key] = list(produce(*args))
-        else:
-            stats["replayed"] += 1
-        return [idx for cand in cands for idx in admit(cand)]
-
-    key = uni.key
-
-    def rule_a(i, j):
-        # rule (a): Y of each class of conflations rep[j] -> Y -> rep[i], unsplit;
-        # one side is a stalk, and no other rule reads this Ext space
-        for sigma in ext_classes(reps[i], reps[j]).basis:
-            if (y := _normalise(assemble_extension(reps[i], reps[j], sigma)[0])) is not None:
-                yield ["ext", y, None]
-
-    def rule_pair(i, j):
-        # registry hits and proven cones only; one over the summand cap is left
-        # unregistered for admit to skip
+    def rule_pair(i, j, rule):
+        # the one place a candidate gets its shape id: a registry hit keeps its
+        # id, a proven cone is registered, or yielded with None over the summand
+        # cap for admit to skip; every other cone is dropped
         for y in pair_cones(uni, i, j):
             if len(_component_summands(y)) > 1:
                 continue
@@ -335,7 +300,21 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                     continue
                 if y.total_summands() <= config.max_total_summands:
                     sid = shapes.add(y, found)[0]
-            yield ["cone", y, sid]
+            yield rule, y, sid
+
+    def run(i, j, rule) -> list[int]:
+        """Admit the candidates of the key of (i, j), once per window."""
+        key = uni.key(i, j)
+        if key in done:
+            stats["translate_skips"] += 1
+            return []
+        done.add(key)
+        cands = shapes.candidates.get(key)
+        if cands is None:
+            cands = shapes.candidates[key] = list(rule_pair(i, j, rule))
+        else:
+            stats["replayed"] += 1
+        return [idx for cand in cands for idx in admit(cand)]
 
     new_idxs = list(range(len(reps)))
     caps = []
@@ -343,10 +322,12 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
         stats["rounds"] += 1
         added: list[int] = []
         new_set = set(new_idxs)
-        # rule (a): one-cell support extensions of the new representatives by
+        # rule (a): the pair rule on the stalk keys of the new representatives,
         # the stalk at lo - 1 (left) and at hi + 1 (right); class v < |V| is
         # the stalk of the v-th vertex at position 1, the first seeds.  J is
-        # projective-injective, so Ext with it vanishes both ways
+        # projective-injective, so Ext with it vanishes both ways.  This loop
+        # is only a visiting order: it picks which representative of a class is
+        # registered first, and so the serial keys that the DOT hashes pin
         for i in sorted(new_set):
             if uni.j_flags[i]:
                 continue
@@ -354,11 +335,11 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
             if lo >= 2:
                 for v in stalks:
                     s = uni.translate(v, lo - 2)
-                    added.extend(run(key(s, i), rule_a, s, i))
+                    added.extend(run(s, i, "ext"))
             if hi <= n - 1:
                 for v in stalks:
                     s = uni.translate(v, hi)
-                    added.extend(run(key(i, s), rule_a, i, s))
+                    added.extend(run(i, s, "ext"))
         # the pair rule over pairs touching a new representative, in row-major
         # order: every non-J j for a new i, the new ones for an old i.  Ext(i, j)
         # needs a position p of rep[i] with p + 1 in rep[j], so the other pairs
@@ -377,7 +358,7 @@ def enumerate_indecomposables(alg: MonomialAlgebra, n: int,
                 if a > 1 and c > 1:  # its key's pair one position left came first
                     stats["translate_skips"] += 1
                     continue
-                added.extend(run(key(i, j), rule_pair, i, j))
+                added.extend(run(i, j, "cone"))
         if not added:
             break
         new_idxs = added

@@ -622,3 +622,36 @@ def test_ar_quiver_dot_is_pinned(fixtures_dir, fixture, n):
     _, alg = load_algebra(str(fixtures_dir / fixture))
     dot = ar_quiver_to_dot(build_ar_quiver(alg, n))
     assert hashlib.sha256(dot.encode()).hexdigest() == _DOT_SHA256[(fixture, n)]
+
+
+# sha256 of the AR quiver named by class labels (sorted labels, arrows with
+# multiplicity, tau, and the en-projective, en-injective and
+# projective-injective flags), with the sizes of those four lists; unlike the
+# DOT bytes, these do not move when a representative is written in another sign
+_LABELLED_QUIVER = {
+    ("e6.alg", 4): ((104, 171, 80, 104),
+                    "504f15f86593ea1b558d265a1eafdd6d8ff9efc7314bac91e580d13f774ec7bb"),
+    ("cyc2.alg", 3): ((16, 26, 10, 16),
+                      "7fb68a1c88e0d788bef3ecf0eff02f30987e27d98c435b6907553fcec1ec3587"),
+}
+
+
+@pytest.mark.parametrize("fixture, n", sorted(_LABELLED_QUIVER))
+def test_ar_quiver_is_pinned_by_label(fixtures_dir, fixture, n):
+    import hashlib
+
+    from cnproj.algfile import load_algebra
+
+    _, alg = load_algebra(str(fixtures_dir / fixture))
+    q = build_ar_quiver(alg, n)
+    label = q.label
+    labels = sorted(label(i) for i in range(q.class_count()))
+    assert len(set(labels)) == len(labels)  # a label names one class
+    record = (labels,
+              sorted((label(i), label(j), m) for (i, j), m in q.arrows.items()),
+              sorted((label(z), label(x)) for z, x in q.tau.items()),
+              sorted((label(i), q.en_projective[i], q.en_injective[i], q.proj_injective[i])
+                     for i in range(q.class_count())))
+    sizes, digest = _LABELLED_QUIVER[(fixture, n)]
+    assert tuple(map(len, record)) == sizes
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == digest

@@ -153,8 +153,8 @@ def _non_seed_shapes(alg, shapes):
 @pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
 def test_admit_verifies_each_new_class_once(alg_name, request, monkeypatch):
     # each non-seed shape is proven indecomposable exactly once per run, by the
-    # pair rule for a cone and by admit for a rule (a) extension, always at
-    # support 1..w; the other proofs are connected cones that the pair rule
+    # pair rule where it is registered, under a stalk key or any other, always
+    # at support 1..w; the other proofs are connected cones that the pair rule
     # drops as decomposable
     alg = request.getfixturevalue(alg_name)
     calls = []
@@ -220,40 +220,70 @@ def test_find_rejects_other_windows_zero_and_sums(alg_name, request):
         assert uni.find(direct_sum(reps[i], reps[j])) is None
 
 
-def test_new_decomposable_candidate_still_raises(point_alg, monkeypatch):
-    # rule (a) admits its assembled extensions unsplit, so a decomposable one
-    # must stop the run at its new shape's indecomposability proof
-    def split_candidate(z, x, sigma):
-        y = direct_sum(make_stalk(point_alg, 1, 1, 2), make_stalk(point_alg, 1, 2, 2))
-        return y, None, None
+def test_decomposable_stalk_key_cone_is_dropped(a2_alg, monkeypatch):
+    # a stalk key runs the pair rule, so a connected cone that the proof finds
+    # decomposable is dropped there, never registered, and the window is the
+    # same; every non-seed shape is registered right after its own proof
+    a = a2_alg.hom_proj_basis(2, 1)[0]
+    split = Complex(a2_alg, [(2,), (1, 1)], [[[a], [a]]])  # (P2 -> P1) (+) (0 -> P1)
+    plain = enumerate_indecomposables(a2_alg, 2)
+    real_cones, real_proof, real_add = (universe_mod.pair_cones, universe_mod.is_indecomposable,
+                                        _ShapeRegistry.add)
+    injected, events = [], []
 
-    monkeypatch.setattr(universe_mod, "assemble_extension", split_candidate)
-    with pytest.raises(AssertionError, match="rule ext produced a decomposable"):
-        enumerate_indecomposables(point_alg, 2)
+    def cones(uni, i, j):
+        if uni.representatives[i].total_summands() == uni.representatives[j].total_summands() == 1:
+            injected.append(uni.key(i, j))
+            yield split
+        yield from real_cones(uni, i, j)
+
+    def proof(x):
+        events.append(("proof", x, real_proof(x)))
+        return events[-1][2]
+
+    def add(self, x, found=None):
+        out = real_add(self, x, found)
+        events.append(("add", out))
+        return out
+
+    monkeypatch.setattr(universe_mod, "pair_cones", cones)
+    monkeypatch.setattr(universe_mod, "is_indecomposable", proof)
+    monkeypatch.setattr(_ShapeRegistry, "add", add)
+    shapes = _ShapeRegistry()
+    uni = enumerate_indecomposables(a2_alg, 2, _registry=shapes)
+    monkeypatch.undo()
+    assert ("proof", split, False) in events
+    assert shapes._lookup(split)[-1] is None
+    assert uni.representatives == plain.representatives and uni.stats == plain.stats
+    # the stalk loop met these keys, so every candidate they keep is rule (a)'s
+    assert injected and {rule for key in injected for rule, _, _ in shapes.candidates[key]} == {"ext"}
+    seeds = len(shapes.reps) - _non_seed_shapes(a2_alg, shapes)
+    registered = [(k, e[1][0]) for k, e in enumerate(events) if e[0] == "add" and e[1][0] >= seeds]
+    assert len(registered) == len(shapes.reps) - seeds > 0
+    assert all(events[k - 1] == ("proof", shapes.reps[sid], True) for k, sid in registered)
 
 
-def _one_cell_extensions(alg, x, left):
+def _one_cell_extensions(alg, x, v, left):
     """Rule (a) built by hand: a new first cell P_v at lo - 1 whose differential
     is a basis chain map from the stalk P_v at lo into X, or a new last cell
     P_v at hi + 1 fed by a basis chain map from X to the stalk at hi."""
     out = []
     lo, hi = x.support()
     n = x.window
-    for v in sorted(alg.quiver.vertices):
-        if left:
-            for g in hom_basis(make_stalk(alg, v, lo, n), x).basis:
-                cells, diffs = list(x.cells), list(x.diffs)
-                cells[lo - 2] = (v,)
-                diffs[lo - 2] = g.comps[lo - 1]
-                if lo >= 3:
-                    diffs[lo - 3] = [[]]  # one empty row into the new single summand
-                out.append(Complex(alg, cells, diffs))
-        else:
-            for g in hom_basis(x, make_stalk(alg, v, hi, n)).basis:
-                cells, diffs = list(x.cells), list(x.diffs)
-                cells[hi] = (v,)
-                diffs[hi - 1] = g.comps[hi - 1]
-                out.append(Complex(alg, cells, diffs))
+    if left:
+        for g in hom_basis(make_stalk(alg, v, lo, n), x).basis:
+            cells, diffs = list(x.cells), list(x.diffs)
+            cells[lo - 2] = (v,)
+            diffs[lo - 2] = g.comps[lo - 1]
+            if lo >= 3:
+                diffs[lo - 3] = [[]]  # one empty row into the new single summand
+            out.append(Complex(alg, cells, diffs))
+    else:
+        for g in hom_basis(x, make_stalk(alg, v, hi, n)).basis:
+            cells, diffs = list(x.cells), list(x.diffs)
+            cells[hi] = (v,)
+            diffs[hi - 1] = g.comps[hi - 1]
+            out.append(Complex(alg, cells, diffs))
     return out
 
 
@@ -272,13 +302,9 @@ def _cone_sign(y, x, z):
                                         ("d4.alg", 3), ("kronecker", 3)])
 def test_rule_a_is_the_one_cell_extension(fixtures_dir, fixture, n):
     # Ext(stalk at lo - 1, X) has the slots and equations of Hom(stalk at lo, X)
-    # (and likewise on the right), so assembling each Ext class gives the
-    # hand-built extensions, in order.  The engine keeps exactly those when
-    # rule (a) meets the key first; a key that the pair loop met first holds
-    # the same classes in cone sign, as the pair rule's split finds each
-    # indecomposable.  J classes have no extensions and no rule (a) key.
-    from cnproj.homspaces import assemble_extension, ext_classes
-
+    # (and likewise on the right), so the cones of a stalk key are the
+    # hand-built one-cell extensions written in cone sign, in order, whichever
+    # loop met the key first.  J classes have no extensions and no stalk key.
     if fixture == "kronecker":
         # Hom(P_2, P_1) has basis a, b, so a stalk gains a new cell in two ways;
         # the closure does not end, and one round runs rule (a) on the seeds
@@ -287,42 +313,36 @@ def test_rule_a_is_the_one_cell_extension(fixtures_dir, fixture, n):
     else:
         _, alg = load_algebra(str(fixtures_dir / fixture))
         config = None
-    shapes = _ShapeRegistry()  # keeps the rule keys the pair loop ran
+    shapes = _ShapeRegistry()  # keeps the rule keys the loops ran
     uni = enumerate_indecomposables(alg, n, config, _registry=shapes)
     reps = uni.representatives
-    stalks = range(len(alg.quiver.vertices))
+    vertices = sorted(alg.quiver.vertices)
     sides, widest, met_first = 0, 0, set()
     for i in range(len(reps) if config is None else uni.stats["added_by_rule"]["seed"]):
         lo, hi = uni.spans[i]
         for left, ok, offset in ((True, lo >= 2, lo - 2), (False, hi <= n - 1, hi)):
             if not ok:
                 continue
-            reference = _one_cell_extensions(alg, reps[i], left)
             if uni.j_flags[i]:
-                assert reference == []
+                assert all(_one_cell_extensions(alg, reps[i], v, left) == [] for v in vertices)
                 assert not any(uni.key(*((s, i) if left else (i, s))) in shapes.candidates
-                               for v in stalks if (s := uni.translate(v, offset)) is not None)
+                               for v in range(len(vertices))
+                               if (s := uni.translate(v, offset)) is not None)
                 continue
             sides += 1
-            assembled = []
-            for v in stalks:
+            for v, vertex in enumerate(vertices):
                 s = uni.translate(v, offset)
                 z, sub = (s, i) if left else (i, s)
-                espace = ext_classes(reps[z], reps[sub])
-                ys = [assemble_extension(reps[z], reps[sub], sigma)[0] for sigma in espace.basis]
-                assembled += ys
                 cands = shapes.candidates[uni.key(z, sub)]
-                rules = {rule for rule, _, _ in cands}
-                met_first |= rules
-                if rules == {"cone"}:
-                    ys = [_cone_sign(y, reps[sub], reps[z]) for y in ys]
+                met_first |= {rule for rule, _, _ in cands}
+                ys = [_cone_sign(y, reps[sub], reps[z])
+                      for y in _one_cell_extensions(alg, reps[i], vertex, left)]
                 assert [y for _, y, _ in cands] == [
                     w for y in ys if (w := universe_mod._normalise(y)) is not None], (i, left, v)
                 widest = max(widest, len(cands))
-            assert assembled == reference, (i, left)
     assert sides and uni.stats["added_by_rule"]["ext"] > 0
     assert widest == (2 if fixture == "kronecker" else 1)
-    # the rules that met a stalk pair's key first
+    # the loops that met a stalk pair's key first
     assert met_first == ({"ext", "cone"} if fixture in ("a3_relation.alg", "a6_relations.alg")
                          else {"ext"})
 
@@ -335,13 +355,13 @@ def test_support_gate_is_exact(fixtures_dir, fixture, n, monkeypatch):
     # degree-1 map rep[i] -> rep[j] needs a position p of rep[i] with p + 1 in
     # rep[j], so Ext(i, j) vanishes on the pairs the pair rule's gate skips.
     # Inside that gate, the pair rule solves Hom(rep[i], rep[j] moved one cell
-    # left) exactly for the keys with a path from a vertex of rep[i] at p to
-    # one of rep[j] at p + 1 that rule (a) did not meet first; the others have
-    # no path coordinate, so Hom and Ext are 0, and their keys keep an empty entry
+    # left) exactly once for each key with a path from a vertex of rep[i] at p
+    # to one of rep[j] at p + 1, stalk keys included; the others have no path
+    # coordinate, so Hom and Ext are 0, and their keys keep an empty entry
     from cnproj.homspaces import ext_classes, hom_basis
 
-    solved, by_rule_a, nvars = [], set(), []
-    real_hom, real_ext = universe_mod.hom_basis, universe_mod.ext_classes
+    solved, nvars = [], []
+    real_hom = universe_mod.hom_basis
 
     def recording_hom(x, y):
         # x is rep[i] moved one cell right of rep[j]'s alignment
@@ -351,12 +371,7 @@ def test_support_gate_is_exact(fixtures_dir, fixture, n, monkeypatch):
         nvars.append(hs._layout.nvars)
         return hs
 
-    def recording_ext(z, x):
-        by_rule_a.add(_translation_key(z, x))
-        return real_ext(z, x)
-
     monkeypatch.setattr(universe_mod, "hom_basis", recording_hom)
-    monkeypatch.setattr(universe_mod, "ext_classes", recording_ext)
     alg = load_algebra(str(fixtures_dir / fixture))[1]
     shapes = _ShapeRegistry()  # keeps the rule keys the pair loop ran
     uni = enumerate_indecomposables(alg, n, _registry=shapes)
@@ -392,7 +407,7 @@ def test_support_gate_is_exact(fixtures_dir, fixture, n, monkeypatch):
     assert skipped and edge_ext
     assert 0 not in nvars
     assert len(solved) == len(set(solved))
-    assert set(solved) == with_path - by_rule_a
+    assert set(solved) == with_path
     # a path joins every two vertices of one vertex or of a 2-cycle
     assert bool(path_gated) == (fixture not in ("point.alg", "cyc2.alg"))
 
@@ -452,7 +467,7 @@ def test_registry_cone_is_admitted_unsplit(a6_alg, monkeypatch):
 @pytest.mark.parametrize("alg_name", ["a3_alg", "a6_alg"])
 def test_replayed_candidates_keep_their_shape_id(alg_name, request, monkeypatch):
     # a later window of a sgldim run places the candidates it replays from the
-    # shape id their first admit stored, with no lookup, and each window still
+    # shape id the pair rule stored, with no lookup, and each window still
     # equals a standalone enumeration
     from cnproj import sgldim as sgldim_mod
 
@@ -490,8 +505,8 @@ def test_replayed_candidates_keep_their_shape_id(alg_name, request, monkeypatch)
 
 # sha256 of repr([(n, serial keys, sorted added_by_rule items)]) over the
 # windows; the serial keys are those of standalone enumerations before the
-# translation memo existed, except on d4, where the pair rule writes some
-# representatives in cone sign
+# translation memo existed, except on d4 and cyc2, where the pair rule writes
+# some representatives in cone sign
 _WINDOW_SHA256 = {
     ("a3_relation.alg", "rational"):
         "1ba5b6fffe681d165549404990e22320e32fc255484c3aeb9246a15ff989e343",
@@ -506,7 +521,7 @@ _WINDOW_SHA256 = {
     ("a4_abc.alg", "rational"):
         "15aac1a8ef2a9db7d8da8312afa975b2f414a171a951a801227c776a5f80d80b",
     ("cyc2.alg", "rational"):
-        "d296857dd2d83f7bddd72d2328e37218a8776a7c5d2a384ef057a92cdd3175f8",
+        "854bb94eb5018ae4a245c65292b43e633dcbc52817b236ff9d493b6278d12617",
 }
 
 
@@ -547,17 +562,18 @@ def _translation_key(z, x):
 
 
 def test_ext_solved_once_per_translation_key(a6_alg, monkeypatch):
-    # and never with a J side: J is projective-injective in C_n(proj Lambda),
-    # so Ext with it vanishes, and rule (a) skips J classes as the pair loop does
+    # Ext(A, B) is solved as Hom(A moved one cell right, B), once per key of a
+    # run and never with a J side: J is projective-injective in C_n(proj Lambda),
+    # so Ext with it vanishes, and both loops skip J classes
     keys, contractible = [], []
-    real = universe_mod.ext_classes
+    real = universe_mod.hom_basis
 
-    def recording(z, x):
-        keys.append(_translation_key(z, x))
-        contractible.extend(c for c in (z, x) if strip_contractible(c).is_zero())
-        return real(z, x)
+    def recording(x, y):
+        keys.append(_translation_key(x, y))
+        contractible.extend(c for c in (x, y) if strip_contractible(c).is_zero())
+        return real(x, y)
 
-    monkeypatch.setattr(universe_mod, "ext_classes", recording)
+    monkeypatch.setattr(universe_mod, "hom_basis", recording)
     shapes = _ShapeRegistry()
     unis = [enumerate_indecomposables(a6_alg, n, _registry=shapes) for n in (2, 3, 4)]
     assert keys and len(keys) == len(set(keys))
