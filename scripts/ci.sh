@@ -11,7 +11,10 @@
 #      whose "split closure adds nothing" entry catches a lost class
 #   8. the golden DOT files, regenerated and compared with the committed ones
 #   9. one short perfbench run per workload of BENCHMARK.json, which must answer
-#      correctly (DOT sha256, sgldim table) with no failed sample
+#      correctly (DOT sha256, sgldim table) with no failed sample, then one
+#      traced run (--trace 1) of the same workload with the same requirement:
+#      its two traced samples must agree on every count and every per-layer
+#      metric of BENCHMARK.json must resolve to a traced function
 #
 # Usage, from any directory:  scripts/ci.sh
 set -u
@@ -24,12 +27,15 @@ step() {
     "$@" || failed+=("$*")
 }
 
-# the last line of a perfbench run must read "correct": true and "failed": 0
+# the last line of a perfbench run, untraced and traced, must read
+# "correct": true and "failed": 0
 perfbench_ok() {
-    local out
-    out=$(python3 perfbench/run.py --workload "$1" --seconds 1 --trace 0) || return 1
-    python3 -c 'import json, sys; r = json.loads(sys.argv[1])
-sys.exit(not (r["correct"] is True and r["failed"] == 0))' "${out##*$'\n'}"
+    local out trace
+    for trace in 0 1; do
+        out=$(python3 perfbench/run.py --workload "$1" --seconds 1 --trace "$trace") || return 1
+        python3 -c 'import json, sys; r = json.loads(sys.argv[1])
+sys.exit(not (r["correct"] is True and r["failed"] == 0))' "${out##*$'\n'}" || return 1
+    done
 }
 
 step python -m pytest -q --continue-on-collection-errors

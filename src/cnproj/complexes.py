@@ -12,6 +12,7 @@ The differential entry in row r, column c of ``diffs[i]`` is an element of
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .algebra import AlgElement, MonomialAlgebra
@@ -282,52 +283,42 @@ def make_J(alg: MonomialAlgebra, v: int, k: int, n: int) -> Complex:
 
 def embed_left(x: Complex) -> Complex:
     """Window n -> n+1, inserting an empty first cell."""
-    cells = [()] + list(x.cells)
-    diffs = [mat_zero(x.alg, cells[1], cells[0])] + [list(map(list, m)) for m in x.diffs]
-    return Complex(x.alg, cells, diffs, check=False)
+    return shift_window(x, 1, x.window + 1)
 
 
 def embed_right(x: Complex) -> Complex:
     """Window n -> n+1, appending an empty last cell."""
-    cells = list(x.cells) + [()]
-    diffs = [list(map(list, m)) for m in x.diffs] + [mat_zero(x.alg, (), x.cells[-1])]
-    return Complex(x.alg, cells, diffs, check=False)
+    return shift_window(x, 0, x.window + 1)
 
 
 def drop_first(x: Complex) -> Complex:
     """Window n+1 -> n, truncating the first cell (total)."""
     if x.window < 2:
         raise WindowMismatch("cannot drop below window 1")
-    return Complex(x.alg, x.cells[1:], [list(map(list, m)) for m in x.diffs[1:]], check=False)
+    return Complex(x.alg, x.cells[1:], x.diffs[1:], check=False)
 
 
 def drop_last(x: Complex) -> Complex:
     """Window n+1 -> n, truncating the last cell (total)."""
     if x.window < 2:
         raise WindowMismatch("cannot drop below window 1")
-    return Complex(x.alg, x.cells[:-1], [list(map(list, m)) for m in x.diffs[:-1]], check=False)
+    return Complex(x.alg, x.cells[:-1], x.diffs[:-1], check=False)
 
 
 def embed_left_map(f: ChainMap) -> ChainMap:
-    return ChainMap(embed_left(f.source), embed_left(f.target),
-                    [mat_zero(f.source.alg, (), ())] + [list(map(list, m)) for m in f.comps],
-                    check=False)
+    return shift_window_map(f, 1, f.source.window + 1)
 
 
 def embed_right_map(f: ChainMap) -> ChainMap:
-    return ChainMap(embed_right(f.source), embed_right(f.target),
-                    [list(map(list, m)) for m in f.comps] + [mat_zero(f.source.alg, (), ())],
-                    check=False)
+    return shift_window_map(f, 0, f.source.window + 1)
 
 
 def drop_first_map(f: ChainMap) -> ChainMap:
-    return ChainMap(drop_first(f.source), drop_first(f.target),
-                    [list(map(list, m)) for m in f.comps[1:]], check=False)
+    return ChainMap(drop_first(f.source), drop_first(f.target), f.comps[1:], check=False)
 
 
 def drop_last_map(f: ChainMap) -> ChainMap:
-    return ChainMap(drop_last(f.source), drop_last(f.target),
-                    [list(map(list, m)) for m in f.comps[:-1]], check=False)
+    return ChainMap(drop_last(f.source), drop_last(f.target), f.comps[:-1], check=False)
 
 
 def shift_window(x: Complex, p: int, new_window: int) -> Complex:
@@ -373,31 +364,38 @@ def shift_window_map(f: ChainMap, p: int, new_window: int, source: Complex | Non
     return ChainMap(source, target, comps, check=False)
 
 
+def select_summands(x: Complex, keep) -> Complex:
+    """The summands ``keep[i]`` of each cell i, in that order, with the
+    differential entries between them."""
+    cells = [tuple(c[r] for r in rs) for c, rs in zip(x.cells, keep)]
+    diffs = [[[d[r][c] for c in keep[i]] for r in keep[i + 1]] for i, d in enumerate(x.diffs)]
+    return Complex(x.alg, cells, diffs, check=False)
+
+
+def concatenate(x: Complex, y: Complex, link=None, check: bool = False) -> Complex:
+    """Cells x_i + y_i with d^i = [[d_x^i, link^i], [0, d_y^i]].
+
+    ``link^i`` maps y's cell i to x's cell i+1; without it the blocks are
+    zero and the result is the direct sum.
+    """
+    if x.window != y.window:
+        raise WindowMismatch("concatenation needs equal windows")
+    alg = x.alg
+    diffs = []
+    for i, (dx, dy) in enumerate(zip(x.diffs, y.diffs)):
+        top = link[i] if link is not None else mat_zero(alg, x.cells[i + 1], y.cells[i])
+        bottom = mat_zero(alg, y.cells[i + 1], x.cells[i])
+        diffs.append([[*a, *b] for a, b in zip(dx, top)] + [[*a, *b] for a, b in zip(bottom, dy)])
+    return Complex(alg, [a + b for a, b in zip(x.cells, y.cells)], diffs, check=check)
+
+
 def direct_sum(x: Complex, y: Complex) -> Complex:
     """Cellwise concatenation with block-diagonal differentials."""
-    if x.window != y.window:
-        raise WindowMismatch("direct sum needs equal windows")
-    alg = x.alg
-    cells = [x.cells[i] + y.cells[i] for i in range(x.window)]
-    diffs = []
-    for i in range(x.window - 1):
-        m = mat_zero(alg, cells[i + 1], cells[i])
-        for r in range(len(x.cells[i + 1])):
-            for c in range(len(x.cells[i])):
-                m[r][c] = x.diffs[i][r][c]
-        ro, co = len(x.cells[i + 1]), len(x.cells[i])
-        for r in range(len(y.cells[i + 1])):
-            for c in range(len(y.cells[i])):
-                m[ro + r][co + c] = y.diffs[i][r][c]
-        diffs.append(m)
-    return Complex(alg, cells, diffs, check=False)
+    return concatenate(x, y)
 
 
 def direct_sum_many(parts: Sequence[Complex]) -> Complex:
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = direct_sum(acc, p)
-    return acc
+    return functools.reduce(direct_sum, parts)
 
 
 def cone(f: ChainMap) -> Complex:
@@ -435,13 +433,7 @@ def cone(f: ChainMap) -> Complex:
 
 def canonical_sort(x: Complex) -> Complex:
     """Stable-sort every cell by vertex id, permuting differentials to match."""
-    perms = [sorted(range(len(c)), key=lambda i: (c[i], i)) for c in x.cells]
-    cells = [tuple(c[i] for i in perm) for c, perm in zip(x.cells, perms)]
-    diffs = []
-    for i in range(x.window - 1):
-        pr, pc = perms[i + 1], perms[i]
-        diffs.append([[x.diffs[i][r][c] for c in pc] for r in pr])
-    return Complex(x.alg, cells, diffs, check=False)
+    return select_summands(x, [sorted(range(len(c)), key=lambda i: (c[i], i)) for c in x.cells])
 
 
 # -- homotopy-minimal stripping ------------------------------------------------
@@ -535,9 +527,7 @@ def extend_left(x: Complex, v: int, d0: Sequence[AlgElement] | AlgElement) -> Co
         comp = mat_mul(x.alg, x.diffs[0], mat, x.cells[1], x.cells[0], (v,))
         if not mat_is_zero(comp):
             raise NotAnExtension("d^1 . d^0 != 0")
-    cells = [(v,)] + list(x.cells)
-    diffs = [mat] + [list(map(list, m)) for m in x.diffs]
-    return Complex(x.alg, cells, diffs)
+    return Complex(x.alg, [(v,), *x.cells], [mat, *x.diffs])
 
 
 def extend_right(x: Complex, v: int, dm: Sequence[AlgElement] | AlgElement) -> Complex:
@@ -556,6 +546,4 @@ def extend_right(x: Complex, v: int, dm: Sequence[AlgElement] | AlgElement) -> C
         comp = mat_mul(x.alg, mat, x.diffs[-1], (v,), x.cells[-1], x.cells[-2])
         if not mat_is_zero(comp):
             raise NotAnExtension("d^m . d^{n-1} != 0")
-    cells = list(x.cells) + [(v,)]
-    diffs = [list(map(list, m)) for m in x.diffs] + [mat]
-    return Complex(x.alg, cells, diffs)
+    return Complex(x.alg, [*x.cells, (v,)], [*x.diffs, mat])

@@ -38,10 +38,14 @@ from .complexes import (
     Complex,
     canonical_sort,
     compose,
+    concatenate,
     make_stalk,
+    mat_add,
+    mat_identity,
     mat_is_zero,
     mat_mul,
-    mat_zero,
+    mat_neg,
+    select_summands,
     shift_window_map,
 )
 from .errors import (
@@ -330,10 +334,10 @@ def _scan_idempotent(x: Complex, end: HomSpace):
 def is_isomorphic(x: Complex, y: Complex) -> bool:
     """Exact isomorphism test.
 
-    Fast paths: equal structure, mismatched signatures.  For indecomposable
-    inputs the pairing criterion decides: X and Y are isomorphic iff some
-    composite of basis homs X -> Y -> X is an automorphism.  Decomposable
-    inputs are split and matched summand by summand.
+    Fast paths: equal structure, mismatched signatures.  Otherwise both sides
+    are split (Krull-Schmidt) and their summands matched greedily, each with
+    the first unmatched summand of equal signature that ``_iso_indecomposable``
+    pairs with it.  Zero complexes split to [] and compare equal.
     """
     if x.alg is not y.alg or x.window != y.window:
         return False
@@ -341,17 +345,14 @@ def is_isomorphic(x: Complex, y: Complex) -> bool:
         return False
     if canonical_sort(x).serial_key() == canonical_sort(y).serial_key():
         return True
-    if x.is_zero():
-        return True
-    xi = is_indecomposable(x)
-    yi = is_indecomposable(y)
-    if xi != yi:
-        return False
-    if xi:
-        return _iso_indecomposable(x, y)
-    dx = decompose(x)
-    dy = decompose(y)
-    return _multisets_match(dx, dy)
+    unmatched = [w for w, _, _ in decompose_with_maps(y)]
+    for w, _, _ in decompose_with_maps(x):
+        hit = next((u for u in unmatched if u.signature() == w.signature()
+                    and _iso_indecomposable(w, u)), None)
+        if hit is None:
+            return False
+        unmatched.remove(hit)
+    return not unmatched
 
 
 def _iso_indecomposable(x: Complex, y: Complex) -> bool:
@@ -366,24 +367,6 @@ def _iso_indecomposable(x: Complex, y: Complex) -> bool:
             if compose(g, f_).is_isomorphism():
                 return True
     return False
-
-
-def _multisets_match(dx, dy) -> bool:
-    if sum(m for _, m in dx) != sum(m for _, m in dy):
-        return False
-    remaining = [[w, m] for w, m in dy]
-    for w, m in dx:
-        hit = False
-        for slot in remaining:
-            if slot[1] and _iso_indecomposable(w, slot[0]):
-                if slot[1] < m:
-                    return False
-                slot[1] -= m
-                hit = True
-                break
-        if not hit:
-            return False
-    return all(slot[1] == 0 for slot in remaining)
 
 
 # -- Krull-Schmidt splitting -----------------------------------------------------
@@ -443,19 +426,22 @@ def components(x: Complex) -> list:
     keeps = _component_summands(x)
     if len(keeps) <= 1:
         return []
-    alg = x.alg
     out = []
     for keep in keeps:
-        cells = [tuple(cell[r] for r in rs) for cell, rs in zip(x.cells, keep)]
-        diffs = [[[d[r][c] for c in keep[p]] for r in keep[p + 1]]
-                 for p, d in enumerate(x.diffs)]
-        w = Complex(alg, cells, diffs, check=False)
-        incl = [[[alg.unit(v) if r == s else alg.zero_element(v, cell[s]) for s in rs]
-                 for r, v in enumerate(cell)] for cell, rs in zip(x.cells, keep)]
-        proj = [[[alg.unit(cell[s]) if r == s else alg.zero_element(cell[s], v)
-                  for r, v in enumerate(cell)] for s in rs] for cell, rs in zip(x.cells, keep)]
-        out.append((w, ChainMap(w, x, incl, check=False), ChainMap(x, w, proj, check=False)))
+        w = select_summands(x, keep)
+        out.append((w, *_unit_maps(x, w, keep)))
     return out
+
+
+def _unit_maps(x: Complex, w: Complex, keep):
+    """(inclusion W -> X, projection X -> W) for W the summands ``keep[i]`` of
+    each cell of X (``select_summands``): unit entries on the kept summands."""
+    alg = x.alg
+    incl = [[[alg.unit(v) if r == s else alg.zero_element(v, cell[s]) for s in rs]
+             for r, v in enumerate(cell)] for cell, rs in zip(x.cells, keep)]
+    proj = [[[alg.unit(cell[s]) if r == s else alg.zero_element(cell[s], v)
+              for r, v in enumerate(cell)] for s in rs] for cell, rs in zip(x.cells, keep)]
+    return ChainMap(w, x, incl, check=False), ChainMap(x, w, proj, check=False)
 
 
 def _component_summands(x: Complex) -> list:
@@ -626,8 +612,6 @@ def _invert_scalar(f, mat, n):
 def _invert_unit_matrix(alg, mat, cell):
     """Inverse of a square matrix over ``cell`` with invertible scalar part s:
     s^-1 (1 + q + q^2 + ...), where q = 1 - mat s^-1 is nilpotent."""
-    from .complexes import mat_add, mat_identity, mat_neg
-
     n = len(cell)
     s = _invert_scalar(alg.field, [[v.unit_coeff() for v in row] for row in mat], n)
     s_inv = [[alg.unit(v).scale(s[r][c]) if s[r][c] else alg.zero_element(v, cell[c])
@@ -796,36 +780,13 @@ def ext_classes(z: Complex, x: Complex) -> ExtClassSpace:
 
 def assemble_extension(z: Complex, x: Complex, sigma: DegreeOneMap):
     """Conflation X -> Y -> Z with Y^i = X^i (+) Z^i and d = [[d_X, sigma], [0, d_Z]]."""
-    alg = z.alg
-    n = z.window
     if sigma.z is not z or sigma.x is not x:
         if sigma.z.cells != z.cells or sigma.x.cells != x.cells:
             raise InvalidClass("class does not match the given pair")
-    cells = [x.cells[i] + z.cells[i] for i in range(n)]
-    diffs = []
-    for i in range(n - 1):
-        m = mat_zero(alg, cells[i + 1], cells[i])
-        nx_t, nx_s = len(x.cells[i + 1]), len(x.cells[i])
-        for r in range(nx_t):
-            for c in range(nx_s):
-                m[r][c] = x.diffs[i][r][c]
-            for c in range(len(z.cells[i])):
-                m[r][nx_s + c] = sigma.comps[i][r][c]
-        for r in range(len(z.cells[i + 1])):
-            for c in range(len(z.cells[i])):
-                m[nx_t + r][nx_s + c] = z.diffs[i][r][c]
-        diffs.append(m)
     try:
-        y = Complex(alg, cells, diffs)
+        y = concatenate(x, z, sigma.comps, check=True)
     except ShapeMismatch as exc:
         raise InvalidClass(f"cocycle equations fail: {exc}") from exc
-    incl = [ [[alg.unit(x.cells[i][r]) if r == c else alg.zero_element(cells[i][r], x.cells[i][c])
-               for c in range(len(x.cells[i]))] for r in range(len(cells[i]))]
-             for i in range(n)]
-    proj = [ [[alg.unit(z.cells[i][r]) if c == len(x.cells[i]) + r
-               else alg.zero_element(z.cells[i][r], cells[i][c])
-               for c in range(len(cells[i]))] for r in range(len(z.cells[i]))]
-             for i in range(n)]
-    i_map = ChainMap(x, y, incl, check=False)
-    d_map = ChainMap(y, z, proj, check=False)
-    return y, i_map, d_map
+    xs = [range(len(c)) for c in x.cells]
+    zs = [range(len(a), len(a) + len(b)) for a, b in zip(x.cells, z.cells)]
+    return y, _unit_maps(y, x, xs)[0], _unit_maps(y, z, zs)[1]

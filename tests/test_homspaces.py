@@ -183,6 +183,37 @@ def test_nonzero_class_never_splits(point_alg):
     assert not span.contains(hs.coordinates(ChainMap.identity(s)))
 
 
+def test_assemble_extension_blocks_and_unit_maps(a3_alg):
+    # Y = X (+) Z cellwise with d = [[d_X, sigma], [0, d_Z]]; i is the unit
+    # injection of X's block and d the unit projection onto Z's block
+    reps = enumerate_indecomposables(a3_alg, 3).representatives
+    sums = [direct_sum(a, b) for a in reps[:3] for b in reps[-3:]]
+    seen = 0
+    for z in reps + sums[:3]:
+        for x in reps + sums[-3:]:
+            for sigma in ext_classes(z, x).basis:
+                y, i_map, d_map = assemble_extension(z, x, sigma)
+                seen += 1
+                assert i_map.source is x and i_map.target is y
+                assert d_map.source is y and d_map.target is z
+                for p, (xc, zc) in enumerate(zip(x.cells, z.cells)):
+                    nx = len(xc)
+                    assert y.cells[p] == xc + zc
+                    assert [[e.unit_coeff() for e in row] for row in i_map.comps[p]] == \
+                        [[int(r == c) for c in range(nx)] for r in range(len(y.cells[p]))]
+                    assert [[e.unit_coeff() for e in row] for row in d_map.comps[p]] == \
+                        [[int(c == nx + r) for c in range(len(y.cells[p]))] for r in range(len(zc))]
+                    assert all(len(e.coeffs) <= 1 for m in (i_map.comps[p], d_map.comps[p])
+                               for row in m for e in row)
+                for p, d in enumerate(y.diffs):
+                    nx_s, nx_t = len(x.cells[p]), len(x.cells[p + 1])
+                    assert [row[:nx_s] for row in d[:nx_t]] == list(x.diffs[p])
+                    assert [row[nx_s:] for row in d[:nx_t]] == list(sigma.comps[p])
+                    assert all(e.is_zero() for row in d[nx_t:] for e in row[:nx_s])
+                    assert [row[nx_s:] for row in d[nx_t:]] == list(z.diffs[p])
+    assert seen >= 10
+
+
 def test_ext_contractible_minimal_forms(point_alg):
     j1 = strip_contractible(make_J(point_alg, 1, 1, 2))
     assert j1.is_zero()

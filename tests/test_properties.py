@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cnproj.algebra import Quiver, build_algebra
 from cnproj.complexes import (
+    ChainMap,
     Complex,
     canonical_sort,
     direct_sum,
@@ -20,9 +21,12 @@ from cnproj.complexes import (
     drop_first,
     drop_last,
     embed_left,
+    embed_left_map,
     embed_right,
+    embed_right_map,
     length,
     shift_window,
+    shift_window_map,
     strip_contractible,
 )
 from cnproj.homspaces import (
@@ -83,6 +87,20 @@ def test_drop_embed_identities(x):
 
 @settings(max_examples=60, deadline=None)
 @given(complexes())
+def test_embeds_are_relocations(x):
+    n = x.window
+    left, right = embed_left(x), embed_right(x)
+    assert left.cells == ((),) + x.cells and left.diffs[1:] == x.diffs
+    assert right.cells == x.cells + ((),) and right.diffs[:-1] == x.diffs
+    assert left == shift_window(x, 1, n + 1)
+    assert right == shift_window(x, 0, n + 1)
+    ident = ChainMap.identity(x)
+    assert embed_left_map(ident).comps == shift_window_map(ident, 1, n + 1).comps
+    assert embed_right_map(ident).comps == shift_window_map(ident, 0, n + 1).comps
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes())
 def test_strip_idempotent(x):
     s = strip_contractible(x)
     assert strip_contractible(s) == s
@@ -103,6 +121,31 @@ def test_shift_zero_is_identity(x):
 @given(complexes())
 def test_canonical_sort_is_isomorphic(x):
     assert is_isomorphic(canonical_sort(x), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes())
+def test_canonical_sort_permutes_stably(x):
+    y = canonical_sort(x)
+    # Python's sort is stable, so equal vertices keep their order
+    perms = [sorted(range(len(c)), key=c.__getitem__) for c in x.cells]
+    assert y.cells == tuple(tuple(sorted(c)) for c in x.cells)
+    for d_y, d_x, rows, cols in zip(y.diffs, x.diffs, perms[1:], perms):
+        assert d_y == tuple(tuple(d_x[r][c] for c in cols) for r in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_TAGS).flatmap(lambda t: st.tuples(complexes(tag=t), complexes(tag=t))))
+def test_direct_sum_is_block_diagonal(pair):
+    x, y = pair
+    s = direct_sum(x, y)
+    assert s.cells == tuple(a + b for a, b in zip(x.cells, y.cells))
+    for d, d_x, d_y, (xs, xt) in zip(s.diffs, x.diffs, y.diffs,
+                                     zip(map(len, x.cells), map(len, x.cells[1:]))):
+        assert tuple(row[:xs] for row in d[:xt]) == d_x
+        assert tuple(row[xs:] for row in d[xt:]) == d_y
+        assert all(e.is_zero() for row in d[:xt] for e in row[xs:])
+        assert all(e.is_zero() for row in d[xt:] for e in row[:xs])
 
 
 @settings(max_examples=30, deadline=None)
