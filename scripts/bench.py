@@ -10,7 +10,11 @@ setup_s, peak_rss_mb) and ``--trace 1`` for the per-layer counts and self
 times.  It writes ``BENCH_<label>.json`` to the top of this checkout.  The
 file records the measured checkout's commit, whether its ``src/`` differs
 from that commit, a sha256 of the ``src/cnproj`` sources and their line
-count (``src_lines``), from which a change's net line count is read.
+count (``src_lines``), from which a change's net line count is read, and
+``dont_write_bytecode``: ``sys.flags.dont_write_bytecode`` in a process
+started as the runs are (PYTHONDONTWRITEBYTECODE reaches them; ``-B`` given
+to this script does not).  When it is true, every worker compiles the
+sources, so ``setup_s`` and ``peak_rss_mb`` grow with them.
 
 A file is one run per workload: a trajectory point, not evidence of a gain.
 Per-layer counts compare exactly across files; end-to-end rows do not, since
@@ -55,6 +59,13 @@ def source_lines(root: pathlib.Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in _sources(root))
 
 
+def runs_write_no_bytecode() -> bool:
+    """``sys.flags.dont_write_bytecode`` of a child started like the benchmark runs."""
+    probe = "import sys; print(int(sys.flags.dont_write_bytecode))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    return proc.stdout.strip() == "1"
+
+
 def run_benchmark(root: pathlib.Path, workload: str, seconds: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run; its final JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
@@ -96,6 +107,7 @@ def main(argv=None) -> int:
         "src_differs_from_commit": bool(_git(root, "status", "--porcelain", "--", "src")),
         "src_sha256": source_sha256(root),
         "src_lines": source_lines(root),
+        "dont_write_bytecode": runs_write_no_bytecode(),
         "command": spec["command"],
         "seed": SEED,
         "seconds": seconds,

@@ -13,6 +13,10 @@ dim rad End(K).  The middle term is the source of Z's sink map (``_Ctx.sink``),
 so tau Z is the class X with h(-, X) = sum of h(-, W) over the sink sources W,
 minus h(-, Z), plus t(Z) at Z.  Only Ext(Z, X) is solved: the sink components a
 generate rad(-, Z), so sigma is almost split iff every sigma . a is a boundary.
+Y is never split: each a lifts through d: Y -> Z by the degree-0 family that
+bounds sigma . a, and the lifts must form an isomorphism from the sum of the
+sink sources onto Y, which are then Y's summands (ARS V: two minimal right
+almost split maps into Z are isomorphic over Z).
 Hom(V, -) is left exact on X -> Y -> Z, so d: Y -> Z is right almost split iff
 its defect h(V, X) - h(V, Y) + h(V, Z) is 0 at every class V but Z and t(Z) at Z;
 i is left almost split dually, and an indecomposable X makes d right minimal.
@@ -36,12 +40,14 @@ from .complexes import (
     ChainMap,
     Complex,
     compose,
+    direct_sum_many,
     drop_first,
     drop_last,
     embed_left,
     embed_right,
     shift_window,
     shift_window_map,
+    zero_complex,
 )
 from .errors import (
     AmbiguousAnchor,
@@ -288,11 +294,34 @@ def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
                                    f"{_where(ctx, z_idx)}")
     vec = [sum((c * v for c, v in zip(sol[0], col) if c), z.alg.field.zero)
            for col in zip(*espace._qrep_vecs)]
-    y, i_map, d_map = assemble_extension(z, x, DegreeOneMap(z, x, espace._layout.materialize(vec)))
+    sigma = DegreeOneMap(z, x, espace._layout.materialize(vec))
+    y, i_map, d_map = assemble_extension(z, x, sigma)
     conf = Conflation(x, y, z, i_map, d_map, x_idx=x_idx, z_idx=z_idx,
-                      y_summands=[ctx.universe.find(w) for w, _, _ in decompose_with_maps(y)])
+                      y_summands=_lifted_sink(ctx, z_idx, sink, sigma, y, exts))
     _certify(ctx, conf)
     return conf
+
+
+def _lifted_sink(ctx: _Ctx, z_idx: int, sink, sigma, y: Complex, exts) -> list[int]:
+    """The sources of ``sink`` as the summands of Y, the extension by sigma, unsplit.
+
+    Each component a: W -> Z lifts through d: Y -> Z as b = (h; a), where h
+    bounds sigma . a in ``exts[W]``.  As d and the sink map are both minimal
+    right almost split, every lift phi = [b_1 ... b_m]: (+) W -> Y is an
+    isomorphism (ARS V); a failed lift, or a phi validated as a chain map that
+    is not an isomorphism, raises CertificationFailure naming Z.
+    """
+    lifts = []
+    for w, a in sink:
+        if (h := exts[w].bounding(sigma.compose_right(a))) is None:
+            raise CertificationFailure(f"the sink map does not lift {_where(ctx, z_idx)}")
+        lifts.append([[*hm, *am] for hm, am in zip(h, a.comps)])
+    comps = [[[e for b in lifts for e in b[i][r]] for r in range(len(cell))]
+             for i, cell in enumerate(y.cells)]
+    ws = direct_sum_many([zero_complex(y.alg, y.window), *(ctx.reps[w] for w, _ in sink)])
+    if not ChainMap(ws, y, comps).is_isomorphism():
+        raise CertificationFailure(f"the lifted sink map is not invertible {_where(ctx, z_idx)}")
+    return [w for w, _ in sink]
 
 
 def _terms(ctx: _Ctx, z_idx: int) -> tuple:

@@ -24,11 +24,13 @@ radicals and Krull-Schmidt splitting go through the scalar image
 endomorphism, one small matrix per (position, vertex).  phi is an algebra
 map with nilpotent kernel, so rad End(X) is the kernel of the trace form
 tr(phi(a) phi(b)) in characteristic 0, and idempotents are found as
-projections of phi-matrices and lifted to End(X).
+projections of phi-matrices, which decide indecomposability, and are lifted
+to End(X) only to split.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -182,12 +184,12 @@ def _cocycles(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: int):
     return kernel(x.alg.field, rows, src.nvars)
 
 
-def _boundaries(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: int) -> SpanBasis:
-    """im D^k in ``tgt`` coordinates, spanned column by column."""
-    span = SpanBasis(x.alg.field, tgt.nvars)
-    for col in zip(*_differential(x, y, src, tgt, k)):
+def _boundaries(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: int):
+    """(im D^k in ``tgt`` coordinates, spanned column by column; the matrix of D^k)."""
+    span, mat = SpanBasis(x.alg.field, tgt.nvars), _differential(x, y, src, tgt, k)
+    for col in zip(*mat):
         span.add(col)
-    return span
+    return span, mat
 
 
 @dataclass
@@ -302,23 +304,20 @@ def end_radical_coords(x: Complex, end: HomSpace | None = None) -> list[list]:
 
 
 def is_indecomposable(x: Complex) -> bool:
-    """End(X) local: no splitting idempotent (``_splitting_idempotent``)."""
+    """End(X) local: ``_splits`` finds no split.  Over Q its first Fitting
+    projection already says no, so its solve and lift are skipped."""
     if x.is_zero():
         raise ZeroComplex("the zero complex is not indecomposable")
-    return _splitting_idempotent(x) is None
+    return next(_splits(x), None) is None
 
 
 def _scan_idempotent(x: Complex, end: HomSpace):
-    """First nontrivial idempotent of End(X) over GF(p), exhausting all p^m elements.
-
-    Raises SearchSpaceTooLarge when p^m exceeds ``IDEMPOTENT_CAP``, even for m <= 1.
-    """
+    """First nontrivial idempotent of End(X) over GF(p), exhausting all p^m elements
+    for m >= 2; SearchSpaceTooLarge when p^m exceeds ``IDEMPOTENT_CAP``."""
     f = x.alg.field
     m = end.dimension
     if f.char ** m > IDEMPOTENT_CAP:
         raise SearchSpaceTooLarge(f.char ** m)
-    if m <= 1:
-        return None
     ident = ChainMap.identity(x)
     for combo in itertools.product(f.elements(), repeat=m):
         if not any(combo):
@@ -467,53 +466,66 @@ def _component_summands(x: Complex) -> list:
 
 
 def _splitting_idempotent(x: Complex):
-    """A nontrivial idempotent of End(X), or None when End(X) is local.
+    """A nontrivial idempotent of End(X), or None when End(X) is local."""
+    return next(_splits(x), lambda: None)()
 
-    ``is_indecomposable`` is this test.  Over GF(p) all p^m elements are
-    scanned.  In characteristic 0, End(X) is local when End(X)/rad is Q;
-    otherwise the candidates b (basis elements, their pairwise sums and
-    products) are tried through their scalar images: the Fitting projection
-    of phi(b) onto a rational generalised eigenspace lies in phi(End(X)), is
-    pulled back by one linear solve and lifted to an idempotent of End(X) by
-    e -> 3e^2 - 2e^3.  When no candidate splits, DecompositionFailure is
-    raised, as exact rational arithmetic cannot tell a residue field larger
-    than Q from a split it cannot see.
+
+def _splits(x: Complex):
+    """Lazily, per split of X that the search finds, a thunk for its idempotent.
+
+    Nothing when m = dim End(X) <= 1.  Over GF(p) all p^m elements are scanned.
+    In characteristic 0, End(X) is local when End(X)/rad is Q; otherwise the
+    candidates b (basis elements, then the sum and product of each pair) are
+    tried through their scalar images.  A Fitting projection of phi(b) onto a
+    rational generalised eigenspace lies in phi(End(X)), whose kernel is
+    nilpotent, so X splits; the thunk pulls it back by one linear solve and
+    lifts it to an idempotent by e -> 3e^2 - 2e^3.  When no candidate splits,
+    DecompositionFailure is raised, as exact rational arithmetic cannot tell a
+    residue field larger than Q from a split it cannot see.
     """
     end = hom_basis(x, x)
-    m = end.dimension
+    m, f = end.dimension, x.alg.field
     if m <= 1:
-        return None
-    f = x.alg.field
+        return
     if f.char != 0:
-        return _scan_idempotent(x, end)
+        if (e := _scan_idempotent(x, end)) is not None:
+            yield lambda: e
+        return
     if m - len(end_radical_coords(x, end)) == 1:
-        return None
+        return
     images = [_scalar_image(b) for b in end.basis]
-    candidates = list(images)
-    for i in range(m):
-        for j in range(i, m):
-            pairs = list(zip(images[i], images[j]))
-            candidates.append([[[u + v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
-                               for a, b in pairs])
-            candidates.append([matmul(f, a, b, len(a), len(a)) for a, b in pairs])
-    for cand in candidates:
-        proj = _fitting_projection(f, cand)
-        if proj is None:
-            continue
-        flat = [[v for blk in img for row in blk for v in row] for img in images]
-        coeffs = solve(f, [list(col) for col in zip(*flat)], m,
-                       [v for blk in proj for row in blk for v in row])
-        assert coeffs is not None, "a polynomial in phi(b) lies in phi(End(X))"
-        e = _combine(end.basis, coeffs)
-        while True:
-            e2 = compose(e, e)
-            if e2.comps == e.comps:
-                return e
-            e = e2.scale(f.of(3)) + compose(e2, e).scale(f.of(-2))
+    for cand in _candidates(f, images):
+        if (proj := _fitting_projection(f, cand)) is not None:
+            yield functools.partial(_lift_projection, end, images, proj)
     raise DecompositionFailure(
         "End(X)/rad End(X) has dimension > 1 over Q but no candidate element produced a "
         "rational spectral split: End(X) may be local with a residue field larger "
         "than Q (X indecomposable), or split only over a field extension")
+
+
+def _candidates(f, images):
+    """phi(b) for End(X)'s basis elements b, then for the sum and product of each pair."""
+    yield from images
+    for i, a in enumerate(images):
+        for b in images[i:]:
+            blocks = list(zip(a, b))
+            yield [[[u + v for u, v in zip(ra, rb)] for ra, rb in zip(p, q)] for p, q in blocks]
+            yield [matmul(f, p, q, len(p), len(p)) for p, q in blocks]
+
+
+def _lift_projection(end: HomSpace, images, proj):
+    """The idempotent of End(X) over the projection ``proj`` in phi(End(X))."""
+    f = end.source.alg.field
+    flat = [[v for blk in img for row in blk for v in row] for img in images]
+    coeffs = solve(f, [list(col) for col in zip(*flat)], end.dimension,
+                   [v for blk in proj for row in blk for v in row])
+    assert coeffs is not None, "a polynomial in phi(b) lies in phi(End(X))"
+    e = _combine(end.basis, coeffs)
+    while True:
+        e2 = compose(e, e)
+        if e2.comps == e.comps:
+            return e
+        e = e2.scale(f.of(3)) + compose(e2, e).scale(f.of(-2))
 
 
 def _fitting_projection(f, blocks):
@@ -696,7 +708,7 @@ def null_homotopy_span(hs: HomSpace) -> SpanBasis:
     decide whether a chain map vanishes in the homotopy category.
     """
     x, y = hs.source, hs.target
-    return _boundaries(x, y, _VarLayout(x, y, -1), hs._layout, -1)
+    return _boundaries(x, y, _VarLayout(x, y, -1), hs._layout, -1)[0]
 
 
 # -- degree-1 extension classes ---------------------------------------------------
@@ -732,24 +744,32 @@ class ExtClassSpace:
     basis: list[DegreeOneMap]
     dimension: int
     _layout: _VarLayout = field(repr=False, default=None)
-    _boundary: SpanBasis = field(repr=False, default=None)
     _qrep_vecs: list = field(repr=False, default=None)
+    _layout0: _VarLayout = field(repr=False, default=None)  # degree-0 families h: Z -> X
+    _d0: list = field(repr=False, default=None)  # D^0(h) = d_X h - h d_Z, spanning B^1
+
+    def _split(self, tau: DegreeOneMap):
+        """(c, h) with tau = sum c_k basis[k] + D^0(h), for a cocycle tau."""
+        rows = [[q[i] for q in self._qrep_vecs] + row for i, row in enumerate(self._d0)]
+        sol = solve(self.source.alg.field, rows, self.dimension + self._layout0.nvars,
+                    self._layout.vectorize(tau.comps))
+        if sol is None:
+            raise InvalidClass("vector outside cocycle span")
+        return sol[:self.dimension], sol[self.dimension:]
 
     def reduce(self, sigma: DegreeOneMap) -> list:
         """Quotient coordinates of a cocycle; zero list iff it is a boundary."""
-        vec = self._layout.vectorize(sigma.comps)
-        f = self.source.alg.field
-        if self.dimension == 0:
-            res = self._boundary._reduce(vec)
-            if any(res):
-                raise InvalidClass("not a cocycle-boundary combination")
-            return []
-        cols = self._qrep_vecs + self._boundary.rows
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(self._layout.nvars)]
-        sol = solve(f, rows, len(cols), vec)
-        if sol is None:
-            raise InvalidClass("vector outside cocycle span")
-        return sol[:self.dimension]
+        return self._split(sigma)[0]
+
+    def bounding(self, tau: DegreeOneMap):
+        """The components of a degree-0 family h: Z -> X with d_X h - h d_Z = -tau,
+        or None when the cocycle tau is not a boundary.
+
+        For a chain map a: Z -> Z' and the extension Y of Z' by X with class
+        sigma, (h; a): Z -> Y is a chain map iff h bounds tau = sigma . a.
+        """
+        coords, h = self._split(tau)
+        return None if any(coords) else self._layout0.materialize([-v for v in h])
 
 
 def ext_classes(z: Complex, x: Complex) -> ExtClassSpace:
@@ -760,22 +780,18 @@ def ext_classes(z: Complex, x: Complex) -> ExtClassSpace:
     """
     if z.window != x.window:
         raise WindowMismatch("ext between different windows")
-    f = z.alg.field
-    layout = _VarLayout(z, x, 1)
+    layout, layout0 = _VarLayout(z, x, 1), _VarLayout(z, x, 0)
     if layout.nvars == 0:
-        return ExtClassSpace(z, x, [], 0, layout, SpanBasis(f, 0), [])
+        return ExtClassSpace(z, x, [], 0, layout, [], layout0, [])
     cocycles, _ = _cocycles(z, x, layout, _VarLayout(z, x, 2), 1)
-    boundary = _boundaries(z, x, _VarLayout(z, x, 0), layout, 0)
+    probe, d0 = _boundaries(z, x, layout0, layout, 0)
     qreps = []
     basis = []
-    probe = SpanBasis(f, layout.nvars)
-    for row in boundary.rows:
-        probe.add(row)
     for v in cocycles:
         if probe.add(v):
             qreps.append(v)
             basis.append(DegreeOneMap(z, x, layout.materialize(v)))
-    return ExtClassSpace(z, x, basis, len(basis), layout, boundary, qreps)
+    return ExtClassSpace(z, x, basis, len(basis), layout, qreps, layout0, d0)
 
 
 def assemble_extension(z: Complex, x: Complex, sigma: DegreeOneMap):

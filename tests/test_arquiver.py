@@ -655,3 +655,87 @@ def test_ar_quiver_is_pinned_by_label(fixtures_dir, fixture, n):
     sizes, digest = _LABELLED_QUIVER[(fixture, n)]
     assert tuple(map(len, record)) == sizes
     assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
+
+
+def _lift_inputs(q, z):
+    """Z's sink, its almost split class sigma and Ext(W, tau Z) per sink source W."""
+    from cnproj.homspaces import DegreeOneMap, ext_classes
+
+    ctx, conf = q._ctx, q.conflations[z]
+    sink, cut = ctx.sink(z), [len(c) for c in conf.x.cells]
+    # Y's differential is [[d_X, sigma], [0, d_Z]]
+    sigma = DegreeOneMap(conf.z, conf.x, [[row[cut[i]:] for row in d[:cut[i + 1]]]
+                                          for i, d in enumerate(conf.y.diffs)])
+    return sink, sigma, {w: ext_classes(ctx.reps[w], conf.x) for w, _ in sink}
+
+
+@pytest.mark.parametrize("fixture, n", [("a6_relations.alg", 5), ("d4.alg", 3)])
+def test_lifted_sink_refuses_a_wrong_sink_or_class(fixtures_dir, fixture, n):
+    # the sink map lifts through d: Y -> Z to an isomorphism onto Y, and the lift is a
+    # certificate: it refuses, naming Z, a sink with a component dropped, a sink with
+    # Z's identity (not radical) added, a class of Ext(Z, tau Z) not proportional to
+    # sigma, and the zero class of a nonzero boundary cocycle in place of sigma; a
+    # nonzero multiple of sigma is almost split too.  Ext(Z, tau Z) has dimension 1 at
+    # every Z of these fixtures, so the third case does not occur on them
+    from cnproj.algfile import load_algebra
+    from cnproj.arquiver import _lifted_sink
+    from cnproj.complexes import ChainMap
+    from cnproj.homspaces import DegreeOneMap, assemble_extension, ext_classes
+
+    q = build_ar_quiver(load_algebra(str(fixtures_dir / fixture))[1], n)
+    ctx, boundaries = q._ctx, 0
+    for z, conf in q.conflations.items():
+        named = re.escape(f"at class {z} ({q.label(z)})")
+        sink, sigma, exts = _lift_inputs(q, z)
+        espace = ext_classes(conf.z, conf.x)
+
+        def lifted(tau, sink=sink, exts=exts):
+            y = assemble_extension(conf.z, conf.x, tau)[0]
+            return sorted(_lifted_sink(ctx, z, sink, tau, y, exts))
+
+        def scaled(c):
+            return DegreeOneMap(conf.z, conf.x, [[[e.scale(c) for e in row] for row in m]
+                                                 for m in sigma.comps])
+
+        want = sorted(conf.y_summands)
+        assert lifted(sigma) == lifted(scaled(2)) == lifted(scaled(-1)) == want
+        wrong = [{"sink": sink[:k] + sink[k + 1:]} for k in range(len(sink))]
+        wrong.append({"sink": [*sink, (z, ChainMap.identity(conf.z))],
+                      "exts": {**exts, z: espace}})
+        coords = espace.reduce(sigma)
+        wrong += [{"tau": tau} for j, tau in enumerate(espace.basis)
+                  if any(c for i, c in enumerate(coords) if i != j)]
+        # a nonzero column of D^0 is a cocycle of class 0: Y splits as X (+) Z
+        for col in zip(*espace._d0):
+            if any(col):
+                split = DegreeOneMap(conf.z, conf.x, espace._layout.materialize(col))
+                assert not any(espace.reduce(split))
+                wrong.append({"tau": split})
+                boundaries += 1
+                break
+        for case in wrong:
+            with pytest.raises(CertificationFailure, match=named):
+                lifted(case.pop("tau", sigma), **case)
+    assert boundaries
+
+
+@pytest.mark.parametrize("fixture, n", [("a2.alg", 3), ("a3_relation.alg", 4),
+                                        ("a6_relations.alg", 5), ("d4.alg", 3),
+                                        ("a4_abc.alg", 4), ("cyc2.alg", 3), ("e6.alg", 4)])
+def test_lifted_summands_are_the_split_summands(monkeypatch, fixtures_dir, fixture, n):
+    # differential check: the AR pass, with Krull-Schmidt splitting refused, names the
+    # middle summands that splitting Y names
+    from cnproj import arquiver
+    from cnproj.algfile import load_algebra
+    from cnproj.homspaces import decompose_with_maps
+
+    def refuse(y):
+        raise AssertionError("the AR pass split a middle term")
+
+    monkeypatch.setattr(arquiver, "decompose_with_maps", refuse)
+    q = build_ar_quiver(load_algebra(str(fixtures_dir / fixture))[1], n)
+    monkeypatch.undo()
+    assert q.conflations
+    for conf in q.conflations.values():
+        split = [q.universe.find(w) for w, _, _ in decompose_with_maps(conf.y)]
+        assert sorted(conf.y_summands) == sorted(split), conf.z_idx

@@ -520,3 +520,28 @@ def test_refused_root_search_is_a_named_cap(point_alg):
     blk = [[big, 0], [0, big + 1]]
     with pytest.raises(CapExceeded, match="ROOT_SEARCH_CAP = 1,000,000,000"):
         _fitting_projection(point_alg.field, [blk])
+
+
+@pytest.mark.parametrize("fixture, n", [("a6_relations.alg", 4), ("d4.alg", 3), ("e6.alg", 3)])
+def test_rejection_lifts_no_idempotent(monkeypatch, fixtures_dir, fixture, n):
+    # every cone that the pair rule proves or rejects: the indecomposability test
+    # agrees with the idempotent search, and says "decomposable" from a Fitting
+    # projection alone, composing no chain maps
+    from cnproj import homspaces, universe
+    from cnproj.algfile import load_algebra
+    from cnproj.homspaces import _splitting_idempotent
+
+    cones, real = [], universe.is_indecomposable
+    monkeypatch.setattr(universe, "is_indecomposable", lambda x: cones.append(x) or real(x))
+    enumerate_indecomposables(load_algebra(str(fixtures_dir / fixture))[1], n)
+    monkeypatch.undo()
+    verdicts = [is_indecomposable(x) for x in cones]
+    assert verdicts == [_splitting_idempotent(x) is None for x in cones]
+    rejected = [x for x, ok in zip(cones, verdicts) if not ok]
+    assert rejected and len(rejected) < len(cones)
+
+    def refuse(g, f):
+        raise AssertionError("a rejection composed chain maps")
+
+    monkeypatch.setattr(homspaces, "compose", refuse)
+    assert not any(is_indecomposable(x) for x in rejected)
