@@ -7,6 +7,18 @@ over universe classes W below walks these lists.  rad^2(X, Y) is the span
 of the composites X -> W -> Y over the W that X has radical maps to; its
 scan stops once the composites span Hom(X, Y).
 
+A scan that ends with rad^2(w, z) = rad(w, z) (no arrow) is a certificate for
+the key of (w, z): ``_Ctx`` keeps z and the classes U whose composites it took,
+and a translate (w + k, z + k) has no arrow, unscanned, when every u + k is a
+class.  Translation by k maps rad(w, u) onto rad(w + k, u + k) and rad(u, z)
+onto rad(u + k, z + k) (rad End is kept per shape, so also for u = w or z),
+so the moved composites span dim rad(w, z) = dim rad(w + k, z + k) inside
+rad^2(w + k, z + k), which lies in rad.  The witness test is needed: near the
+ends of the window a translate has other neighbours, and on a6 at n = 5, 23 of
+the 605 keys of radical pairs have an arrow at one translate and none at
+another.  First pairs, arrow pairs and translates whose witnesses leave the
+window are scanned (ARS V for rad^2 and irreducible maps).
+
 Almost split conflations ending at a non-projective class Z are read off
 the Hom-dimension table h(V, W) = dim Hom(V, W), with t(K) = dim End(K) -
 dim rad End(K).  The middle term is the source of Z's sink map (``_Ctx.sink``),
@@ -103,6 +115,7 @@ class ARQuiver:
     conflations: dict     # z_idx -> Conflation
     tau: dict             # z_idx -> x_idx
     _ctx: _Ctx | None = field(default=None, repr=False, compare=False)  # the build's caches
+    stats: dict = field(default_factory=dict)  # the build's rad^2 and conflation counts
 
     def class_count(self) -> int:
         return len(self.universe.representatives)
@@ -115,8 +128,12 @@ class _Ctx:
     """Shared caches over one universe, keyed by translation.
 
     ``h[i][j]`` = dim Hom(i, j) is built once, with one ``hom_basis`` per
-    ``Universe.key`` of supports that meet; the Hom spaces, radicals and sink
-    maps below are built only for the pairs that the radical graph walks.
+    ``Universe.key`` of supports that meet and have a path coordinate; the Hom
+    spaces, radicals and sink maps below are built only for the pairs that the
+    radical graph walks.  ``_no_arrow`` keeps, per key, the first rad^2 = rad
+    scan's z and witnesses U, which ``sink`` moves to the key's translates whose
+    U moves with them (see the module docstring); ``stats`` counts the pairs
+    scanned and moved.
     """
 
     def __init__(self, universe: Universe):
@@ -127,6 +144,9 @@ class _Ctx:
         self.reps = universe.representatives
         # key -> (its first class i, dim, the space; None for dim 0, rebuilt empty)
         self._keys: dict[tuple, tuple[int, int, HomSpace | None]] = {}
+        # key -> (z, the classes U whose composites gave rad^2 = rad at (w, z))
+        self._no_arrow: dict[tuple, tuple[int, list[int]]] = {}
+        self.stats = {"rad2_scans": 0, "rad2_by_translation": 0}
         # a chain map needs a shared position: disjoint supports give h = 0 unsolved,
         # and as the test reads only widths and offset, a key's translates agree
         spans = universe.spans
@@ -141,8 +161,9 @@ class _Ctx:
 
     def _keyed(self, i, j) -> tuple[int, int, HomSpace | None]:
         if (key := self.universe.key(i, j)) not in self._keys:
-            hs = hom_basis(self.reps[i], self.reps[j])
-            self._keys[key] = (i, hs.dimension, hs if hs.dimension else None)
+            # with no path coordinate (``Universe.has_path``) h = 0 unsolved
+            hs = self.universe.has_path(i, j) and hom_basis(self.reps[i], self.reps[j])
+            self._keys[key] = (i, hs.dimension, hs) if hs and hs.dimension else (i, 0, None)
         return self._keys[key]
 
     def hom(self, i, j) -> HomSpace:
@@ -196,25 +217,37 @@ class _Ctx:
                 w for w in range(len(self.reps)) if (self.r(w, k) if into else self.r(k, w))]
         return self._neighbours[(k, into)]
 
-    def rad2(self, i, j) -> HomSpace:
+    def rad2(self, i, j, used: list | None = None) -> HomSpace:
         """rad^2(i, j) from the cached Hom and radical spaces, through the
-        classes W with rad(i, W) != 0 and rad(W, j) != 0."""
-        factors = ((self.rad(i, w), self.rad(w, j))
-                   for w in self.neighbours(i, into=False) if self.r(w, j))
+        classes W with rad(i, W) != 0 and rad(W, j) != 0; ``used`` receives
+        the classes W whose composites the scan took (list.append returns None)."""
+        used = [] if used is None else used
+        factors = ((self.rad(i, w), self.rad(w, j)) for w in self.neighbours(i, into=False)
+                   if self.r(w, j) and not used.append(w))
         return rad2_basis(self.reps[i], self.reps[j], self.universe, self.hom(i, j), factors)
 
     def sink(self, z) -> list:
         """The sink map's components (w, g) into class z: per neighbour w, in universe
         order, the maps of rad(w, z)'s basis that greedily complete rad^2 to rad."""
         if z not in self._sink:
-            comps = []
+            comps, uni = [], self.universe
             for w in self.neighbours(z, into=True):
-                hs, rad, rad2 = self.hom(w, z), self.rad(w, z), self.rad2(w, z)
+                # a certificate (z0, U) of the key holds here if every u in U moves by k
+                z0, used = self._no_arrow.get(key := uni.key(w, z), (z, None))
+                k = uni.classes[z][1] - uni.classes[z0][1]
+                if used is not None and all(uni.translate(u, k) is not None for u in used):
+                    self.stats["rad2_by_translation"] += 1
+                    continue
+                self.stats["rad2_scans"] += 1
+                used = []
+                hs, rad, rad2 = self.hom(w, z), self.rad(w, z), self.rad2(w, z, used)
                 if rad2.dimension < rad.dimension:  # else no irreducible map w -> z
                     span = SpanBasis(hs.source.alg.field, len(hs._free))
                     for g in rad2.basis:
                         span.add(hs.coordinates(g))
                     comps.extend((w, g) for g in rad.basis if span.add(hs.coordinates(g)))
+                else:
+                    self._no_arrow.setdefault(key, (z, used))
             self._sink[z] = comps
         return self._sink[z]
 
@@ -255,8 +288,10 @@ def build_ar_quiver(alg, n: int, config: EnumConfig | None = None,
             else:
                 conflations[z] = solved[terms] = almost_split_ending_at(ctx, z)
     tau = {z: conf.x_idx for z, conf in conflations.items()}
+    stats = {**ctx.stats, "conflations_solved": len(solved),
+             "conflations_moved": len(conflations) - len(solved)}
     return ARQuiver(alg, n, universe, en_proj, en_inj, proj_inj,
-                    arrows, arrow_reps, conflations, tau, ctx)
+                    arrows, arrow_reps, conflations, tau, ctx, stats)
 
 
 def _where(ctx: _Ctx, z_idx: int) -> str:

@@ -79,6 +79,24 @@ def split_closure_entry(universe) -> CheckEntry:
                          else "every summand is a class"))
 
 
+def arrows_entry(q) -> CheckEntry:
+    """The arrows against the full rad^2 scan, in the build's context: dim rad(w, z)
+    - dim rad^2(w, z) = ``q.arrows[(w, z)]`` on every radical pair (w, z), and no
+    arrow elsewhere.  The build proves rad^2 = rad once per ``Universe.key`` and
+    moves that proof to translates (``_Ctx.sink``); here every pair is scanned.
+    Failures name the pairs."""
+    ctx, pairs, bad = q._ctx, set(), []
+    for z in range(q.class_count()):
+        for w in ctx.neighbours(z, into=True):
+            pairs.add((w, z))
+            if ctx.r(w, z) - ctx.rad2(w, z).dimension != q.arrows.get((w, z), 0):
+                bad.append((w, z))
+    bad.extend(sorted(set(q.arrows) - pairs))
+    return CheckEntry("arrows match the full rad^2 scan", not bad,
+                      f"{len(pairs)} radical pairs"
+                      + "".join(f"; {q.label(w)} -> {q.label(z)}" for w, z in bad[:4]))
+
+
 def oracle_entry(universe, oracle, bound: int) -> CheckEntry:
     """The engine's classes with at most ``bound`` summands per cell, which the
     oracle lists exactly, against the oracle's; the others are only counted."""
@@ -144,6 +162,7 @@ def run_check_battery(alg, n: int, oracle: str | None = None, bound: int = 2,
             bad_arrows.append(f"{q.label(i)} -> {q.label(j)}: {exc}")
     entries.append(CheckEntry("irreducible component shapes",
                               not bad_arrows, "; ".join(bad_arrows[:3])))
+    entries.append(arrows_entry(q))
 
     # conflation soundness: certified (defect counts), middle multiset matches the
     # arrow multiplicities out of X and into Z, and d . i = 0

@@ -198,6 +198,14 @@ class Universe:
         sid, lo = self.classes[i]
         return self._index.get((sid, lo + k))
 
+    def has_path(self, i: int, j: int, shift: int = 0) -> bool:
+        """Whether a vertex of rep[i] at some p has a path to one of rep[j] at
+        p + shift: else Hom(rep[i] moved shift cells right, rep[j]) has no
+        path coordinate, so it is 0 with no solve."""
+        xi, xj = self.representatives[i].cells, self.representatives[j].cells
+        return any(self.alg.paths_between(t, s) for p in range(self.window - shift)
+                   for s in xi[p] for t in xj[p + shift])
+
     def violators(self) -> list[Complex]:
         """Representatives that are not contractible and fill the whole window:
         both the first and the last cell nonzero."""
@@ -227,11 +235,9 @@ def pair_cones(uni: Universe, i: int, j: int):
     """The normalised middle terms of a basis of the conflations rep[j] -> Y -> rep[i];
     Hom(rep[i], rep[j] moved one cell left) is solved as Hom(rep[i] moved one cell
     right, rep[j]) in the smallest window that holds both, to save memory."""
-    alg, reps = uni.alg, uni.representatives
-    xi, xj = reps[i].cells, reps[j].cells
-    if not any(alg.paths_between(t, s)
-               for p in range(uni.window - 1) for s in xi[p] for t in xj[p + 1]):
-        return  # no path coordinate: Hom is 0 with no solve
+    if not uni.has_path(i, j, 1):
+        return
+    reps = uni.representatives
     (a, b), (c, d) = uni.spans[i], uni.spans[j]
     lo = min(a + 1, c)
     width = max(b + 1, d) - lo + 1

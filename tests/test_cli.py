@@ -7,7 +7,13 @@ from collections import Counter
 import pytest
 
 from cnproj.algfile import parse_algebra_file, serialize_algebra_file
-from cnproj.checks import CheckReport, d_squared_entry, oracle_entry, split_closure_entry
+from cnproj.checks import (
+    CheckReport,
+    arrows_entry,
+    d_squared_entry,
+    oracle_entry,
+    split_closure_entry,
+)
 from cnproj.cli import main
 from cnproj.errors import AlgebraFileError
 
@@ -282,6 +288,26 @@ def test_split_closure_entry_names_a_dropped_class(fixtures_dir, name, n):
         entry = split_closure_entry(cut)
         assert not entry.ok
         assert entry.detail.endswith(f"; summands outside the universe: {shapes[sid].label()}")
+
+
+@pytest.mark.parametrize("name, n", [("a3_relation.alg", 4), ("d4.alg", 3)])
+def test_arrows_entry_names_a_dropped_arrow(fixtures_dir, name, n):
+    # the build's arrows pass the full rad^2 scan; with any one arrow removed the
+    # entry fails and names that pair
+    from cnproj.algfile import load_algebra
+    from cnproj.arquiver import build_ar_quiver
+
+    _, alg = load_algebra(path(fixtures_dir, name))
+    q = build_ar_quiver(alg, n)
+    entry = arrows_entry(q)
+    assert entry.ok, entry.detail
+    arrows = dict(q.arrows)
+    assert arrows
+    for w, z in arrows:
+        q.arrows = {pair: m for pair, m in arrows.items() if pair != (w, z)}
+        entry = arrows_entry(q)
+        assert not entry.ok
+        assert entry.detail.endswith(f"radical pairs; {q.label(w)} -> {q.label(z)}")
 
 
 def test_check_reuses_the_sgldim_window(a3_alg, monkeypatch):
