@@ -162,7 +162,7 @@ class _Ctx:
     def _keyed(self, i, j) -> tuple[int, int, HomSpace | None]:
         if (key := self.universe.key(i, j)) not in self._keys:
             # with no path coordinate (``Universe.has_path``) h = 0 unsolved
-            hs = self.universe.has_path(i, j) and hom_basis(self.reps[i], self.reps[j])
+            hs = hom_basis(self.reps[i], self.reps[j]) if self.universe.has_path(i, j) else None
             self._keys[key] = (i, hs.dimension, hs) if hs and hs.dimension else (i, 0, None)
         return self._keys[key]
 

@@ -781,10 +781,15 @@ def test_ar_pass_counts_its_work(monkeypatch, a6_alg):
     from cnproj import arquiver
 
     calls = {"rad2_basis": 0, "almost_split_ending_at": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
     for name in calls:
-        real = getattr(arquiver, name)
-        monkeypatch.setattr(arquiver, name, lambda *a, _real=real, _name=name, **kw:
-                            calls.__setitem__(_name, calls[_name] + 1) or _real(*a, **kw))
+        monkeypatch.setattr(arquiver, name, counted(name, getattr(arquiver, name)))
     q = build_ar_quiver(a6_alg, 5)
     assert q.stats == {"rad2_scans": 756, "rad2_by_translation": 761,
                        "conflations_solved": 36, "conflations_moved": 34}
