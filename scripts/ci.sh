@@ -14,7 +14,10 @@
 #      correctly (DOT sha256, sgldim table) with no failed sample, then one
 #      traced run (--trace 1) of the same workload with the same requirement:
 #      its two traced samples must agree on every count and every per-layer
-#      metric of BENCHMARK.json must resolve to a traced function
+#      metric of BENCHMARK.json must resolve to a traced function; then one
+#      more untraced run at --seed 1, whose relabelled vertex ids put the
+#      per-vertex blocks of phi (the trivial-path coefficients that the
+#      indecomposability and isomorphism tests read) in another order
 #
 # Usage, from any directory:  scripts/ci.sh
 set -u
@@ -27,12 +30,13 @@ step() {
     "$@" || failed+=("$*")
 }
 
-# the last line of a perfbench run, untraced and traced, must read
-# "correct": true and "failed": 0
+# the last line of a perfbench run, untraced and traced at seed 0 and untraced
+# at seed 1, must read "correct": true and "failed": 0
 perfbench_ok() {
-    local out trace
-    for trace in 0 1; do
-        out=$(python3 perfbench/run.py --workload "$1" --seconds 1 --trace "$trace") || return 1
+    local out run
+    for run in "--trace 0" "--trace 1" "--trace 0 --seed 1"; do
+        # shellcheck disable=SC2086  # $run is split into its options on purpose
+        out=$(python3 perfbench/run.py --workload "$1" --seconds 1 $run) || return 1
         python3 -c 'import json, sys; r = json.loads(sys.argv[1])
 sys.exit(not (r["correct"] is True and r["failed"] == 0))' "${out##*$'\n'}" || return 1
     done

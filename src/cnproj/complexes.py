@@ -432,7 +432,10 @@ def cone(f: ChainMap) -> Complex:
 
 
 def canonical_sort(x: Complex) -> Complex:
-    """Stable-sort every cell by vertex id, permuting differentials to match."""
+    """Stable-sort every cell by vertex id, permuting differentials to match;
+    x itself when every cell is already in order."""
+    if all(list(c) == sorted(c) for c in x.cells):
+        return x
     return select_summands(x, [sorted(range(len(c)), key=lambda i: (c[i], i)) for c in x.cells])
 
 

@@ -6,8 +6,8 @@ the families h = (h^i : X^i -> Y^{i+k}) and the differential
     D^k(h) = d_Y h - (-1)^k h d_X.
 
 Families are solved exactly in path coordinates: one scalar unknown per
-admissible path per matrix entry (``_VarLayout``), and ``_differential`` is
-the matrix of D^k in those coordinates.  The public solves read its
+admissible path per matrix entry (``_VarLayout``), and ``_differential`` gives
+the nonzero rows of D^k in those coordinates.  The public solves read its
 cohomology:
 
 * ``hom_basis``: Z^0 = ker D^0, the chain maps X -> Y;
@@ -18,18 +18,20 @@ cohomology:
   position 1, or to a stalk at position n, is nonzero, i.e. whether the
   complex extends past its window on that side.
 
-Isomorphism tests and conflations work in these coordinates.  Endomorphism
-radicals and Krull-Schmidt splitting go through the scalar image
-``_scalar_image``: phi(f) keeps the trivial-path coefficients of an
-endomorphism, one small matrix per (position, vertex).  phi is an algebra
-map with nilpotent kernel, so rad End(X) is the kernel of the trace form
+A ``HomSpace`` keeps its kernel vectors and builds chain maps only when they
+are composed or coned.  Endomorphism radicals, isomorphism tests and
+Krull-Schmidt splitting go through the scalar images ``_scalar_images``, read
+off the vectors: phi(f) keeps the trivial-path coefficients of a map, one
+small matrix per (position, vertex).  On End(X), phi is an algebra map with
+nilpotent kernel, so rad End(X) is the kernel of the trace form
 tr(phi(a) phi(b)) in characteristic 0, and idempotents are found as
 projections of phi-matrices, which decide indecomposability, and are lifted
-to End(X) only to split.
+to End(X) only to split; g . f is an isomorphism iff phi(g) phi(f) is.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -68,6 +70,7 @@ from .linalg import (
     matmul,
     minimal_polynomial,
     nullspace,
+    rank,
     rational_roots,
     rref,
     solve,
@@ -143,14 +146,16 @@ class _VarLayout:
         return mats
 
 
-def _differential(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: int):
-    """Matrix of D^k(h) = d_Y h - (-1)^k h d_X, rows ``tgt`` and columns ``src``.
-
-    ``src`` and ``tgt`` are the degree-k and degree-(k+1) layouts of (x, y).
+def _differential(x: Complex, y: Complex, src: _VarLayout, k: int) -> dict:
+    """Rows of D^k(h) = d_Y h - (-1)^k h d_X on the unknowns of ``src``, the
+    degree-k layout of (x, y), keyed by their degree-(k+1) coordinate
+    (position i of X^i -> Y^{i+k+1}, row, column, path); rows never reached are
+    zero and absent.
     """
     alg = x.alg
     n = x.window
-    mat = [[alg.field.zero] * src.nvars for _ in range(tgt.nvars)]
+    zero = alg.field.zero
+    rows = collections.defaultdict(lambda: [zero] * src.nvars)
     negate = k % 2 == 0  # the sign -(-1)^k of h d_X
     for j, r, c, paths in src.slots:
         i = j + src.lo  # these unknowns are h^i[r][c]: X^i[c] -> Y^{i+k}[r]
@@ -160,10 +165,8 @@ def _differential(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: i
             for r2, drow in enumerate(y.diffs[i + k]):
                 for dp, dc in drow[r].coeffs.items():
                     for t, q in enumerate(paths):
-                        pq = alg.mult_path(dp, q)
-                        if pq is not None:
-                            row = mat[tgt.var(i - tgt.lo, r2, c, pq)]
-                            row[off + t] = row[off + t] + dc
+                        if (pq := alg.mult_path(dp, q)) is not None:
+                            rows[(i, r2, c, pq)][off + t] += dc
         if i >= 1:
             # (h d_X)^{i-1}[r][c2] gets h^i[r][c] . d_X^{i-1}[c][c2]
             for c2, de in enumerate(x.diffs[i - 1][c]):
@@ -171,37 +174,50 @@ def _differential(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: i
                     if negate:
                         dc = -dc
                     for t, q in enumerate(paths):
-                        qp = alg.mult_path(q, dp)
-                        if qp is not None:
-                            row = mat[tgt.var(i - 1 - tgt.lo, r, c2, qp)]
-                            row[off + t] = row[off + t] + dc
-    return mat
+                        if (qp := alg.mult_path(q, dp)) is not None:
+                            rows[(i - 1, r, c2, qp)][off + t] += dc
+    return rows
 
 
-def _cocycles(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: int):
-    """ker D^k as (basis in ``src`` coordinates, free columns)."""
-    rows = [row for row in _differential(x, y, src, tgt, k) if any(row)]
+def _cocycles(x: Complex, y: Complex, src: _VarLayout, k: int):
+    """ker D^k as (basis in ``src`` coordinates, free columns).  The reduced
+    echelon form, and so the basis, does not depend on the order of the rows."""
+    rows = [row for row in _differential(x, y, src, k).values() if any(row)]
     return kernel(x.alg.field, rows, src.nvars)
 
 
 def _boundaries(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: int):
     """(im D^k in ``tgt`` coordinates, spanned column by column; the matrix of D^k)."""
-    span, mat = SpanBasis(x.alg.field, tgt.nvars), _differential(x, y, src, tgt, k)
+    mat = [[x.alg.field.zero] * src.nvars for _ in range(tgt.nvars)]
+    for (i, r, c, p), row in _differential(x, y, src, k).items():
+        mat[tgt.var(i - tgt.lo, r, c, p)] = row
+    span = SpanBasis(x.alg.field, tgt.nvars)
     for col in zip(*mat):
         span.add(col)
     return span, mat
 
 
-@dataclass
 class HomSpace:
-    """Basis of the chain maps X -> Y, in deterministic echelon order."""
+    """The chain maps X -> Y, kept as the kernel vectors of D^0 in path
+    coordinates (``vectors``, deterministic echelon order) and built as
+    ``ChainMap``s only on the first read of ``basis``, which keeps them."""
 
-    source: Complex
-    target: Complex
-    basis: list[ChainMap]
-    dimension: int
-    _layout: _VarLayout = field(repr=False, default=None)
-    _free: list[int] = field(repr=False, default=None)
+    def __init__(self, source: Complex, target: Complex, vectors: list, layout: _VarLayout,
+                 free: list[int], basis: list[ChainMap] | None = None):
+        self.source, self.target = source, target
+        self.vectors, self._layout, self._free = vectors, layout, free
+        self.dimension = len(vectors)
+        self._basis = basis
+
+    @property
+    def basis(self) -> list[ChainMap]:
+        if self._basis is None:
+            self._basis = [self.chain_map(v) for v in self.vectors]
+        return self._basis
+
+    def chain_map(self, vec) -> ChainMap:
+        """The chain map with path coordinates ``vec``."""
+        return ChainMap(self.source, self.target, self._layout.materialize(vec), check=False)
 
     def coordinates(self, f: ChainMap) -> list:
         """Coordinates of a chain map in this basis (free-column convention)."""
@@ -210,23 +226,26 @@ class HomSpace:
 
     def subspace(self, coords) -> "HomSpace":
         """Span of the given combinations of this basis; coordinates stay this space's."""
-        basis = [_combine(self.basis, v) for v in coords]
-        return HomSpace(self.source, self.target, basis, len(basis), self._layout, self._free)
+        f = self.source.alg.field
+        vecs = [_combine(f, self.vectors, v) for v in coords]
+        return HomSpace(self.source, self.target, vecs, self._layout, self._free)
 
     @classmethod
     def zero(cls, x: Complex, y: Complex) -> "HomSpace":
         """What ``hom_basis(x, y)`` returns when Hom(x, y) = 0, built without the solve."""
-        return cls(x, y, [], 0, _VarLayout(x, y, 0), [])
+        return cls(x, y, [], _VarLayout(x, y, 0), [])
 
     def moved(self, x: Complex, y: Complex, p: int) -> "HomSpace":
         """Hom(x, y) for the translates x and y of this space's ends by +p.
 
         Translates have the same path coordinates in the same order, so the
-        kernel vectors and free columns are this space's, and the basis moved
-        by p is exactly what ``hom_basis(x, y)`` returns.
+        kernel vectors and free columns are this space's, and the basis they
+        build is this one moved by p, exactly what ``hom_basis(x, y)`` returns;
+        a basis already built is moved, and an unbuilt one stays unbuilt.
         """
-        basis = [shift_window_map(g, p, x.window, x, y) for g in self.basis]
-        return HomSpace(x, y, basis, self.dimension, _VarLayout(x, y, 0), self._free)
+        basis = None if self._basis is None else [
+            shift_window_map(g, p, x.window, x, y) for g in self._basis]
+        return HomSpace(x, y, self.vectors, _VarLayout(x, y, 0), self._free, basis)
 
 
 def hom_basis(x: Complex, y: Complex) -> HomSpace:
@@ -235,10 +254,9 @@ def hom_basis(x: Complex, y: Complex) -> HomSpace:
         raise WindowMismatch("hom between different windows")
     layout = _VarLayout(x, y, 0)
     if layout.nvars == 0:
-        return HomSpace(x, y, [], 0, layout, [])
-    vecs, free = _cocycles(x, y, layout, _VarLayout(x, y, 1), 0)
-    maps = [ChainMap(x, y, layout.materialize(v), check=False) for v in vecs]
-    return HomSpace(x, y, maps, len(maps), layout, free)
+        return HomSpace(x, y, [], layout, [])
+    vecs, free = _cocycles(x, y, layout, 0)
+    return HomSpace(x, y, vecs, layout, free)
 
 
 def can_extend_left(x: Complex) -> bool:
@@ -266,15 +284,31 @@ def can_extend_right(x: Complex) -> bool:
 # -- endomorphism rings, radicals, indecomposability ---------------------------
 
 
-def _scalar_image(f: ChainMap) -> list:
-    """phi(f) for an endomorphism f of X: one matrix of trivial-path
-    coefficients per (position, vertex), from ``ChainMap.scalar_blocks``.
+def _scalar_images(hs: HomSpace) -> list:
+    """phi(f) for each basis map f of ``hs``, read off its vector: one matrix
+    of trivial-path coefficients per (position, vertex), in the order of
+    ``ChainMap.scalar_blocks``.  A trivial path is the first coordinate of its
+    slot, as ``paths_between`` sorts by length.
 
-    phi is an algebra map End(X) -> prod M_m(k).  Its kernel, the maps with
-    every entry in the arrow ideal, is nilpotent, so rad End(X) is the
+    On End(X), phi is an algebra map to prod M_m(k).  Its kernel, the maps
+    with every entry in the arrow ideal, is nilpotent, so rad End(X) is the
     preimage of the radical of phi(End(X)) and idempotents lift along phi.
+    On Hom(X, Y) and Hom(Y, X), phi(g . f) is the blockwise product phi(g) phi(f).
     """
-    return [blk for _, _, _, blk in f.scalar_blocks()]
+    at = []
+    for i, (tgt, src) in enumerate(hs._layout.shapes):
+        for v in sorted(set(tgt) | set(src)):
+            cols = [c for c, w in enumerate(src) if w == v]
+            at.append([[hs._layout.offset[(i, r, c)] for c in cols]
+                       for r, w in enumerate(tgt) if w == v])
+    return [[[[vec[o] for o in row] for row in blk] for blk in at] for vec in hs.vectors]
+
+
+def _is_iso_product(field_, g, f) -> bool:
+    """Whether g . f is an isomorphism, from the images phi(g) and phi(f) of
+    maps X -> Y -> X: every block product phi(g) phi(f) is regular."""
+    return all(rank(field_, matmul(field_, a, b, len(b), len(a)), len(a)) == len(a)
+               for a, b in zip(g, f))
 
 
 def _trace_of_product(field_, a, b):
@@ -298,7 +332,7 @@ def end_radical_coords(x: Complex, end: HomSpace | None = None) -> list[list]:
         raise ShapeMismatch("trace-form radical needs characteristic zero")
     if end is None:
         end = hom_basis(x, x)
-    images = [_scalar_image(b) for b in end.basis]
+    images = _scalar_images(end)
     gram = [[_trace_of_product(f, a, b) for b in images] for a in images]
     return nullspace(f, gram, end.dimension)
 
@@ -318,14 +352,11 @@ def _scan_idempotent(x: Complex, end: HomSpace):
     m = end.dimension
     if f.char ** m > IDEMPOTENT_CAP:
         raise SearchSpaceTooLarge(f.char ** m)
-    ident = ChainMap.identity(x)
+    ident = end._layout.vectorize(ChainMap.identity(x).comps)
     for combo in itertools.product(f.elements(), repeat=m):
-        if not any(combo):
+        if not any(combo) or (vec := _combine(f, end.vectors, combo)) == ident:
             continue
-        e = _combine(end.basis, combo)
-        if e.comps == ident.comps:
-            continue
-        if compose(e, e).comps == e.comps:
+        if compose(e := end.chain_map(vec), e).comps == e.comps:
             return e
     return None
 
@@ -361,11 +392,9 @@ def _iso_indecomposable(x: Complex, y: Complex) -> bool:
     bwd = hom_basis(y, x)
     if bwd.dimension == 0:
         return False
-    for g in bwd.basis:
-        for f_ in fwd.basis:
-            if compose(g, f_).is_isomorphism():
-                return True
-    return False
+    fwd_images = _scalar_images(fwd)
+    return any(_is_iso_product(x.alg.field, g, f_)
+               for g in _scalar_images(bwd) for f_ in fwd_images)
 
 
 # -- Krull-Schmidt splitting -----------------------------------------------------
@@ -493,7 +522,7 @@ def _splits(x: Complex):
         return
     if m - len(end_radical_coords(x, end)) == 1:
         return
-    images = [_scalar_image(b) for b in end.basis]
+    images = _scalar_images(end)
     for cand in _candidates(f, images):
         if (proj := _fitting_projection(f, cand)) is not None:
             yield functools.partial(_lift_projection, end, images, proj)
@@ -520,7 +549,7 @@ def _lift_projection(end: HomSpace, images, proj):
     coeffs = solve(f, [list(col) for col in zip(*flat)], end.dimension,
                    [v for blk in proj for row in blk for v in row])
     assert coeffs is not None, "a polynomial in phi(b) lies in phi(End(X))"
-    e = _combine(end.basis, coeffs)
+    e = end.chain_map(_combine(f, end.vectors, coeffs))
     while True:
         e2 = compose(e, e)
         if e2.comps == e.comps:
@@ -672,15 +701,17 @@ def rad2_basis(x: Complex, y: Complex, universe, hom: HomSpace | None = None,
     if factors is None:
         factors = _fresh_rad_factors(x, y, universe)
     span = SpanBasis(x.alg.field, len(hs._free))
-    picked = []
+    picked, vecs = [], []
     pairs = ((f_, g) for first, second in factors for f_ in first.basis for g in second.basis)
     for f_, g in pairs:
         if span.dim == hs.dimension:
             break
         comp = compose(g, f_)
-        if span.add(hs.coordinates(comp)):
+        vec = hs._layout.vectorize(comp.comps)
+        if span.add([vec[j] for j in hs._free]):
             picked.append(comp)
-    return HomSpace(x, y, picked, len(picked), hs._layout, hs._free)
+            vecs.append(vec)
+    return HomSpace(x, y, vecs, hs._layout, hs._free, picked)
 
 
 def _fresh_rad_factors(x: Complex, y: Complex, universe):
@@ -690,14 +721,13 @@ def _fresh_rad_factors(x: Complex, y: Complex, universe):
             yield first, rad_basis(w, y, universe)
 
 
-def _combine(basis, coeffs):
-    acc = None
-    for c, b in zip(coeffs, basis):
-        if not c:
-            continue
-        t = b.scale(c)
-        acc = t if acc is None else acc + t
-    assert acc is not None
+def _combine(f, vectors, coeffs):
+    """sum_k coeffs[k] vectors[k], for coefficients not all zero."""
+    assert any(coeffs)
+    acc = [f.zero] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            acc = [a + c * v for a, v in zip(acc, vec)]
     return acc
 
 
@@ -783,7 +813,7 @@ def ext_classes(z: Complex, x: Complex) -> ExtClassSpace:
     layout, layout0 = _VarLayout(z, x, 1), _VarLayout(z, x, 0)
     if layout.nvars == 0:
         return ExtClassSpace(z, x, [], 0, layout, [], layout0, [])
-    cocycles, _ = _cocycles(z, x, layout, _VarLayout(z, x, 2), 1)
+    cocycles, _ = _cocycles(z, x, layout, 1)
     probe, d0 = _boundaries(z, x, layout0, layout, 0)
     qreps = []
     basis = []

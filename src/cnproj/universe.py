@@ -246,10 +246,10 @@ def pair_cones(uni: Universe, i: int, j: int):
     if not hspace.dimension:
         return
     classes = null_homotopy_span(hspace)
-    for f_ in hspace.basis:
-        if not classes.add(hspace._layout.vectorize(f_.comps)):
+    for vec in hspace.vectors:
+        if not classes.add(vec):
             continue  # null-homotopic modulo the maps already taken
-        if (y := _normalise(cone(f_))) is not None:
+        if (y := _normalise(cone(hspace.chain_map(vec)))) is not None:
             yield y
 
 

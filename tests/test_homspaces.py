@@ -545,3 +545,33 @@ def test_rejection_lifts_no_idempotent(monkeypatch, fixtures_dir, fixture, n):
 
     monkeypatch.setattr(homspaces, "compose", refuse)
     assert not any(is_indecomposable(x) for x in rejected)
+
+
+def test_hom_spaces_build_only_the_maps_they_use(monkeypatch, a6_alg):
+    # Hom spaces stay kernel vectors: the pair rule tests null-homotopy on the
+    # vectors and builds only the maps it cones, and the iso test composes
+    # nothing; the AR pass solves as many Hom spaces and composes only where
+    # it needs a composite
+    from cnproj import arquiver, homspaces, universe
+    from cnproj.arquiver import build_ar_quiver
+    from cnproj.sgldim import compute_sgldim
+
+    calls = dict.fromkeys(("materialize", "compose", "hom_basis"), 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(homspaces._VarLayout, "materialize",
+                        counted("materialize", homspaces._VarLayout.materialize))
+    for mod in (homspaces, arquiver):
+        monkeypatch.setattr(mod, "compose", counted("compose", mod.compose))
+    for mod in (homspaces, universe, arquiver):
+        monkeypatch.setattr(mod, "hom_basis", counted("hom_basis", mod.hom_basis))
+    compute_sgldim(a6_alg)
+    assert calls == {"materialize": 196, "compose": 0, "hom_basis": 722}
+    calls.update(dict.fromkeys(calls, 0))
+    build_ar_quiver(a6_alg, 5)
+    assert calls == {"materialize": 685, "compose": 778, "hom_basis": 1660}

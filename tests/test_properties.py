@@ -16,6 +16,7 @@ from cnproj.complexes import (
     ChainMap,
     Complex,
     canonical_sort,
+    compose,
     direct_sum,
     direct_sum_many,
     drop_first,
@@ -30,7 +31,9 @@ from cnproj.complexes import (
     strip_contractible,
 )
 from cnproj.homspaces import (
-    _differential,
+    _boundaries,
+    _is_iso_product,
+    _scalar_images,
     _VarLayout,
     decompose,
     ext_classes,
@@ -45,34 +48,35 @@ from cnproj.universe import enumerate_indecomposables
 _ALGEBRAS = {}
 
 
-def _algebra(tag):
-    if tag not in _ALGEBRAS:
+def _algebra(tag, field="rational"):
+    if (tag, field) not in _ALGEBRAS:
         if tag == "point":
-            _ALGEBRAS[tag] = build_algebra(Quiver((1,), ()), [], "rational")
+            alg = build_algebra(Quiver((1,), ()), [], field)
         elif tag == "a2":
-            _ALGEBRAS[tag] = build_algebra(Quiver((1, 2), (("a", 1, 2),)), [], "rational")
+            alg = build_algebra(Quiver((1, 2), (("a", 1, 2),)), [], field)
         else:
             q = Quiver((1, 2, 3), (("a", 1, 2), ("b", 2, 3)))
-            _ALGEBRAS[tag] = build_algebra(q, [("a", "b")], "rational")
-    return _ALGEBRAS[tag]
+            alg = build_algebra(q, [("a", "b")], field)
+        _ALGEBRAS[(tag, field)] = alg
+    return _ALGEBRAS[(tag, field)]
 
 
 _REPS = {}
 
 
-def _reps(tag, n):
-    if (tag, n) not in _REPS:
-        _REPS[(tag, n)] = enumerate_indecomposables(_algebra(tag), n).representatives
-    return _REPS[(tag, n)]
+def _reps(tag, n, field="rational"):
+    if (tag, n, field) not in _REPS:
+        _REPS[(tag, n, field)] = enumerate_indecomposables(_algebra(tag, field), n).representatives
+    return _REPS[(tag, n, field)]
 
 
 _TAGS = ["point", "a2", "a3"]
 
 
 @st.composite
-def complexes(draw, window=3, tag=None):
+def complexes(draw, window=3, tag=None, field="rational"):
     tag = tag or draw(st.sampled_from(_TAGS))
-    reps = _reps(tag, window)
+    reps = _reps(tag, window, field)
     count = draw(st.integers(min_value=1, max_value=3))
     picks = [draw(st.sampled_from(reps)) for _ in range(count)]
     return direct_sum_many(picks)
@@ -189,12 +193,32 @@ def test_d_squared_after_functors(x, k):
 @given(st.sampled_from(_TAGS).flatmap(lambda t: st.tuples(complexes(tag=t), complexes(tag=t))),
        st.sampled_from([-1, 0, 1]))
 def test_hom_complex_differential_squares_to_zero(pair, k):
+    # D^k's rows come keyed by target coordinate; the layouts place them
     x, y = pair
     src, mid, tgt = (_VarLayout(x, y, k + t) for t in range(3))
-    first = _differential(x, y, src, mid, k)
-    second = _differential(x, y, mid, tgt, k + 1)
+    first = _boundaries(x, y, src, mid, k)[1]
+    second = _boundaries(x, y, mid, tgt, k + 1)[1]
     product = matmul(x.alg.field, second, first, mid.nvars, src.nvars)
     assert not any(any(row) for row in product)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.sampled_from(_TAGS), st.sampled_from(["rational", "gf2"])).flatmap(
+    lambda tf: st.tuples(complexes(tag=tf[0], field=tf[1]), complexes(tag=tf[0], field=tf[1]))))
+def test_hom_space_vectors_agree_with_its_maps(pair):
+    # a Hom space keeps its kernel vectors and builds chain maps on first read;
+    # phi and the iso test read the vectors, and must say what the maps say
+    x, y = pair
+    for a, b in ((x, y), (x, x)):
+        fwd, bwd = hom_basis(a, b), hom_basis(b, a)
+        for hs in (fwd, bwd):
+            assert hs.vectors == [hs._layout.vectorize(g.comps) for g in hs.basis]
+            assert _scalar_images(hs) == [[blk for *_, blk in g.scalar_blocks()]
+                                          for g in hs.basis]
+        for g, phi_g in zip(bwd.basis, _scalar_images(bwd)):
+            for f, phi_f in zip(fwd.basis, _scalar_images(fwd)):
+                assert (_is_iso_product(a.alg.field, phi_g, phi_f)
+                        == compose(g, f).is_isomorphism())
 
 
 def _moved(new, old, p):
