@@ -23,12 +23,13 @@ Almost split conflations ending at a non-projective class Z are read off
 the Hom-dimension table h(V, W) = dim Hom(V, W), with t(K) = dim End(K) -
 dim rad End(K).  The middle term is the source of Z's sink map (``_Ctx.sink``),
 so tau Z is the class X with h(-, X) = sum of h(-, W) over the sink sources W,
-minus h(-, Z), plus t(Z) at Z.  Only Ext(Z, X) is solved: the sink components a
-generate rad(-, Z), so sigma is almost split iff every sigma . a is a boundary.
-Y is never split: each a lifts through d: Y -> Z by the degree-0 family that
-bounds sigma . a, and the lifts must form an isomorphism from the sum of the
-sink sources onto Y, which are then Y's summands (ARS V: two minimal right
-almost split maps into Z are isomorphic over Z).
+minus h(-, Z), plus t(Z) at Z.  Only Ext(Z, X) = Hom_K(Z, X[1]) is solved, the
+pair rule's Ext: the sink components a generate rad(-, Z), so sigma is almost
+split iff every sigma . a is null-homotopic.  One nullspace over all a gives
+sigma and, from the same vector, each a's lift through d: Y -> Z.  Y is never
+split: the lifts must form an isomorphism from the sum of the sink sources onto
+Y, which are then Y's summands (ARS V: two minimal right almost split maps into
+Z are isomorphic over Z).
 Hom(V, -) is left exact on X -> Y -> Z, so d: Y -> Z is right almost split iff
 its defect h(V, X) - h(V, Y) + h(V, Z) is 0 at every class V but Z and t(Z) at Z;
 i is left almost split dually, and an indecomposable X makes d right minimal.
@@ -68,11 +69,12 @@ from .errors import (
     EtaZero,
     NoAnchorFound,
     NoCandidateFound,
+    NotAChainMap,
     NotClosed,
     ShapeViolation,
 )
 from .homspaces import (
-    DegreeOneMap,
+    ExtClassSpace,
     HomSpace,
     assemble_extension,
     can_extend_left,
@@ -83,7 +85,7 @@ from .homspaces import (
     hom_basis,
     rad2_basis,
 )
-from .linalg import SpanBasis, nullspace, rank
+from .linalg import SpanBasis, rank
 from .universe import EnumConfig, Universe, enumerate_indecomposables
 
 
@@ -243,9 +245,10 @@ class _Ctx:
                 hs, rad, rad2 = self.hom(w, z), self.rad(w, z), self.rad2(w, z, used)
                 if rad2.dimension < rad.dimension:  # else no irreducible map w -> z
                     span = SpanBasis(hs.source.alg.field, len(hs._free))
-                    for g in rad2.basis:
-                        span.add(hs.coordinates(g))
-                    comps.extend((w, g) for g in rad.basis if span.add(hs.coordinates(g)))
+                    for v in rad2.vectors:
+                        span.add([v[j] for j in hs._free])
+                    comps.extend((w, g) for g, v in zip(rad.basis, rad.vectors)
+                                 if span.add([v[j] for j in hs._free]))
                 else:
                     self._no_arrow.setdefault(key, (z, used))
             self._sink[z] = comps
@@ -315,48 +318,44 @@ def _predicted_tau(ctx: _Ctx, z_idx: int) -> int:
 def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
     """The almost split conflation ending at a non-projective class Z: tau Z from the
     Hom-dimension table, sigma from Z's sink components, certified by defect counts."""
-    reps, z, sink = ctx.reps, ctx.reps[z_idx], ctx.sink(z_idx)
-    x_idx = _predicted_tau(ctx, z_idx)
-    x = reps[x_idx]
-    espace = ext_classes(z, x)
-    exts = {w: ext_classes(reps[w], x) for w, _ in sink}
-    # sigma almost split <=> [sigma . a] = 0 for every sink component a: W -> Z
-    rows = [row for w, a in sink
-            for row in zip(*(exts[w].reduce(sigma.compose_right(a)) for sigma in espace.basis))]
-    sol = nullspace(z.alg.field, rows, espace.dimension)
-    if len(sol) != 1:
-        raise CertificationFailure(f"{len(sol)} almost split classes in Ext(Z, {x_idx}) "
-                                   f"{_where(ctx, z_idx)}")
-    vec = [sum((c * v for c, v in zip(sol[0], col) if c), z.alg.field.zero)
-           for col in zip(*espace._qrep_vecs)]
-    sigma = DegreeOneMap(z, x, espace._layout.materialize(vec))
-    y, i_map, d_map = assemble_extension(z, x, sigma)
-    conf = Conflation(x, y, z, i_map, d_map, x_idx=x_idx, z_idx=z_idx,
-                      y_summands=_lifted_sink(ctx, z_idx, sink, sigma, y, exts))
+    z, x_idx = ctx.reps[z_idx], _predicted_tau(ctx, z_idx)
+    x = ctx.reps[x_idx]
+    y, i_map, d_map, summands = _lifted_sink(ctx, z_idx, ctx.sink(z_idx), ext_classes(z, x))
+    conf = Conflation(x, y, z, i_map, d_map, x_idx=x_idx, z_idx=z_idx, y_summands=summands)
     _certify(ctx, conf)
     return conf
 
 
-def _lifted_sink(ctx: _Ctx, z_idx: int, sink, sigma, y: Complex, exts) -> list[int]:
-    """The sources of ``sink`` as the summands of Y, the extension by sigma, unsplit.
+def _lifted_sink(ctx: _Ctx, z_idx: int, sink, espace: ExtClassSpace):
+    """(Y, i, d, Y's summands) for the class sigma of ``espace`` that every sink
+    component kills, with the sources of ``sink`` as the summands of Y, unsplit.
 
-    Each component a: W -> Z lifts through d: Y -> Z as b = (h; a), where h
-    bounds sigma . a in ``exts[W]``.  As d and the sink map are both minimal
-    right almost split, every lift phi = [b_1 ... b_m]: (+) W -> Y is an
-    isomorphism (ARS V); a failed lift, or a phi validated as a chain map that
-    is not an isomorphism, raises CertificationFailure naming Z.
+    sigma is almost split iff sigma . a = 0 for every sink component a: W -> Z,
+    as the sink components generate rad(-, Z); ``ExtClassSpace.vanishing_on``
+    finds sigma and, from the same solve, each a's lift b = (h; a) through
+    d: Y -> Z.  As d and the sink map are both minimal right almost split,
+    every lift phi = [b_1 ... b_m]: (+) W -> Y is an isomorphism (ARS V).  Any
+    number of classes but one, a lift that is not a chain map, or a phi that
+    is not an isomorphism raises CertificationFailure naming Z.
     """
-    lifts = []
-    for w, a in sink:
-        if (h := exts[w].bounding(sigma.compose_right(a))) is None:
-            raise CertificationFailure(f"the sink map does not lift {_where(ctx, z_idx)}")
-        lifts.append([[*hm, *am] for hm, am in zip(h, a.comps)])
-    comps = [[[e for b in lifts for e in b[i][r]] for r in range(len(cell))]
+    found = espace.vanishing_on([a for _, a in sink])
+    if len(found) != 1:
+        raise CertificationFailure(f"{len(found)} almost split classes in Ext(Z, "
+                                   f"{espace.target.label()}) {_where(ctx, z_idx)}")
+    coords, lifts = found[0]
+    sigma = espace.chain_map(coords)
+    y, i_map, d_map = assemble_extension(espace.source, espace.target, sigma)
+    blocks = [[[*hm, *am] for hm, am in zip(h, a.comps)] for h, (_, a) in zip(lifts, sink)]
+    comps = [[[e for b in blocks for e in b[i][r]] for r in range(len(cell))]
              for i, cell in enumerate(y.cells)]
     ws = direct_sum_many([zero_complex(y.alg, y.window), *(ctx.reps[w] for w, _ in sink)])
-    if not ChainMap(ws, y, comps).is_isomorphism():
+    try:
+        phi = ChainMap(ws, y, comps)
+    except NotAChainMap:
+        raise CertificationFailure(f"the sink map does not lift {_where(ctx, z_idx)}") from None
+    if not phi.is_isomorphism():
         raise CertificationFailure(f"the lifted sink map is not invertible {_where(ctx, z_idx)}")
-    return [w for w, _ in sink]
+    return y, i_map, d_map, [w for w, _ in sink]
 
 
 def _terms(ctx: _Ctx, z_idx: int) -> tuple:

@@ -12,8 +12,9 @@ cohomology:
 
 * ``hom_basis``: Z^0 = ker D^0, the chain maps X -> Y;
 * ``null_homotopy_span``: B^0 = im D^-1, the null-homotopic chain maps;
-* ``ext_classes(z, x)``: Z^1 / B^1 of Hom^*(Z, X), the degree-1 extension
-  classes, which inside the window coincide with Hom_K(Z, X[1]);
+* ``ext_classes(z, x)``: Ext(Z, X) = Hom_K(Z, X[1]), the chain maps from Z
+  moved one cell right to X, in window n + 1, modulo B^0: the classes the
+  pair rule cones and the AR pass extends by (``ExtClassSpace``);
 * ``can_extend_left`` / ``can_extend_right``: whether Z^0 from a stalk at
   position 1, or to a stalk at position n, is nonzero, i.e. whether the
   complex extends past its window on that side.
@@ -34,7 +35,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from .algebra import AlgElement
 from .complexes import (
@@ -50,6 +50,7 @@ from .complexes import (
     mat_mul,
     mat_neg,
     select_summands,
+    shift_window,
     shift_window_map,
 )
 from .errors import (
@@ -179,22 +180,12 @@ def _differential(x: Complex, y: Complex, src: _VarLayout, k: int) -> dict:
     return rows
 
 
-def _cocycles(x: Complex, y: Complex, src: _VarLayout, k: int):
-    """ker D^k as (basis in ``src`` coordinates, free columns).  The reduced
-    echelon form, and so the basis, does not depend on the order of the rows."""
-    rows = [row for row in _differential(x, y, src, k).values() if any(row)]
-    return kernel(x.alg.field, rows, src.nvars)
-
-
 def _boundaries(x: Complex, y: Complex, src: _VarLayout, tgt: _VarLayout, k: int):
-    """(im D^k in ``tgt`` coordinates, spanned column by column; the matrix of D^k)."""
+    """The matrix of D^k from ``src`` to ``tgt`` coordinates."""
     mat = [[x.alg.field.zero] * src.nvars for _ in range(tgt.nvars)]
     for (i, r, c, p), row in _differential(x, y, src, k).items():
         mat[tgt.var(i - tgt.lo, r, c, p)] = row
-    span = SpanBasis(x.alg.field, tgt.nvars)
-    for col in zip(*mat):
-        span.add(col)
-    return span, mat
+    return mat
 
 
 class HomSpace:
@@ -255,7 +246,9 @@ def hom_basis(x: Complex, y: Complex) -> HomSpace:
     layout = _VarLayout(x, y, 0)
     if layout.nvars == 0:
         return HomSpace(x, y, [], layout, [])
-    vecs, free = _cocycles(x, y, layout, 0)
+    # the reduced echelon form, and so the basis, does not depend on the row order
+    rows = [row for row in _differential(x, y, layout, 0).values() if any(row)]
+    vecs, free = kernel(x.alg.field, rows, layout.nvars)
     return HomSpace(x, y, vecs, layout, free)
 
 
@@ -738,101 +731,101 @@ def null_homotopy_span(hs: HomSpace) -> SpanBasis:
     decide whether a chain map vanishes in the homotopy category.
     """
     x, y = hs.source, hs.target
-    return _boundaries(x, y, _VarLayout(x, y, -1), hs._layout, -1)[0]
+    span = SpanBasis(x.alg.field, hs._layout.nvars)
+    for col in zip(*_boundaries(x, y, _VarLayout(x, y, -1), hs._layout, -1)):
+        span.add(col)
+    return span
 
 
-# -- degree-1 extension classes ---------------------------------------------------
+# -- extension classes ------------------------------------------------------------
 
 
-class DegreeOneMap:
-    """A degree-1 family sigma^i : Z^i -> X^{i+1}, i = 1..n-1."""
-
-    __slots__ = ("z", "x", "comps")
-
-    def __init__(self, z: Complex, x: Complex, comps):
-        self.z = z
-        self.x = x
-        self.comps = tuple(tuple(tuple(row) for row in m) for m in comps)
-
-    def compose_right(self, g: ChainMap) -> "DegreeOneMap":
-        """sigma . g for a chain map g: W -> Z."""
-        alg = self.z.alg
-        w = g.source
-        comps = [mat_mul(alg, self.comps[i], g.comps[i],
-                         self.x.cells[i + 1], self.z.cells[i], w.cells[i])
-                 for i in range(self.z.window - 1)]
-        return DegreeOneMap(w, self.x, comps)
-
-
-@dataclass
 class ExtClassSpace:
-    """Z^1 / B^1 of Hom^*(Z, X): degree-1 maps with d_X sigma + sigma d_Z = 0,
-    modulo d_X h - h d_Z for degree-0 families h."""
+    """Ext(Z, X) = Hom_K(Z, X[1]): the chain maps sigma: Z+ -> X in window
+    n + 1, Z+ being Z moved one cell right, modulo null homotopies.
 
-    source: Complex  # Z, the quotient term
-    target: Complex  # X, the sub term
-    basis: list[DegreeOneMap]
-    dimension: int
-    _layout: _VarLayout = field(repr=False, default=None)
-    _qrep_vecs: list = field(repr=False, default=None)
-    _layout0: _VarLayout = field(repr=False, default=None)  # degree-0 families h: Z -> X
-    _d0: list = field(repr=False, default=None)  # D^0(h) = d_X h - h d_Z, spanning B^1
+    ``vectors`` are the kernel vectors of ``hom`` = Hom(Z+, X) that are
+    independent modulo ``null_homotopy_span``, in kernel order, as
+    ``universe.pair_cones`` picks them; class coordinates c stand for
+    sum_k c_k vectors[k].
+    """
 
-    def _split(self, tau: DegreeOneMap):
-        """(c, h) with tau = sum c_k basis[k] + D^0(h), for a cocycle tau."""
-        rows = [[q[i] for q in self._qrep_vecs] + row for i, row in enumerate(self._d0)]
-        sol = solve(self.source.alg.field, rows, self.dimension + self._layout0.nvars,
-                    self._layout.vectorize(tau.comps))
-        if sol is None:
-            raise InvalidClass("vector outside cocycle span")
-        return sol[:self.dimension], sol[self.dimension:]
+    def __init__(self, z: Complex, x: Complex, hom: HomSpace, vectors: list):
+        self.source, self.target, self.hom = z, x, hom  # Z, the quotient term; X, the sub term
+        self.vectors, self.dimension = vectors, len(vectors)
 
-    def reduce(self, sigma: DegreeOneMap) -> list:
-        """Quotient coordinates of a cocycle; zero list iff it is a boundary."""
-        return self._split(sigma)[0]
+    @functools.cached_property
+    def basis(self) -> list[ChainMap]:
+        return [self.hom.chain_map(v) for v in self.vectors]
 
-    def bounding(self, tau: DegreeOneMap):
-        """The components of a degree-0 family h: Z -> X with d_X h - h d_Z = -tau,
-        or None when the cocycle tau is not a boundary.
+    def chain_map(self, coords) -> ChainMap:
+        """The class with coordinates ``coords``, as a chain map Z+ -> X."""
+        return self.hom.chain_map(_combine(self.source.alg.field, self.vectors, coords))
 
-        For a chain map a: Z -> Z' and the extension Y of Z' by X with class
-        sigma, (h; a): Z -> Y is a chain map iff h bounds tau = sigma . a.
+    def vanishing_on(self, maps) -> list:
+        """The classes sigma with sigma . a+ = 0 in Hom_K(W+, X) for every chain
+        map a: W -> Z of ``maps``, each with the lifts of the maps.
+
+        One nullspace of [sigma_k . a+ | -D^-1(W+, X)], stacked over the maps:
+        its unknowns are the class coordinates c and, per map, a degree -1
+        family H with sigma_c . a+ = D^-1(H).  Per kernel vector whose c is
+        independent of the c before it, this returns (c, [h_a per map a]), so
+        the c span the classes that every map kills.  h^i = (-1)^(i+1) H^(i+1)
+        is a degree-0 family W -> X for which (h; a): W -> Y is a chain map
+        into the Y that ``assemble_extension`` builds from sigma_c, with
+        d . (h; a) = a.
         """
-        coords, h = self._split(tau)
-        return None if any(coords) else self._layout0.materialize([-v for v in h])
+        f, m = self.source.alg.field, self.dimension
+        zp, xp = self.hom.source, self.hom.target
+        blocks, ncols = [], m  # per map: its H layout and first column, sigma_k . a+, D^-1
+        for a in maps:
+            wp = shift_window(a.source, 1, xp.window)
+            ap = shift_window_map(a, 1, xp.window, wp, zp)
+            layout, families = _VarLayout(wp, xp, 0), _VarLayout(wp, xp, -1)
+            cols = [layout.vectorize(compose(s, ap).comps) for s in self.basis]
+            blocks.append((families, ncols, cols, _boundaries(wp, xp, families, layout, -1)))
+            ncols += families.nvars
+        rows = []
+        for families, first, cols, bd in blocks:
+            for r, drow in enumerate(bd):
+                row = [col[r] for col in cols] + [f.zero] * (ncols - m)
+                row[first:first + families.nvars] = [-v for v in drow]
+                rows.append(row)
+        span, out = SpanBasis(f, m), []
+        for vec in nullspace(f, rows, ncols):
+            if span.add(vec[:m]):
+                lifts = [[mat_neg(h) if i % 2 == 0 else h for i, h in enumerate(
+                    families.materialize(vec[first:first + families.nvars]))]
+                    for families, first, _, _ in blocks]
+                out.append((vec[:m], lifts))
+        return out
 
 
 def ext_classes(z: Complex, x: Complex) -> ExtClassSpace:
-    """Extension classes of conflations X -> Y -> Z within the window.
-
-    Z^1 / B^1 of Hom^*(Z, X), which coincides with Hom_{K^b}(Z, X[1]) for
-    complexes supported in the window.
-    """
+    """Extension classes of conflations X -> Y -> Z within the window: the
+    chain maps Z+ -> X in window n + 1 modulo null homotopies (``ExtClassSpace``)."""
     if z.window != x.window:
         raise WindowMismatch("ext between different windows")
-    layout, layout0 = _VarLayout(z, x, 1), _VarLayout(z, x, 0)
-    if layout.nvars == 0:
-        return ExtClassSpace(z, x, [], 0, layout, [], layout0, [])
-    cocycles, _ = _cocycles(z, x, layout, 1)
-    probe, d0 = _boundaries(z, x, layout0, layout, 0)
-    qreps = []
-    basis = []
-    for v in cocycles:
-        if probe.add(v):
-            qreps.append(v)
-            basis.append(DegreeOneMap(z, x, layout.materialize(v)))
-    return ExtClassSpace(z, x, basis, len(basis), layout, qreps, layout0, d0)
+    n = z.window + 1
+    hom = hom_basis(shift_window(z, 1, n), shift_window(x, 0, n))
+    vecs = []
+    if hom.dimension:
+        classes = null_homotopy_span(hom)
+        vecs = [v for v in hom.vectors if classes.add(v)]
+    return ExtClassSpace(z, x, hom, vecs)
 
 
-def assemble_extension(z: Complex, x: Complex, sigma: DegreeOneMap):
-    """Conflation X -> Y -> Z with Y^i = X^i (+) Z^i and d = [[d_X, sigma], [0, d_Z]]."""
-    if sigma.z is not z or sigma.x is not x:
-        if sigma.z.cells != z.cells or sigma.x.cells != x.cells:
-            raise InvalidClass("class does not match the given pair")
+def assemble_extension(z: Complex, x: Complex, sigma: ChainMap):
+    """Conflation X -> Y -> Z of a class sigma: Z+ -> X of ``ext_classes(z, x)``:
+    Y^i = X^i (+) Z^i and d^i = [[d_X^i, tau^i], [0, d_Z^i]] with
+    tau^i = (-1)^i sigma^{i+1}, the sign that makes d^2 = 0."""
+    if sigma.source.cells[1:] != z.cells or sigma.target.cells[:-1] != x.cells:
+        raise InvalidClass("class does not match the given pair")
+    link = [mat_neg(t) if i % 2 else t for i, t in enumerate(sigma.comps[1:-1])]
     try:
-        y = concatenate(x, z, sigma.comps, check=True)
+        y = concatenate(x, z, link, check=True)
     except ShapeMismatch as exc:
-        raise InvalidClass(f"cocycle equations fail: {exc}") from exc
+        raise InvalidClass(f"the class is not a chain map: {exc}") from exc
     xs = [range(len(c)) for c in x.cells]
     zs = [range(len(a), len(a) + len(b)) for a, b in zip(x.cells, z.cells)]
     return y, _unit_maps(y, x, xs)[0], _unit_maps(y, z, zs)[1]

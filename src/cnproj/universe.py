@@ -10,9 +10,9 @@ complexes, then repeatedly apply two growth rules
       class of conflations B -> Y -> A, kept when Y is indecomposable.  A
       class is a map f: A -> B[1] in the homotopy category, B[1] being B
       moved one cell left, picked from a basis of chain maps modulo null
-      homotopies as ``ext_classes`` picks cocycles modulo boundaries; Y is
-      cone(f), A (+) B with -d_A.  On the pair (A, B moved one cell right)
-      these are the cones of the maps A -> B;
+      homotopies; ``ext_classes``, which the AR pass uses, picks the same
+      classes in the same order.  Y is cone(f), A (+) B with -d_A.  On the
+      pair (A, B moved one cell right) these are the cones of the maps A -> B;
 
 until a full pass adds nothing.  Closure is certified only in that fixpoint
 sense; completeness is checked against the brute-force finite-field oracle

@@ -350,15 +350,13 @@ def _ext_memo(ctx):
 
 
 def _criterion_nullspace(ctx, ext, z, x, pairs):
-    """The sigma in Ext(z, x) with sigma . g a boundary for every (w, g) of ``pairs``."""
-    from cnproj.linalg import nullspace
+    """The sigma in Ext(z, x) with sigma . g null-homotopic for every (w, g) of
+    ``pairs``: the reduced echelon basis of their class coordinates."""
+    from cnproj.linalg import rref
 
     espace = ext(z, x)
-    rows = []
-    for w, g in pairs:
-        rows.extend(zip(*(ext(w, x).reduce(sigma.compose_right(g))
-                          for sigma in espace.basis)))
-    return nullspace(ctx.reps[z].alg.field, rows, espace.dimension)
+    rows = [c for c, _ in espace.vanishing_on([g for _, g in pairs])]
+    return rows[:len(rref(ctx.reps[z].alg.field, rows, espace.dimension))]
 
 
 @pytest.mark.parametrize("fixture, n", [("a3_relation.alg", 3), ("a3_relation.alg", 4),
@@ -411,7 +409,7 @@ def test_sink_completes_rad2_to_rad(request, alg_name):
 def _scan_certified(universe, ctx, ext, z):
     """The classes X whose almost split candidate in Ext(z, X), from the sink rows,
     passes the definitional tests: a scan over every X, as the search once was."""
-    from cnproj.homspaces import DegreeOneMap, assemble_extension
+    from cnproj.homspaces import assemble_extension
 
     reps = ctx.reps
     found = []
@@ -419,11 +417,7 @@ def _scan_certified(universe, ctx, ext, z):
         sol = _criterion_nullspace(ctx, ext, z, x, ctx.sink(z))
         if not sol:
             continue
-        espace = ext(z, x)
-        field_ = reps[z].alg.field
-        vec = [sum((c * v for c, v in zip(sol[0], col) if c), field_.zero)
-               for col in zip(*espace._qrep_vecs)]
-        sigma = DegreeOneMap(reps[z], reps[x], espace._layout.materialize(vec))
+        sigma = ext(z, x).chain_map(sol[0])
         _, i_map, d_map = assemble_extension(reps[z], reps[x], sigma)
         if (is_right_almost_split(universe, d_map, _ctx=ctx)
                 and is_left_almost_split(universe, i_map, _ctx=ctx)
@@ -657,65 +651,47 @@ def test_ar_quiver_is_pinned_by_label(fixtures_dir, fixture, n):
     assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
 
 
-def _lift_inputs(q, z):
-    """Z's sink, its almost split class sigma and Ext(W, tau Z) per sink source W."""
-    from cnproj.homspaces import DegreeOneMap, ext_classes
-
-    ctx, conf = q._ctx, q.conflations[z]
-    sink, cut = ctx.sink(z), [len(c) for c in conf.x.cells]
-    # Y's differential is [[d_X, sigma], [0, d_Z]]
-    sigma = DegreeOneMap(conf.z, conf.x, [[row[cut[i]:] for row in d[:cut[i + 1]]]
-                                          for i, d in enumerate(conf.y.diffs)])
-    return sink, sigma, {w: ext_classes(ctx.reps[w], conf.x) for w, _ in sink}
-
-
 @pytest.mark.parametrize("fixture, n", [("a6_relations.alg", 5), ("d4.alg", 3)])
 def test_lifted_sink_refuses_a_wrong_sink_or_class(fixtures_dir, fixture, n):
     # the sink map lifts through d: Y -> Z to an isomorphism onto Y, and the lift is a
     # certificate: it refuses, naming Z, a sink with a component dropped, a sink with
     # Z's identity (not radical) added, a class of Ext(Z, tau Z) not proportional to
-    # sigma, and the zero class of a nonzero boundary cocycle in place of sigma; a
+    # sigma, and a nonzero null-homotopic sigma (the zero class) in place of sigma; a
     # nonzero multiple of sigma is almost split too.  Ext(Z, tau Z) has dimension 1 at
     # every Z of these fixtures, so the third case does not occur on them
     from cnproj.algfile import load_algebra
     from cnproj.arquiver import _lifted_sink
     from cnproj.complexes import ChainMap
-    from cnproj.homspaces import DegreeOneMap, assemble_extension, ext_classes
+    from cnproj.homspaces import ExtClassSpace, ext_classes, null_homotopy_span
 
     q = build_ar_quiver(load_algebra(str(fixtures_dir / fixture))[1], n)
     ctx, boundaries = q._ctx, 0
     for z, conf in q.conflations.items():
         named = re.escape(f"at class {z} ({q.label(z)})")
-        sink, sigma, exts = _lift_inputs(q, z)
-        espace = ext_classes(conf.z, conf.x)
+        sink, espace = ctx.sink(z), ext_classes(conf.z, conf.x)
 
-        def lifted(tau, sink=sink, exts=exts):
-            y = assemble_extension(conf.z, conf.x, tau)[0]
-            return sorted(_lifted_sink(ctx, z, sink, tau, y, exts))
-
-        def scaled(c):
-            return DegreeOneMap(conf.z, conf.x, [[[e.scale(c) for e in row] for row in m]
-                                                 for m in sigma.comps])
+        def lifted(vectors=espace.vectors, sink=sink, conf=conf, hom=espace.hom):
+            # the pass's class solve and lift, on the classes spanned by ``vectors``
+            space = ExtClassSpace(conf.z, conf.x, hom, vectors)
+            return sorted(_lifted_sink(ctx, z, sink, space)[3])
 
         want = sorted(conf.y_summands)
-        assert lifted(sigma) == lifted(scaled(2)) == lifted(scaled(-1)) == want
+        assert lifted() == want
+        assert lifted([[2 * v for v in vec] for vec in espace.vectors]) == want
+        assert lifted([[-v for v in vec] for vec in espace.vectors]) == want
         wrong = [{"sink": sink[:k] + sink[k + 1:]} for k in range(len(sink))]
-        wrong.append({"sink": [*sink, (z, ChainMap.identity(conf.z))],
-                      "exts": {**exts, z: espace}})
-        coords = espace.reduce(sigma)
-        wrong += [{"tau": tau} for j, tau in enumerate(espace.basis)
+        wrong.append({"sink": [*sink, (z, ChainMap.identity(conf.z))]})
+        (coords, _), = espace.vanishing_on([a for _, a in sink])
+        wrong += [{"vectors": [vec]} for j, vec in enumerate(espace.vectors)
                   if any(c for i, c in enumerate(coords) if i != j)]
-        # a nonzero column of D^0 is a cocycle of class 0: Y splits as X (+) Z
-        for col in zip(*espace._d0):
-            if any(col):
-                split = DegreeOneMap(conf.z, conf.x, espace._layout.materialize(col))
-                assert not any(espace.reduce(split))
-                wrong.append({"tau": split})
-                boundaries += 1
-                break
+        # a nonzero null-homotopic chain map is a class 0: Y splits as X (+) Z
+        nulls = null_homotopy_span(espace.hom).rows
+        if nulls:
+            wrong.append({"vectors": nulls[:1]})
+            boundaries += 1
         for case in wrong:
             with pytest.raises(CertificationFailure, match=named):
-                lifted(case.pop("tau", sigma), **case)
+                lifted(**case)
     assert boundaries
 
 

@@ -10,6 +10,7 @@ from cnproj.complexes import (
     make_J,
     make_stalk,
     mat_zero,
+    shift_window,
     strip_contractible,
 )
 from cnproj.errors import ShapeMismatch, WindowMismatch, ZeroComplex
@@ -161,8 +162,9 @@ def test_ext_classes_single_vertex(point_alg):
 def test_ext_zero_class_splits(a3_alg):
     m = two_cell(a3_alg)
     s = make_stalk(a3_alg, 1, 2, 2)
-    from cnproj.homspaces import DegreeOneMap
-    zero_sigma = DegreeOneMap(s, m, [mat_zero(a3_alg, m.cells[1], s.cells[0])])
+    # the zero chain map from s moved one cell right to m, in window 3
+    sp, mp = shift_window(s, 1, 3), shift_window(m, 0, 3)
+    zero_sigma = ChainMap(sp, mp, [mat_zero(a3_alg, t, c) for t, c in zip(mp.cells, sp.cells)])
     y, _, _ = assemble_extension(s, m, zero_sigma)
     assert is_isomorphic(y, direct_sum(m, s))
 
@@ -184,8 +186,9 @@ def test_nonzero_class_never_splits(point_alg):
 
 
 def test_assemble_extension_blocks_and_unit_maps(a3_alg):
-    # Y = X (+) Z cellwise with d = [[d_X, sigma], [0, d_Z]]; i is the unit
-    # injection of X's block and d the unit projection onto Z's block
+    # Y = X (+) Z cellwise with d^p = [[d_X^p, tau^p], [0, d_Z^p]] and
+    # tau^p = (-1)^p sigma^{p+1} for a class sigma: Z moved one cell right -> X;
+    # i is the unit injection of X's block and d the unit projection onto Z's block
     reps = enumerate_indecomposables(a3_alg, 3).representatives
     sums = [direct_sum(a, b) for a in reps[:3] for b in reps[-3:]]
     seen = 0
@@ -208,7 +211,8 @@ def test_assemble_extension_blocks_and_unit_maps(a3_alg):
                 for p, d in enumerate(y.diffs):
                     nx_s, nx_t = len(x.cells[p]), len(x.cells[p + 1])
                     assert [row[:nx_s] for row in d[:nx_t]] == list(x.diffs[p])
-                    assert [row[nx_s:] for row in d[:nx_t]] == list(sigma.comps[p])
+                    assert [row[nx_s:] for row in d[:nx_t]] == \
+                        [tuple(e if p % 2 == 0 else -e for e in row) for row in sigma.comps[p + 1]]
                     assert all(e.is_zero() for row in d[nx_t:] for e in row[:nx_s])
                     assert [row[nx_s:] for row in d[nx_t:]] == list(z.diffs[p])
     assert seen >= 10
@@ -264,7 +268,6 @@ def test_rad_requires_closed_universe(point_alg):
 
 def test_assemble_rejects_mismatched_class(point_alg):
     from cnproj.errors import InvalidClass
-    from cnproj.homspaces import DegreeOneMap
 
     s = make_stalk(point_alg, 1, 1, 2)
     t = make_stalk(point_alg, 1, 2, 2)
@@ -574,4 +577,4 @@ def test_hom_spaces_build_only_the_maps_they_use(monkeypatch, a6_alg):
     assert calls == {"materialize": 196, "compose": 0, "hom_basis": 722}
     calls.update(dict.fromkeys(calls, 0))
     build_ar_quiver(a6_alg, 5)
-    assert calls == {"materialize": 685, "compose": 778, "hom_basis": 1660}
+    assert calls == {"materialize": 685, "compose": 851, "hom_basis": 1696}

@@ -35,13 +35,14 @@ from cnproj.homspaces import (
     _is_iso_product,
     _scalar_images,
     _VarLayout,
+    assemble_extension,
     decompose,
     ext_classes,
     hom_basis,
     is_isomorphic,
     null_homotopy_span,
 )
-from cnproj.linalg import kernel, matmul
+from cnproj.linalg import kernel, matmul, rank
 from cnproj.scalars import RationalField
 from cnproj.universe import enumerate_indecomposables
 
@@ -196,8 +197,8 @@ def test_hom_complex_differential_squares_to_zero(pair, k):
     # D^k's rows come keyed by target coordinate; the layouts place them
     x, y = pair
     src, mid, tgt = (_VarLayout(x, y, k + t) for t in range(3))
-    first = _boundaries(x, y, src, mid, k)[1]
-    second = _boundaries(x, y, mid, tgt, k + 1)[1]
+    first = _boundaries(x, y, src, mid, k)
+    second = _boundaries(x, y, mid, tgt, k + 1)
     product = matmul(x.alg.field, second, first, mid.nvars, src.nvars)
     assert not any(any(row) for row in product)
 
@@ -219,6 +220,26 @@ def test_hom_space_vectors_agree_with_its_maps(pair):
             for f, phi_f in zip(fwd.basis, _scalar_images(fwd)):
                 assert (_is_iso_product(a.alg.field, phi_g, phi_f)
                         == compose(g, f).is_isomorphism())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.sampled_from(_TAGS), st.sampled_from(["rational", "gf2"])).flatmap(
+    lambda tf: st.tuples(*(complexes(tag=tf[0], field=tf[1]) for _ in range(3)))))
+def test_one_solve_gives_the_killed_classes_and_their_lifts(triple):
+    # ExtClassSpace.vanishing_on solves once for the classes sigma that chain maps
+    # a: W -> Z kill and for each a's lift (h; a) through d: Y -> Z, Y the
+    # extension by sigma; with no maps every class is killed, and no nonzero
+    # class is killed by Z's identity
+    z, x, w = triple
+    ext, maps = ext_classes(z, x), hom_basis(w, z).basis
+    for c, lifts in ext.vanishing_on(maps):
+        y, _, d = assemble_extension(z, x, ext.chain_map(c))
+        for a, h in zip(maps, lifts, strict=True):
+            b = ChainMap(w, y, [[*hm, *am] for hm, am in zip(h, a.comps)])  # checks d b = b d
+            assert compose(d, b).comps == a.comps
+    every = [c for c, _ in ext.vanishing_on([])]
+    assert len(every) == rank(z.alg.field, every, ext.dimension) == ext.dimension
+    assert ext.vanishing_on([*maps, ChainMap.identity(z)]) == []
 
 
 def _moved(new, old, p):
@@ -243,7 +264,7 @@ def test_hom_and_ext_are_translation_equivariant(pair, extra, data):
     ext, ext_s = ext_classes(x, y), ext_classes(xs, ys)
     assert ext_s.dimension == ext.dimension
     assert all(_moved(t.comps, s.comps, p) for s, t in zip(ext.basis, ext_s.basis))
-    assert ext_s._d0 == ext._d0
+    assert ext_s.vectors == ext.vectors
 
 
 @st.composite

@@ -412,6 +412,31 @@ def test_support_gate_is_exact(fixtures_dir, fixture, n, monkeypatch):
     assert bool(path_gated) == (fixture not in ("point.alg", "cyc2.alg"))
 
 
+@pytest.mark.parametrize("fixture, n", [("a6_relations.alg", 3), ("d4.alg", 2),
+                                        ("a4_abc.alg", 3), ("a3_relation.alg", 4),
+                                        ("cyc2.alg", 3), ("e6.alg", 3)])
+def test_ar_pass_ext_is_the_pair_rule_ext(fixtures_dir, fixture, n):
+    # the AR pass and the pair rule read Ext(rep[i], rep[j]) as one space: the
+    # classes of ext_classes cone to the pair rule's middle terms, in order,
+    # on the first pair of every key with a path coordinate
+    from cnproj.complexes import cone
+    from cnproj.homspaces import ext_classes
+
+    uni = enumerate_indecomposables(load_algebra(str(fixtures_dir / fixture))[1], n)
+    reps, keys, classes = uni.representatives, set(), 0
+    for i in range(len(reps)):
+        for j in range(len(reps)):
+            if uni.key(i, j) in keys or not uni.has_path(i, j, 1):
+                continue
+            keys.add(uni.key(i, j))
+            ext = ext_classes(reps[i], reps[j])
+            cones = [universe_mod._normalise(cone(s)) for s in ext.basis]
+            assert ([y.serial_key() for y in cones if y is not None]
+                    == [y.serial_key() for y in universe_mod.pair_cones(uni, i, j)]), (i, j)
+            classes += len(cones)
+    assert classes
+
+
 def test_lookup_of_a_normalised_complex_makes_no_copy(a6_alg, monkeypatch):
     # a complex with support 1..w in window w is sorted as it is, with no
     # shift_window copy; a shifted copy in a wider window finds the same shape
