@@ -4,8 +4,8 @@ Arrows come from rad/rad^2 dimensions over a closed universe, and the work
 follows the nonzero radical graph: ``_Ctx`` lists, per class k, the classes
 W with rad(W, k) != 0 and those with rad(k, W) != 0, and every quantifier
 over universe classes W below walks these lists.  rad^2(X, Y) is the span
-of the composites X -> W -> Y over the W that X has radical maps to; its
-scan stops once the composites span Hom(X, Y).
+of the composites X -> W -> Y over the W that X has radical maps to, taken
+in path coordinates; its scan stops once they span Hom(X, Y).
 
 A scan that ends with rad^2(w, z) = rad(w, z) (no arrow) is a certificate for
 the key of (w, z): ``_Ctx`` keeps z and the classes U whose composites it took,
@@ -135,7 +135,7 @@ class _Ctx:
     radical graph walks.  ``_no_arrow`` keeps, per key, the first rad^2 = rad
     scan's z and witnesses U, which ``sink`` moves to the key's translates whose
     U moves with them (see the module docstring); ``stats`` counts the pairs
-    scanned and moved.
+    scanned and moved and the composites the scans form.
     """
 
     def __init__(self, universe: Universe):
@@ -148,7 +148,7 @@ class _Ctx:
         self._keys: dict[tuple, tuple[int, int, HomSpace | None]] = {}
         # key -> (z, the classes U whose composites gave rad^2 = rad at (w, z))
         self._no_arrow: dict[tuple, tuple[int, list[int]]] = {}
-        self.stats = {"rad2_scans": 0, "rad2_by_translation": 0}
+        self.stats = {"rad2_scans": 0, "rad2_by_translation": 0, "rad2_composites": 0}
         # a chain map needs a shared position: disjoint supports give h = 0 unsolved,
         # and as the test reads only widths and offset, a key's translates agree
         spans = universe.spans
@@ -159,6 +159,7 @@ class _Ctx:
         self._rad_coords: dict[int, list] = {}  # shape -> rad End coordinates
         self._neighbours: dict[tuple[int, bool], list[int]] = {}
         self._sink: dict[int, list] = {}
+        self._tau: dict[int, int] = {}
         self._columns: dict[tuple, list[int]] | None = None
 
     def _keyed(self, i, j) -> tuple[int, int, HomSpace | None]:
@@ -226,7 +227,8 @@ class _Ctx:
         used = [] if used is None else used
         factors = ((self.rad(i, w), self.rad(w, j)) for w in self.neighbours(i, into=False)
                    if self.r(w, j) and not used.append(w))
-        return rad2_basis(self.reps[i], self.reps[j], self.universe, self.hom(i, j), factors)
+        return rad2_basis(self.reps[i], self.reps[j], self.universe, self.hom(i, j), factors,
+                          self.stats)
 
     def sink(self, z) -> list:
         """The sink map's components (w, g) into class z: per neighbour w, in universe
@@ -253,6 +255,20 @@ class _Ctx:
                     self._no_arrow.setdefault(key, (z, used))
             self._sink[z] = comps
         return self._sink[z]
+
+    def tau(self, z) -> int:
+        """tau Z, once per Z: the class X with h(-, X) = sum of h(-, W) over Z's sink
+        sources W, minus h(-, Z), plus t(Z) at Z; NoCandidateFound names Z unless one matches."""
+        if z not in self._tau:
+            sources, tz = [w for w, _ in self.sink(z)], self.t(z)
+            column = tuple(sum(row[w] for w in sources) - row[z] + tz * (v == z)
+                           for v, row in enumerate(self.h))
+            matches = self.classes_with_column(column)
+            if len(matches) != 1:
+                raise NoCandidateFound(f"the predicted column of tau Z matches classes "
+                                       f"{matches} {_where(self, z)}")
+            self._tau[z] = matches[0]
+        return self._tau[z]
 
 
 def require_characteristic_zero(alg):
@@ -301,24 +317,10 @@ def _where(ctx: _Ctx, z_idx: int) -> str:
     return f"at class {z_idx} ({ctx.reps[z_idx].label()})"
 
 
-def _predicted_tau(ctx: _Ctx, z_idx: int) -> int:
-    """The class X with h(-, X) = sum of h(-, W) over Z's sink sources W, minus
-    h(-, Z), plus t(Z) at Z; NoCandidateFound names Z unless exactly one matches."""
-    sources = [w for w, _ in ctx.sink(z_idx)]
-    tz = ctx.t(z_idx)
-    column = tuple(sum(row[w] for w in sources) - row[z_idx] + tz * (v == z_idx)
-                   for v, row in enumerate(ctx.h))
-    matches = ctx.classes_with_column(column)
-    if len(matches) != 1:
-        raise NoCandidateFound(f"the predicted column of tau Z matches classes {matches} "
-                               f"{_where(ctx, z_idx)}")
-    return matches[0]
-
-
 def almost_split_ending_at(ctx: _Ctx, z_idx: int) -> Conflation:
     """The almost split conflation ending at a non-projective class Z: tau Z from the
     Hom-dimension table, sigma from Z's sink components, certified by defect counts."""
-    z, x_idx = ctx.reps[z_idx], _predicted_tau(ctx, z_idx)
+    z, x_idx = ctx.reps[z_idx], ctx.tau(z_idx)
     x = ctx.reps[x_idx]
     y, i_map, d_map, summands = _lifted_sink(ctx, z_idx, ctx.sink(z_idx), ext_classes(z, x))
     conf = Conflation(x, y, z, i_map, d_map, x_idx=x_idx, z_idx=z_idx, y_summands=summands)
@@ -362,7 +364,7 @@ def _terms(ctx: _Ctx, z_idx: int) -> tuple:
     """The terms of Z's conflation up to translation: Z's shape, key(tau Z, Z) and
     the sorted key(W, Z) over Z's sink sources W."""
     key = ctx.universe.key
-    return (ctx.universe.classes[z_idx][0], key(_predicted_tau(ctx, z_idx), z_idx),
+    return (ctx.universe.classes[z_idx][0], key(ctx.tau(z_idx), z_idx),
             tuple(sorted(key(w, z_idx) for w, _ in ctx.sink(z_idx))))
 
 

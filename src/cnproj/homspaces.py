@@ -6,7 +6,7 @@ the families h = (h^i : X^i -> Y^{i+k}) and the differential
     D^k(h) = d_Y h - (-1)^k h d_X.
 
 Families are solved exactly in path coordinates: one scalar unknown per
-admissible path per matrix entry (``_VarLayout``), and ``_differential`` gives
+admissible path per matrix entry (``coords._VarLayout``), and ``_differential`` gives
 the nonzero rows of D^k in those coordinates.  The public solves read its
 cohomology:
 
@@ -19,15 +19,15 @@ cohomology:
   position 1, or to a stalk at position n, is nonzero, i.e. whether the
   complex extends past its window on that side.
 
-A ``HomSpace`` keeps its kernel vectors and builds chain maps only when they
-are composed or coned.  Endomorphism radicals, isomorphism tests and
-Krull-Schmidt splitting go through the scalar images ``_scalar_images``, read
-off the vectors: phi(f) keeps the trivial-path coefficients of a map, one
-small matrix per (position, vertex).  On End(X), phi is an algebra map with
-nilpotent kernel, so rad End(X) is the kernel of the trace form
-tr(phi(a) phi(b)) in characteristic 0, and idempotents are found as
-projections of phi-matrices, which decide indecomposability, and are lifted
-to End(X) only to split; g . f is an isomorphism iff phi(g) phi(f) is.
+A ``HomSpace`` keeps its kernel vectors (rad^2 composes them in path
+coordinates) and builds chain maps only to cone or compose them.  Endomorphism
+radicals, isomorphism tests and Krull-Schmidt splitting go through the scalar
+images ``_scalar_images``, read off the vectors: phi(f) keeps the trivial-path
+coefficients of a map, one small matrix per (position, vertex).  On End(X), phi
+is an algebra map with nilpotent kernel, so rad End(X) is the kernel of the
+trace form tr(phi(a) phi(b)) in characteristic 0, and idempotents are found as
+projections of phi-matrices, which decide indecomposability, and are lifted to
+End(X) only to split; g . f is an isomorphism iff phi(g) phi(f) is.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import collections
 import functools
 import itertools
 
-from .algebra import AlgElement
 from .complexes import (
     ChainMap,
     Complex,
@@ -53,6 +52,7 @@ from .complexes import (
     shift_window,
     shift_window_map,
 )
+from .coords import _VarLayout
 from .errors import (
     CapExceeded,
     DecompositionFailure,
@@ -79,72 +79,6 @@ from .linalg import (
 
 # Cap on the p^m elements an idempotent scan of End(X) over GF(p) visits.
 IDEMPOTENT_CAP = 1 << 16
-
-
-class _VarLayout:
-    """Path coordinates of the degree-k families h^i : X^i -> Y^{i+k}.
-
-    ``slots`` lists ``(j, r, c, paths)``: component j is h^{j + lo}, entry row
-    r, column c, with one unknown per admissible path; ``offset[(j, r, c)]``
-    is the index of the slot's first unknown.
-    """
-
-    def __init__(self, x: Complex, y: Complex, k: int):
-        alg = x.alg
-        n = x.window
-        self.alg = alg
-        self.lo = max(0, -k)
-        self.shapes = [(y.cells[i + k], x.cells[i]) for i in range(self.lo, min(n, n - k))]
-        self.slots = []
-        self.offset = {}
-        nvars = 0
-        for j, (tgt, src) in enumerate(self.shapes):
-            for r, tv in enumerate(tgt):
-                for c, sv in enumerate(src):
-                    paths = alg.paths_between(tv, sv)
-                    if paths:
-                        self.offset[(j, r, c)] = nvars
-                        self.slots.append((j, r, c, paths))
-                        nvars += len(paths)
-        self.nvars = nvars
-        self._path_index = None  # most layouts never look a path up
-
-    def var(self, j, r, c, path):
-        if self._path_index is None:
-            self._path_index = {(j, r, c, p): self.offset[(j, r, c)] + t
-                                for j, r, c, paths in self.slots
-                                for t, p in enumerate(paths)}
-        return self._path_index.get((j, r, c, path))
-
-    def vectorize(self, mats) -> list:
-        # reads the slots, not ``var``: its path index would stay on every
-        # cached Hom space whose coordinates are ever taken
-        vec = [self.alg.field.zero] * self.nvars
-        found = 0
-        for j, r, c, paths in self.slots:
-            coeffs = mats[j][r][c].coeffs
-            if coeffs:
-                off = self.offset[(j, r, c)]
-                for t, p in enumerate(paths):
-                    if p in coeffs:
-                        vec[off + t] = coeffs[p]
-                        found += 1
-        if found != sum(len(e.coeffs) for m in mats for row in m for e in row):
-            raise ShapeMismatch("entry outside the layout")
-        return vec
-
-    def materialize(self, vec):
-        alg = self.alg
-        mats = []
-        for tgt, src in self.shapes:
-            mats.append([[alg.zero_element(tv, sv) for sv in src] for tv in tgt])
-        for (j, r, c, paths) in self.slots:
-            off = self.offset[(j, r, c)]
-            coeffs = {p: vec[off + t] for t, p in enumerate(paths) if vec[off + t]}
-            if coeffs:
-                mats[j][r][c] = AlgElement(alg, self.shapes[j][0][r], self.shapes[j][1][c],
-                                           coeffs, _checked=True)
-        return mats
 
 
 def _differential(x: Complex, y: Complex, src: _VarLayout, k: int) -> dict:
@@ -678,15 +612,15 @@ def rad_basis(x: Complex, y: Complex, universe) -> HomSpace:
 
 
 def rad2_basis(x: Complex, y: Complex, universe, hom: HomSpace | None = None,
-               factors=None) -> HomSpace:
+               factors=None, stats: dict | None = None) -> HomSpace:
     """Span of composites of two radical morphisms through the universe.
 
     ``hom`` is Hom(X, Y) and ``factors`` yields the pairs (rad(X, W), rad(W, Y))
     over the universe classes W, in universe order; it may skip any W with
     rad(X, W) = 0 or rad(W, Y) = 0, which adds no composite.  Callers that cache these spaces
-    pass them, and by default both are solved afresh.  The scan stops
-    once the picked composites span Hom(X, Y): no later composite can add to
-    the span, so the space is the same.
+    pass them, and by default both are solved afresh.  Each composite g . f is read
+    in path coordinates off the kernel vectors of f and g (``stats["rad2_composites"]``
+    counts them); the scan stops once they span Hom(X, Y), as no later one can add.
     """
     if not universe.closed:
         raise IncompleteUniverse("rad^2 quantifies over a closed universe")
@@ -694,17 +628,18 @@ def rad2_basis(x: Complex, y: Complex, universe, hom: HomSpace | None = None,
     if factors is None:
         factors = _fresh_rad_factors(x, y, universe)
     span = SpanBasis(x.alg.field, len(hs._free))
-    picked, vecs = [], []
-    pairs = ((f_, g) for first, second in factors for f_ in first.basis for g in second.basis)
+    vecs, formed = [], 0
+    pairs = ((f_, g) for first, second in factors for f_, g in itertools.product(
+        first._layout.entries(first.vectors), second._layout.entries(second.vectors)))
     for f_, g in pairs:
         if span.dim == hs.dimension:
             break
-        comp = compose(g, f_)
-        vec = hs._layout.vectorize(comp.comps)
+        vec, formed = hs._layout.composite(g, f_), formed + 1
         if span.add([vec[j] for j in hs._free]):
-            picked.append(comp)
             vecs.append(vec)
-    return HomSpace(x, y, vecs, hs._layout, hs._free, picked)
+    if stats is not None:
+        stats["rad2_composites"] += formed
+    return HomSpace(x, y, vecs, hs._layout, hs._free)
 
 
 def _fresh_rad_factors(x: Complex, y: Complex, universe):

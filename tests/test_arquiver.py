@@ -752,11 +752,12 @@ def test_certified_sink_is_the_full_scan(fixtures_dir, fixture, n):
 
 def test_ar_pass_counts_its_work(monkeypatch, a6_alg):
     # on a6 at n = 5 the 1,517 radical pairs fall into 605 keys: 756 pairs are
-    # scanned and 761 certified by translation, and of the 70 conflations 36 are
-    # solved and 34 moved; the stats are the calls the pass makes
+    # scanned and 761 certified by translation, the scans form 778 composites,
+    # and of the 70 conflations 36 are solved and 34 moved; tau Z is read off
+    # the Hom table once per non-projective Z; the stats are the calls the pass makes
     from cnproj import arquiver
 
-    calls = {"rad2_basis": 0, "almost_split_ending_at": 0}
+    calls = {"rad2_basis": 0, "almost_split_ending_at": 0, "classes_with_column": 0}
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -764,12 +765,15 @@ def test_ar_pass_counts_its_work(monkeypatch, a6_alg):
             return real(*args, **kwargs)
         return call
 
-    for name in calls:
+    for name in ("rad2_basis", "almost_split_ending_at"):
         monkeypatch.setattr(arquiver, name, counted(name, getattr(arquiver, name)))
+    monkeypatch.setattr(arquiver._Ctx, "classes_with_column",
+                        counted("classes_with_column", arquiver._Ctx.classes_with_column))
     q = build_ar_quiver(a6_alg, 5)
-    assert q.stats == {"rad2_scans": 756, "rad2_by_translation": 761,
+    assert q.stats == {"rad2_scans": 756, "rad2_by_translation": 761, "rad2_composites": 778,
                        "conflations_solved": 36, "conflations_moved": 34}
-    assert calls == {"rad2_basis": 756, "almost_split_ending_at": 36}
+    assert calls == {"rad2_basis": 756, "almost_split_ending_at": 36, "classes_with_column": 70}
+    assert q.tau == q._ctx._tau
     assert len(q.conflations) == 70
     assert len({q.universe.key(w, z) for z in range(q.class_count())
                 for w in q._ctx.neighbours(z, into=True)}) == 605

@@ -6,8 +6,11 @@ the d^2 = 0 invariant is re-checked by the Complex constructor on every
 functor application.
 """
 
+import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,10 +40,12 @@ from cnproj.homspaces import (
     _VarLayout,
     assemble_extension,
     decompose,
+    end_radical_coords,
     ext_classes,
     hom_basis,
     is_isomorphic,
     null_homotopy_span,
+    rad2_basis,
 )
 from cnproj.linalg import kernel, matmul, rank
 from cnproj.scalars import RationalField
@@ -55,9 +60,9 @@ def _algebra(tag, field="rational"):
             alg = build_algebra(Quiver((1,), ()), [], field)
         elif tag == "a2":
             alg = build_algebra(Quiver((1, 2), (("a", 1, 2),)), [], field)
-        else:
+        else:  # "a3" with the relation ab, "a3_path" without it
             q = Quiver((1, 2, 3), (("a", 1, 2), ("b", 2, 3)))
-            alg = build_algebra(q, [("a", "b")], field)
+            alg = build_algebra(q, [("a", "b")] if tag == "a3" else [], field)
         _ALGEBRAS[(tag, field)] = alg
     return _ALGEBRAS[(tag, field)]
 
@@ -240,6 +245,62 @@ def test_one_solve_gives_the_killed_classes_and_their_lifts(triple):
     every = [c for c, _ in ext.vanishing_on([])]
     assert len(every) == rank(z.alg.field, every, ext.dimension) == ext.dimension
     assert ext.vanishing_on([*maps, ChainMap.identity(z)]) == []
+
+
+def _factor_pairs(x, w, y, extra, p):
+    """(X', Y', rad(X', W'), rad(W', Y')) for three kinds of factor: plain Hom spaces,
+    both moved by p into window n + extra (other positions, same vectors), and, over
+    Q, the End-radical subspace of End(X) and of End(Y) as one factor (over GF(2),
+    where the trace form does not apply, the span of End's basis sum stands in)."""
+    def radical(c):
+        end = hom_basis(c, c)
+        if c.alg.field.char == 0:
+            return end.subspace(end_radical_coords(c, end))
+        return end.subspace([[c.alg.field.one] * end.dimension] if end.dimension else [])
+
+    first, second = hom_basis(x, w), hom_basis(w, y)
+    xs, ws, ys = (shift_window(c, p, c.window + extra) for c in (x, w, y))
+    return [(x, y, first, second),
+            (xs, ys, first.moved(xs, ws, p), second.moved(ws, ys, p)),
+            (x, y, radical(x), hom_basis(x, y)),
+            (x, y, hom_basis(x, y), radical(y))]
+
+
+def _check_rad2_composites(x, w, y, extra, p):
+    # rad2_basis reads g . f in Hom(X, Y)'s path coordinates off the kernel
+    # vectors of f and g; fed one basis pair at a time, each composite it keeps
+    # is the vectorized chain-map composite (a zero composite adds nothing)
+    closed = SimpleNamespace(closed=True)
+    for x_, y_, first, second in _factor_pairs(x, w, y, extra, p):
+        hs, fld = hom_basis(x_, y_), x.alg.field
+        units = [[[fld.one if t == k else fld.zero for t in range(sp.dimension)]
+                  for k in range(sp.dimension)] for sp in (first, second)]
+        for f, uf in zip(first.basis, units[0]):
+            for g, ug in zip(second.basis, units[1]):
+                stats = {"rad2_composites": 0}
+                got = rad2_basis(x_, y_, closed, hs, [(first.subspace([uf]),
+                                                       second.subspace([ug]))], stats)
+                want = hs._layout.vectorize(compose(g, f).comps)
+                assert got.vectors == ([want] if any(want) else [])
+                assert stats["rad2_composites"] == (1 if hs.dimension else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.sampled_from(_TAGS), st.sampled_from(["rational", "gf2"])).flatmap(
+    lambda tf: st.tuples(*(complexes(tag=tf[0], field=tf[1]) for _ in range(3)))),
+       st.integers(min_value=1, max_value=2), st.data())
+def test_rad2_composites_in_coordinates_are_the_composed_maps(triple, extra, data):
+    _check_rad2_composites(*triple, extra, data.draw(st.integers(min_value=0, max_value=extra)))
+
+
+@pytest.mark.parametrize("field", ["rational", "gf2"])
+def test_rad2_composites_through_a_path_of_length_two(field):
+    # no _TAGS algebra has a nonzero path of length 2, so there a composite
+    # never shows the order of mult_path's operands; a3_path's stalks compose
+    # through a . b at every position
+    stalks = [r for r in _reps("a3_path", 3, field) if r.total_summands() == 1]
+    for x, w, y in itertools.product(stalks, repeat=3):
+        _check_rad2_composites(x, w, y, 1, 1)
 
 
 def _moved(new, old, p):
