@@ -9,8 +9,9 @@
 #   6. the check battery on e6 (a branching quiver, 104 classes) at n = 4
 #   7. the check battery on d8 (the fixture with the most classes) at n = 4,
 #      whose "split closure adds nothing" entry catches a lost class
-#   8. the golden DOT files, regenerated and compared with the committed ones
-#   9. one short perfbench run per workload of BENCHMARK.json, which must answer
+#   8. sgldim on e7 (s.gl.dim 3, m0 5)
+#   9. the golden DOT files, regenerated and compared with the committed ones
+#  10. one short perfbench run per workload of BENCHMARK.json, which must answer
 #      correctly (DOT sha256, sgldim table) with no failed sample, then one
 #      traced run (--trace 1) of the same workload with the same requirement:
 #      its two traced samples must agree on every count and every per-layer
@@ -49,6 +50,7 @@ step python -m cnproj check tests/fixtures/d4.alg --n 3 --oracle gf2
 step python -m cnproj check tests/fixtures/a4_abc.alg --n 3 --oracle gf2
 step python -m cnproj check tests/fixtures/e6.alg --n 4
 step python -m cnproj check tests/fixtures/d8_linear.alg --n 4
+step python -m cnproj sgldim tests/fixtures/e7.alg
 step python scripts/regen_goldens.py
 step git diff --exit-code tests/golden
 for workload in $(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do

@@ -354,3 +354,26 @@ def build_algebra(quiver: Quiver, relations: Sequence[Sequence[str]], field_tag:
                   path_cap: int = 10_000) -> MonomialAlgebra:
     """Build the bound quiver algebra over the tagged scalar field."""
     return MonomialAlgebra(quiver, relations, field_from_tag(field_tag), path_cap=path_cap)
+
+
+def products_vanish(alg, nrows: int, ncols: int, *terms) -> bool:
+    """Whether sum_k s_k a_k b_k = 0 for the terms (s_k, a_k, b_k): a scalar,
+    an nrows x m_k and an m_k x ncols matrix of elements of ``alg``.  Path
+    coefficients are summed per entry in a dict, so no element is built."""
+    mult, zero = alg.mult_path, alg.field.zero
+    for r in range(nrows):
+        for c in range(ncols):
+            acc = {}
+            for sign, a, b in terms:
+                for k, x in enumerate(a[r]):
+                    if not x.coeffs:
+                        continue
+                    y = b[k][c].coeffs
+                    for p, cp in x.coeffs.items():
+                        cp = sign * cp
+                        for q, cq in y.items():
+                            if (pq := mult(p, q)) is not None:
+                                acc[pq] = acc.get(pq, zero) + cp * cq
+            if any(acc.values()):
+                return False
+    return True

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .algebra import AlgElement, MonomialAlgebra
+from .algebra import AlgElement, MonomialAlgebra, products_vanish
 from .errors import (
     NotAChainMap,
     NotAnExtension,
@@ -102,10 +102,10 @@ class Complex:
                         raise ShapeMismatch(
                             f"diff {i + 1} entry ({r},{c}) typed {entry.start}->{entry.end}, "
                             f"expected {tgt[r]}->{src[c]}")
+        one = self.alg.field.one
         for i in range(len(self.diffs) - 1):
-            prod = mat_mul(self.alg, self.diffs[i + 1], self.diffs[i],
-                           self.cells[i + 2], self.cells[i + 1], self.cells[i])
-            if not mat_is_zero(prod):
+            if not products_vanish(self.alg, len(self.cells[i + 2]), len(self.cells[i]),
+                                    (one, self.diffs[i + 1], self.diffs[i])):
                 raise ShapeMismatch(f"d^{i + 2} d^{i + 1} != 0")
 
     @property
@@ -177,12 +177,11 @@ class ChainMap:
                 for c, entry in enumerate(row):
                     if (entry.start, entry.end) != (tgt[r], src[c]):
                         raise ShapeMismatch(f"component {i + 1}: entry typing mismatch")
+        one = alg.field.one
         for i in range(n - 1):
-            lhs = mat_mul(alg, self.target.diffs[i], self.comps[i],
-                          self.target.cells[i + 1], self.target.cells[i], self.source.cells[i])
-            rhs = mat_mul(alg, self.comps[i + 1], self.source.diffs[i],
-                          self.target.cells[i + 1], self.source.cells[i + 1], self.source.cells[i])
-            if not mat_is_zero(mat_add(lhs, mat_neg(rhs))):
+            if not products_vanish(alg, len(self.target.cells[i + 1]), len(self.source.cells[i]),
+                                    (one, self.target.diffs[i], self.comps[i]),
+                                    (-one, self.comps[i + 1], self.source.diffs[i])):
                 raise NotAChainMap(f"d f != f d at position {i + 1}")
 
     @staticmethod
@@ -526,10 +525,9 @@ def extend_left(x: Complex, v: int, d0: Sequence[AlgElement] | AlgElement) -> Co
     if all(e.is_zero() for e in col):
         raise NotAnExtension("extension morphism must be nonzero")
     mat = [[e] for e in col]
-    if x.window >= 2:
-        comp = mat_mul(x.alg, x.diffs[0], mat, x.cells[1], x.cells[0], (v,))
-        if not mat_is_zero(comp):
-            raise NotAnExtension("d^1 . d^0 != 0")
+    if x.window >= 2 and not products_vanish(x.alg, len(x.cells[1]), 1,
+                                              (x.alg.field.one, x.diffs[0], mat)):
+        raise NotAnExtension("d^1 . d^0 != 0")
     return Complex(x.alg, [(v,), *x.cells], [mat, *x.diffs])
 
 
@@ -545,8 +543,7 @@ def extend_right(x: Complex, v: int, dm: Sequence[AlgElement] | AlgElement) -> C
     if all(e.is_zero() for e in row):
         raise NotAnExtension("extension morphism must be nonzero")
     mat = [row]
-    if x.window >= 2:
-        comp = mat_mul(x.alg, mat, x.diffs[-1], (v,), x.cells[-1], x.cells[-2])
-        if not mat_is_zero(comp):
-            raise NotAnExtension("d^m . d^{n-1} != 0")
+    if x.window >= 2 and not products_vanish(x.alg, 1, len(x.cells[-2]),
+                                              (x.alg.field.one, mat, x.diffs[-1])):
+        raise NotAnExtension("d^m . d^{n-1} != 0")
     return Complex(x.alg, [*x.cells, (v,)], [*x.diffs, mat])

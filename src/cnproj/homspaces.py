@@ -25,9 +25,10 @@ radicals, isomorphism tests and Krull-Schmidt splitting go through the scalar
 images ``_scalar_images``, read off the vectors: phi(f) keeps the trivial-path
 coefficients of a map, one small matrix per (position, vertex).  On End(X), phi
 is an algebra map with nilpotent kernel, so rad End(X) is the kernel of the
-trace form tr(phi(a) phi(b)) in characteristic 0, and idempotents are found as
-projections of phi-matrices, which decide indecomposability, and are lifted to
-End(X) only to split; g . f is an isomorphism iff phi(g) phi(f) is.
+trace form tr(phi(a) phi(b)) in characteristic 0, and whether X splits is read
+off phi(End(X)): from the eigenvalues of phi-matrices over Q, from a scan for
+an idempotent over GF(p).  Fitting projections and idempotents of End(X), as
+chain maps, are built only to split; g . f is an isomorphism iff phi(g) phi(f) is.
 """
 
 from __future__ import annotations
@@ -64,17 +65,18 @@ from .errors import (
     ZeroComplex,
 )
 from .linalg import (
-    ROOT_SEARCH_CAP,
     SpanBasis,
+    first_split,
+    has_idempotent,
     identity_matrix,
     kernel,
     matmul,
-    minimal_polynomial,
     nullspace,
     rank,
-    rational_roots,
     rref,
     solve,
+    split_candidates,
+    split_eigenvalue,
 )
 
 # Cap on the p^m elements an idempotent scan of End(X) over GF(p) visits.
@@ -248,8 +250,9 @@ def _trace_of_product(field_, a, b):
     return tr
 
 
-def end_radical_coords(x: Complex, end: HomSpace | None = None) -> list[list]:
-    """Coordinates (in End basis) of a basis of rad End(X).
+def end_radical_coords(x: Complex, end: HomSpace | None = None, images=None) -> list[list]:
+    """Coordinates (in End basis) of a basis of rad End(X); ``images`` are
+    End's scalar images when the caller holds them.
 
     Characteristic zero only: by Dickson's trace criterion the radical is the
     kernel of the form ``(a, b) -> tr(phi(a) phi(b))`` on the scalar images.
@@ -259,33 +262,30 @@ def end_radical_coords(x: Complex, end: HomSpace | None = None) -> list[list]:
         raise ShapeMismatch("trace-form radical needs characteristic zero")
     if end is None:
         end = hom_basis(x, x)
-    images = _scalar_images(end)
+    if images is None:
+        images = _scalar_images(end)
     gram = [[_trace_of_product(f, a, b) for b in images] for a in images]
     return nullspace(f, gram, end.dimension)
 
 
 def is_indecomposable(x: Complex) -> bool:
-    """End(X) local: ``_splits`` finds no split.  Over Q its first Fitting
-    projection already says no, so its solve and lift are skipped."""
+    """End(X) local: ``_split`` finds no split.  Its verdict reads only End's
+    scalar images, so no projection, idempotent or chain map is built."""
     if x.is_zero():
         raise ZeroComplex("the zero complex is not indecomposable")
-    return next(_splits(x), None) is None
+    return _split(x) is None
 
 
 def _scan_idempotent(x: Complex, end: HomSpace):
-    """First nontrivial idempotent of End(X) over GF(p), exhausting all p^m elements
-    for m >= 2; SearchSpaceTooLarge when p^m exceeds ``IDEMPOTENT_CAP``."""
+    """First nontrivial idempotent of End(X) over GF(p), in the order of a scan
+    of all p^m elements, for m >= 2 (``_split`` has checked ``IDEMPOTENT_CAP``)."""
     f = x.alg.field
-    m = end.dimension
-    if f.char ** m > IDEMPOTENT_CAP:
-        raise SearchSpaceTooLarge(f.char ** m)
     ident = end._layout.vectorize(ChainMap.identity(x).comps)
-    for combo in itertools.product(f.elements(), repeat=m):
+    for combo in itertools.product(f.elements(), repeat=end.dimension):
         if not any(combo) or (vec := _combine(f, end.vectors, combo)) == ident:
             continue
         if compose(e := end.chain_map(vec), e).comps == e.comps:
             return e
-    return None
 
 
 def is_isomorphic(x: Complex, y: Complex) -> bool:
@@ -423,55 +423,61 @@ def _component_summands(x: Complex) -> list:
 
 def _splitting_idempotent(x: Complex):
     """A nontrivial idempotent of End(X), or None when End(X) is local."""
-    return next(_splits(x), lambda: None)()
+    lift = _split(x)
+    return None if lift is None else lift()
 
 
-def _splits(x: Complex):
-    """Lazily, per split of X that the search finds, a thunk for its idempotent.
+def _split(x: Complex):
+    """None when End(X) is local, else a thunk that builds a nontrivial
+    idempotent of End(X).
 
-    Nothing when m = dim End(X) <= 1.  Over GF(p) all p^m elements are scanned.
-    In characteristic 0, End(X) is local when End(X)/rad is Q; otherwise the
-    candidates b (basis elements, then the sum and product of each pair) are
-    tried through their scalar images.  A Fitting projection of phi(b) onto a
-    rational generalised eigenspace lies in phi(End(X)), whose kernel is
-    nilpotent, so X splits; the thunk pulls it back by one linear solve and
-    lifts it to an idempotent by e -> 3e^2 - 2e^3.  When no candidate splits,
-    DecompositionFailure is raised, as exact rational arithmetic cannot tell a
-    residue field larger than Q from a split it cannot see.
+    Nothing splits when m = dim End(X) <= 1.  The verdict reads only the
+    scalar images phi(End(X)), whose kernel is nilpotent, so phi(End(X)) has a
+    nontrivial idempotent exactly when End(X) does.  Over GF(p) all p^m
+    combinations of the images are scanned (``has_idempotent``; at most
+    ``IDEMPOTENT_CAP``), and the thunk scans End(X) itself.  Over Q a
+    candidate b splits when phi(b) has a rational eigenvalue whose Fitting
+    projection is neither 0 nor 1 (``split_eigenvalue``); that projection lies
+    in phi(End(X)), and the thunk pulls it back by one linear solve and lifts
+    it to an idempotent by e -> 3e^2 - 2e^3.  The basis images are tried
+    before the trace-form radical, as no phi(b) of a local End(X) splits: each
+    has a single eigenvalue.  A refused root search defers to the radical; the
+    candidates after it, which start with the basis images again, raise
+    CapExceeded where it was refused.  When
+    End(X)/rad has dimension > 1 and no candidate (basis elements, then the sum
+    and product of each pair) splits, DecompositionFailure is raised, as exact
+    rational arithmetic cannot tell a residue field larger than Q from a split
+    it cannot see.
     """
     end = hom_basis(x, x)
     m, f = end.dimension, x.alg.field
     if m <= 1:
-        return
-    if f.char != 0:
-        if (e := _scan_idempotent(x, end)) is not None:
-            yield lambda: e
-        return
-    if m - len(end_radical_coords(x, end)) == 1:
-        return
+        return None
     images = _scalar_images(end)
-    for cand in _candidates(f, images):
-        if (proj := _fitting_projection(f, cand)) is not None:
-            yield functools.partial(_lift_projection, end, images, proj)
-    raise DecompositionFailure(
-        "End(X)/rad End(X) has dimension > 1 over Q but no candidate element produced a "
-        "rational spectral split: End(X) may be local with a residue field larger "
-        "than Q (X indecomposable), or split only over a field extension")
+    if f.char != 0:
+        if f.char ** m > IDEMPOTENT_CAP:
+            raise SearchSpaceTooLarge(f.char ** m)
+        return functools.partial(_scan_idempotent, x, end) if has_idempotent(f, images) else None
+    try:
+        cand = first_split(f, images)
+    except CapExceeded:
+        cand = None
+    if cand is None:
+        if m - len(end_radical_coords(x, end, images)) == 1:
+            return None
+        cand = first_split(f, split_candidates(f, images))
+    if cand is None:
+        raise DecompositionFailure(
+            "End(X)/rad End(X) has dimension > 1 over Q but no candidate element produced a "
+            "rational spectral split: End(X) may be local with a residue field larger "
+            "than Q (X indecomposable), or split only over a field extension")
+    return functools.partial(_lift_projection, end, images, cand)
 
 
-def _candidates(f, images):
-    """phi(b) for End(X)'s basis elements b, then for the sum and product of each pair."""
-    yield from images
-    for i, a in enumerate(images):
-        for b in images[i:]:
-            blocks = list(zip(a, b))
-            yield [[[u + v for u, v in zip(ra, rb)] for ra, rb in zip(p, q)] for p, q in blocks]
-            yield [matmul(f, p, q, len(p), len(p)) for p, q in blocks]
-
-
-def _lift_projection(end: HomSpace, images, proj):
-    """The idempotent of End(X) over the projection ``proj`` in phi(End(X))."""
+def _lift_projection(end: HomSpace, images, cand):
+    """The idempotent of End(X) over the Fitting projection of ``cand`` in phi(End(X))."""
     f = end.source.alg.field
+    proj = _fitting_projection(f, cand)
     flat = [[v for blk in img for row in blk for v in row] for img in images]
     coeffs = solve(f, [list(col) for col in zip(*flat)], end.dimension,
                    [v for blk in proj for row in blk for v in row])
@@ -485,30 +491,11 @@ def _lift_projection(end: HomSpace, images, proj):
 
 
 def _fitting_projection(f, blocks):
-    """Blockwise projection onto the generalised eigenspace of a rational
-    eigenvalue of ``blocks`` along the other ones; None when every such
-    projection is 0 or 1 (one eigenvalue, or no rational one).
-
-    Raises CapExceeded when the rational root search refuses a minimal
-    polynomial, which would otherwise read as "no rational eigenvalue".
-    """
-    eigen = set()
-    for blk in blocks:
-        if len(blk) == 1:
-            eigen.add(blk[0][0])
-            continue
-        roots = rational_roots(minimal_polynomial(f, blk, len(blk)))
-        if roots is None:
-            raise CapExceeded(
-                f"rational root search refused: a minimal polynomial coefficient "
-                f"exceeds ROOT_SEARCH_CAP = {ROOT_SEARCH_CAP:,}")
-        eigen.update(roots)
-    ident = [identity_matrix(f, len(blk)) for blk in blocks]
-    for lam in sorted(eigen):
-        proj = [_fitting_part(f, blk, lam) for blk in blocks]
-        if proj != ident and any(any(row) for p in proj for row in p):
-            return proj
-    return None
+    """Blockwise projection onto the generalised eigenspace of
+    ``split_eigenvalue(f, blocks)`` along the other ones; None when there is
+    none (CapExceeded when its root search is refused)."""
+    lam = split_eigenvalue(f, blocks)
+    return None if lam is None else [_fitting_part(f, blk, lam) for blk in blocks]
 
 
 def _fitting_part(f, blk, lam):

@@ -4,9 +4,19 @@ Matrices are plain lists of row lists; vectors are lists.  Everything is
 deterministic: pivots are chosen first-nonzero in column order, and nullspace
 bases follow the reduced-echelon free-column convention, so basis orders are
 reproducible across runs.
+
+Two decisions on square matrices cut into diagonal blocks serve the
+endomorphism rings of ``homspaces``: ``split_eigenvalue`` (over Q) and
+``has_idempotent`` (over GF(p)).
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+
+from .errors import CapExceeded
 
 # rational_roots refuses a polynomial whose constant or leading integer
 # coefficient exceeds this bound, rather than factor it by trial division.
@@ -161,13 +171,6 @@ def poly_trim(field, p):
     return p
 
 
-def poly_eval(field, p, x):
-    acc = field.zero if field is not None else 0 * x
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def minimal_polynomial(field, mat, n: int):
     """Monic minimal polynomial of an n x n matrix, via Krylov on the flattened powers."""
     if n == 0:
@@ -193,17 +196,17 @@ def minimal_polynomial(field, mat, n: int):
 def rational_roots(poly):
     """All rational roots of a polynomial with int or Fraction coefficients.
 
-    Clears denominators and tries divisor quotients p/q; refuses (returns
-    None) when the constant or leading integer exceeds ``ROOT_SEARCH_CAP``.
+    Clears denominators and tries each +-p/q with p dividing the constant and
+    q the leading integer, in lowest terms, by integer Horner on
+    q^d P(p/q); refuses (returns None) when either integer exceeds
+    ``ROOT_SEARCH_CAP``.
     """
-    from fractions import Fraction
-
     if not poly:
         return []
     roots = set()
     lcm = 1
     for c in poly:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in poly]
     while ints and ints[0] == 0:
         roots.add(Fraction(0))
@@ -213,19 +216,20 @@ def rational_roots(poly):
     a0, ad = abs(ints[0]), abs(ints[-1])
     if a0 > ROOT_SEARCH_CAP or ad > ROOT_SEARCH_CAP:
         return None
-    frac_poly = [Fraction(c) for c in poly]
     for p in _divisors(a0):
         for q in _divisors(ad):
-            for r in (Fraction(p, q), Fraction(-p, q)):
-                if not poly_eval(None, frac_poly, r):
-                    roots.add(r)
+            if math.gcd(p, q) == 1:
+                roots.update(Fraction(s, q) for s in (p, -p) if not _scaled_value(ints, s, q))
     return sorted(roots)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _scaled_value(ints, p: int, q: int) -> int:
+    """q^d P(p/q) for the integer coefficients ``ints`` (low degree first) of P."""
+    acc, qk = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
 
 
 def _divisors(n: int):
@@ -240,3 +244,73 @@ def _divisors(n: int):
             out.add(n // d)
         d += 1
     return sorted(out)
+
+
+# -- decisions on block-diagonal matrices (lists of square blocks) -------------
+
+
+def split_eigenvalue(field, blocks):
+    """The least rational eigenvalue lam of ``blocks`` (over Q) whose blockwise
+    projection onto the generalised lam-eigenspace, along the other
+    eigenvalues, is neither 0 nor 1: some block has lam and some block another
+    eigenvalue, rational or not.  None when there is no such lam.
+
+    Read off the minimal polynomials, with no projection built.  Raises
+    CapExceeded when ``rational_roots`` refuses one, which would otherwise read
+    as "no rational eigenvalue".
+    """
+    polys, eigen = [], set()
+    for blk in blocks:
+        if len(blk) == 1:
+            polys.append([-blk[0][0], field.one])
+            eigen.add(blk[0][0])
+            continue
+        polys.append(minimal_polynomial(field, blk, len(blk)))
+        roots = rational_roots(polys[-1])
+        if roots is None:
+            raise CapExceeded(
+                f"rational root search refused: a minimal polynomial coefficient "
+                f"exceeds ROOT_SEARCH_CAP = {ROOT_SEARCH_CAP:,}")
+        eigen.update(roots)
+    if len(eigen) != 1:
+        return min(eigen, default=None)
+    lam = eigen.pop()
+    # lam is a block's only eigenvalue iff its minimal polynomial is (t - lam)^d
+    if any(p != [math.comb(len(p) - 1, k) * (-lam) ** (len(p) - 1 - k) for k in range(len(p))]
+           for p in polys):
+        return lam
+    return None
+
+
+def split_candidates(field, images):
+    """``images`` (each a list of square blocks), then the blockwise sum and
+    product of each pair of them."""
+    yield from images
+    for i, a in enumerate(images):
+        for b in images[i:]:
+            blocks = list(zip(a, b))
+            yield [[[u + v for u, v in zip(ra, rb)] for ra, rb in zip(p, q)] for p, q in blocks]
+            yield [matmul(field, p, q, len(p), len(p)) for p, q in blocks]
+
+
+def first_split(field, candidates):
+    """The first of ``candidates`` with a ``split_eigenvalue``, or None."""
+    return next((c for c in candidates if split_eigenvalue(field, c) is not None), None)
+
+
+def has_idempotent(field, images) -> bool:
+    """Whether some combination of ``images`` (over GF(p), each a list of
+    square blocks of the same shapes) is an idempotent other than 0 and 1,
+    scanning all p^m coefficient vectors."""
+    ident = [identity_matrix(field, len(blk)) for blk in images[0]]
+    zero = [[[field.zero] * len(blk) for _ in blk] for blk in images[0]]
+    for combo in itertools.product(field.elements(), repeat=len(images)):
+        if not any(combo):
+            continue
+        e = [[[sum((c * img[b][r][s] for c, img in zip(combo, images) if c), field.zero)
+               for s in range(len(blk))] for r in range(len(blk))]
+             for b, blk in enumerate(images[0])]
+        if e != zero and e != ident and all(
+                matmul(field, blk, blk, len(blk), len(blk)) == blk for blk in e):
+            return True
+    return False

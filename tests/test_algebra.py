@@ -117,6 +117,7 @@ FIXTURE_GLDIM = {
     "a6_relations.alg": 3,
     "d4.alg": 1,
     "e6.alg": 2,
+    "e7.alg": 2,
     "d8_linear.alg": 4,
     "cyc2.alg": math.inf,
     "syzygy_cycle.alg": math.inf,

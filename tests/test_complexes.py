@@ -67,6 +67,47 @@ def test_d_squared_enforced(a3_alg):
         Complex(a3_alg, [(3,), (2,), (2,)], [[[b]], [[c]]])
 
 
+def _a3_path(field):
+    from cnproj.algebra import Quiver, build_algebra
+
+    return build_algebra(Quiver((1, 2, 3), (("a", 1, 2), ("b", 2, 3))), [], field)
+
+
+def _two_routes(alg, d2):
+    # P3 -> P2 + P2 -> P1 with d^1 = (b, b): d^2 d^1 is a sum over the two
+    # middle summands of products that all give the path ab
+    b = alg.hom_proj_basis(3, 2)[0]
+    return Complex(alg, [(3,), (2, 2), (1,)], [[[b], [b]], [d2]])
+
+
+def test_d_squared_sums_products_per_path():
+    # the d^2 = 0 check adds the coefficients of each path over the middle
+    # summands: they cancel as 1 + 1 over GF(2) and as 1 - 1 over Q, and a
+    # nonzero sum is refused with the same error as an uncancelled product
+    gf2, q = _a3_path("gf2"), _a3_path("rational")
+    a2, aq = gf2.hom_proj_basis(2, 1)[0], q.hom_proj_basis(2, 1)[0]
+    assert _two_routes(gf2, [a2, a2]).diffs[1] == ((a2, a2),)
+    assert _two_routes(q, [aq, -aq]).diffs[1] == ((aq, -aq),)
+    for d2 in ([aq, aq], [aq, aq.scale(-2)], [aq, q.zero_element(1, 2)]):
+        with pytest.raises(ShapeMismatch, match=r"^d\^2 d\^1 != 0$"):
+            _two_routes(q, d2)
+
+
+def test_chain_map_check_sums_both_sides():
+    # d f - f d is checked entry by entry as one sum of path coefficients
+    from cnproj.errors import NotAChainMap
+
+    alg = _a3_path("rational")
+    a = alg.hom_proj_basis(2, 1)[0]
+    x = Complex(alg, [(2,), (1,)], [[[a]]])
+    one, zero = alg.unit, alg.zero_element
+    assert ChainMap(x, x, [[[one(2)]], [[one(1)]]]).comps[1] == ((one(1),),)
+    ChainMap(x, x, [[[one(2).scale(3)]], [[one(1).scale(3)]]])  # 3a - a 3 = 0
+    for comps in ([[[one(2)]], [[zero(1, 1)]]], [[[one(2).scale(2)]], [[one(1)]]]):
+        with pytest.raises(NotAChainMap, match="^d f != f d at position 1$"):
+            ChainMap(x, x, comps)
+
+
 def test_functor_identities(a3_alg):
     x = direct_sum(two_cell(a3_alg), make_J(a3_alg, 1, 1, 2))
     assert drop_first(embed_left(x)) == x

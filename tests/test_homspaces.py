@@ -525,28 +525,80 @@ def test_refused_root_search_is_a_named_cap(point_alg):
         _fitting_projection(point_alg.field, [blk])
 
 
-@pytest.mark.parametrize("fixture, n", [("a6_relations.alg", 4), ("d4.alg", 3), ("e6.alg", 3)])
-def test_rejection_lifts_no_idempotent(monkeypatch, fixtures_dir, fixture, n):
+def test_refused_root_search_defers_to_the_radical(monkeypatch, point_alg):
+    # a basis image is tried before the trace-form radical; when its root
+    # search is refused, a local End(X) is still indecomposable, and a split
+    # End(X) raises the named cap, as when the radical came first
+    from cnproj import linalg
+    from cnproj.algebra import Quiver, build_algebra
+    from cnproj.errors import CapExceeded
+
+    def refused(f, blocks):
+        raise CapExceeded("refused")
+
+    loop = build_algebra(Quiver((1,), (("x", 1, 1),)), [("x", "x")], "rational")
+    local = make_stalk(loop, 1, 1, 1)  # End = k[x]/x^2
+    split = Complex(point_alg, [(1, 1)], [])  # End = M_2(k)
+    assert hom_basis(local, local).dimension == 2
+    monkeypatch.setattr(linalg, "split_eigenvalue", refused)
+    assert is_indecomposable(local)
+    with pytest.raises(CapExceeded, match="refused"):
+        is_indecomposable(split)
+
+
+@pytest.mark.parametrize("field", ["gf2", "gf3"])
+def test_idempotent_scan_of_scalar_images(field):
+    # over GF(p) the verdict scans phi(End(X)): k[x]/x^2 is local although
+    # phi(x) = 0 and phi(1) = 1 are idempotents, and M_2(k) splits
+    from cnproj.algebra import Quiver, build_algebra
+    from cnproj.homspaces import _splitting_idempotent
+
+    loop = build_algebra(Quiver((1,), (("x", 1, 1),)), [("x", "x")], field)
+    point = build_algebra(Quiver((1,), ()), [], field)
+    local = make_stalk(loop, 1, 1, 1)
+    split = Complex(point, [(1, 1)], [])
+    assert is_indecomposable(local) and _splitting_idempotent(local) is None
+    e = _splitting_idempotent(split)
+    assert not is_indecomposable(split) and not e.is_zero()
+    assert compose(e, e).comps == e.comps != ChainMap.identity(split).comps
+
+
+# the fixtures' own field, Q, keeps the plain id
+@pytest.mark.parametrize("fixture, n, field", [
+    pytest.param(name, n, field, id=f"{name}-{n}" + ("" if field == "rational" else f"-{field}"))
+    for name, n in [("a6_relations.alg", 4), ("d4.alg", 3), ("e6.alg", 3)]
+    for field in ("rational", "gf2", "gf3")])
+def test_rejection_lifts_no_idempotent(monkeypatch, fixtures_dir, fixture, n, field):
     # every cone that the pair rule proves or rejects: the indecomposability test
-    # agrees with the idempotent search, and says "decomposable" from a Fitting
-    # projection alone, composing no chain maps
+    # agrees with the idempotent search, and says "decomposable" from End's scalar
+    # images alone, composing no chain maps; over Q on a6 each rejection is read
+    # off a basis image, with no Fitting projection and no trace-form radical
     from cnproj import homspaces, universe
+    from cnproj.algebra import build_algebra
     from cnproj.algfile import load_algebra
     from cnproj.homspaces import _splitting_idempotent
 
+    alg = load_algebra(str(fixtures_dir / fixture))[1]
+    alg = build_algebra(alg.quiver, alg.relations, field)
     cones, real = [], universe.is_indecomposable
     monkeypatch.setattr(universe, "is_indecomposable", lambda x: cones.append(x) or real(x))
-    enumerate_indecomposables(load_algebra(str(fixtures_dir / fixture))[1], n)
+    enumerate_indecomposables(alg, n)
     monkeypatch.undo()
     verdicts = [is_indecomposable(x) for x in cones]
     assert verdicts == [_splitting_idempotent(x) is None for x in cones]
     rejected = [x for x, ok in zip(cones, verdicts) if not ok]
     assert rejected and len(rejected) < len(cones)
 
-    def refuse(g, f):
-        raise AssertionError("a rejection composed chain maps")
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"a rejection called {name}")
+        return call
 
-    monkeypatch.setattr(homspaces, "compose", refuse)
+    refused = ["compose"]
+    if (fixture, field) == ("a6_relations.alg", "rational"):
+        refused += ["_fitting_part", "end_radical_coords"]
+    for name in refused:
+        monkeypatch.setattr(homspaces, name, refuse(name))
     assert not any(is_indecomposable(x) for x in rejected)
 
 

@@ -7,6 +7,8 @@ functor application.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnproj.algebra import Quiver, build_algebra
+from cnproj.algebra import Quiver, build_algebra, products_vanish
 from cnproj.complexes import (
     ChainMap,
     Complex,
@@ -29,6 +31,10 @@ from cnproj.complexes import (
     embed_right,
     embed_right_map,
     length,
+    mat_add,
+    mat_is_zero,
+    mat_mul,
+    mat_neg,
     shift_window,
     shift_window_map,
     strip_contractible,
@@ -47,7 +53,7 @@ from cnproj.homspaces import (
     null_homotopy_span,
     rad2_basis,
 )
-from cnproj.linalg import kernel, matmul, rank
+from cnproj.linalg import ROOT_SEARCH_CAP, kernel, matmul, rank, rational_roots
 from cnproj.scalars import RationalField
 from cnproj.universe import enumerate_indecomposables
 
@@ -365,3 +371,100 @@ def test_acyclic_path_algebras_are_hereditary(quiver):
     # kQ of an acyclic quiver is hereditary, and semisimple without arrows
     gldim = build_algebra(quiver, [], "rational").global_dimension()
     assert gldim == (1 if quiver.arrows else 0)
+
+
+@st.composite
+def product_terms(draw, field):
+    # two products a b and c d of random path-combination matrices over A3
+    # without relations, with coefficients in {-1, 0, 1}; half the time c d is
+    # a b with its middle summands permuted, so the difference cancels
+    alg = _algebra("a3_path", field)
+    cell = st.lists(st.sampled_from((1, 2, 3)), max_size=2)
+    tgt, mid, src = draw(cell), draw(cell), draw(cell)
+
+    def matrix(rows, cols):
+        return [[alg.element(r, c, {p: draw(st.sampled_from((-1, 0, 1)))
+                                    for p in alg.paths_between(r, c)}) for c in cols]
+                for r in rows]
+
+    a, b = matrix(tgt, mid), matrix(mid, src)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(len(mid))))
+        other = [[row[k] for k in perm] for row in a], [b[k] for k in perm], [mid[k] for k in perm]
+    else:
+        mid2 = draw(cell)
+        other = matrix(tgt, mid2), matrix(mid2, src), mid2
+    return alg, tgt, mid, src, (a, b), other
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["rational", "gf2"]).flatmap(product_terms))
+def test_products_vanish_matches_composed_matrices(case):
+    # the d^2 = 0 and chain-map kernel agrees with composing AlgElement matrices
+    alg, tgt, mid, src, (a, b), (c, d, mid2) = case
+    one = alg.field.one
+    want = mat_is_zero(mat_add(mat_mul(alg, a, b, tgt, mid, src),
+                               mat_neg(mat_mul(alg, c, d, tgt, mid2, src))))
+    assert products_vanish(alg, len(tgt), len(src), (one, a, b), (-one, c, d)) == want
+    assert products_vanish(alg, len(tgt), len(src), (one, a, b)) == \
+        mat_is_zero(mat_mul(alg, a, b, tgt, mid, src))
+
+
+def _roots_by_fraction_evaluation(poly):
+    # the rational root theorem, each candidate +-p/q evaluated as a Fraction
+    lcm = math.lcm(*(Fraction(c).denominator for c in poly))
+    ints = [int(c * lcm) for c in poly]
+    roots = set()
+    while ints and ints[0] == 0:
+        roots.add(Fraction(0))
+        ints = ints[1:]
+    if not ints:
+        return sorted(roots)
+
+    def divisors(n):
+        return [k for k in range(1, abs(n) + 1) if n % k == 0]
+
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for r in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * r ** k for k, c in enumerate(ints)) == 0:
+                    roots.add(r)
+    return sorted(roots)
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rational_roots_match_fraction_evaluation(seed):
+    # seeded products of (q t - p) factors, some repeated, some at t = 0, with
+    # an irreducible quadratic now and then, scaled by an int or a Fraction
+    rng = random.Random(seed)
+    for _ in range(40):
+        poly, planted = [rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-5, 3)))], set()
+        for _ in range(rng.randint(0, 4)):
+            root = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            planted.add(root)
+            for _ in range(rng.choice((1, 1, 2))):
+                poly = _poly_mul(poly, [-root.numerator, root.denominator])
+        if rng.random() < 0.3:
+            poly = _poly_mul(poly, rng.choice(([1, 0, 1], [-2, 0, 1], [1, 1, 1])))
+        roots = rational_roots(poly)
+        assert roots == _roots_by_fraction_evaluation(poly), poly
+        assert planted <= set(roots)
+        assert all(type(r) is Fraction for r in roots)
+
+
+def test_rational_roots_refuse_past_the_cap():
+    cap = ROOT_SEARCH_CAP
+    assert rational_roots([-cap, 1]) == [cap]
+    assert rational_roots([-1, cap]) == [Fraction(1, cap)]
+    assert rational_roots([cap + 1, 1]) is None
+    assert rational_roots([1, cap + 1]) is None
+    assert rational_roots([0, 0, Fraction(-(cap + 1), 2), 1]) is None  # after t^2 is factored out
+    assert rational_roots([]) == []

@@ -121,7 +121,7 @@ def test_exhausted_max_n_note_names_max_n(a6_alg):
 FIELD_FIXTURES = ["a2.alg", "a3_relation.alg", "a4_abc.alg", "a6_relations.alg",
                   "cyc2.alg", "d4.alg", "point.alg", "syzygy_cycle.alg"]
 # seconds per sgldim run; test_large_dynkin_fixtures_first_windows pins them
-LARGE_FIXTURES = ["d8_linear.alg", "e6.alg"]
+LARGE_FIXTURES = ["d8_linear.alg", "e6.alg", "e7.alg"]
 
 
 def test_sgldim_agrees_over_q_gf2_gf3(fixtures_dir):
@@ -143,11 +143,13 @@ def test_sgldim_agrees_over_q_gf2_gf3(fixtures_dir):
 
 
 @pytest.mark.parametrize("name, rows", [("e6.alg", [(28, 10), (62, 12)]),
-                                        ("d8_linear.alg", [(35, 11), (74, 12)])])
+                                        ("d8_linear.alg", [(35, 11), (74, 12)]),
+                                        ("e7.alg", [(38, 17), (91, 22)])])
 def test_large_dynkin_fixtures_first_windows(fixtures_dir, name, rows):
     # (classes, violators) of windows 2 and 3, grown through one registry as
     # compute_sgldim grows them; the full runs take seconds, with class counts
-    # 28/62/104/146 on E6 (s.gl.dim 3) and 35/74/122/179/243/307 on D8 (s.gl.dim 5)
+    # 28/62/104/146 on E6 (s.gl.dim 3), 35/74/122/179/243/307 on D8 (s.gl.dim 5)
+    # and 38/91/161/231 on E7 (s.gl.dim 3)
     from cnproj.algfile import load_algebra
     from cnproj.universe import _ShapeRegistry, enumerate_indecomposables
 
