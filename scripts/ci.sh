@@ -2,16 +2,18 @@
 # Run the repository's checks in order and exit non-zero if any of them fails:
 #   1. the Tier-1 test suite
 #   2. the check battery on a3 at n = 4 against the GF(2) oracle
-#   3. the check battery on a6 at n = 5
-#   4. the check battery on d4 at n = 3 against the GF(2) oracle
-#   5. the check battery on a4_abc (a length-3 relation) at n = 3 against the
+#   3. the check battery on a3 at n = 3 against the GF(3) oracle, which runs
+#      the GF(3) indecomposability verdict against the engine
+#   4. the check battery on a6 at n = 5
+#   5. the check battery on d4 at n = 3 against the GF(2) oracle
+#   6. the check battery on a4_abc (a length-3 relation) at n = 3 against the
 #      GF(2) oracle
-#   6. the check battery on e6 (a branching quiver, 104 classes) at n = 4
-#   7. the check battery on d8 (the fixture with the most classes) at n = 4,
+#   7. the check battery on e6 (a branching quiver, 104 classes) at n = 4
+#   8. the check battery on d8 (the fixture with the most classes) at n = 4,
 #      whose "split closure adds nothing" entry catches a lost class
-#   8. sgldim on e7 (s.gl.dim 3, m0 5)
-#   9. the golden DOT files, regenerated and compared with the committed ones
-#  10. one short perfbench run per workload of BENCHMARK.json, which must answer
+#   9. sgldim on e7 (s.gl.dim 3, m0 5)
+#  10. the golden DOT files, regenerated and compared with the committed ones
+#  11. one short perfbench run per workload of BENCHMARK.json, which must answer
 #      correctly (DOT sha256, sgldim table) with no failed sample, then one
 #      traced run (--trace 1) of the same workload with the same requirement:
 #      its two traced samples must agree on every count and every per-layer
@@ -45,6 +47,7 @@ sys.exit(not (r["correct"] is True and r["failed"] == 0))' "${out##*$'\n'}" || r
 
 step python -m pytest -q --continue-on-collection-errors
 step python -m cnproj check tests/fixtures/a3_relation.alg --n 4 --oracle gf2
+step python -m cnproj check tests/fixtures/a3_relation.alg --n 3 --oracle gf3
 step python -m cnproj check tests/fixtures/a6_relations.alg --n 5
 step python -m cnproj check tests/fixtures/d4.alg --n 3 --oracle gf2
 step python -m cnproj check tests/fixtures/a4_abc.alg --n 3 --oracle gf2

@@ -74,7 +74,8 @@ class CapExceeded(CnprojError):
 
 
 class SearchSpaceTooLarge(CnprojError):
-    """Brute-force search refused; the size estimate is in args[0]."""
+    """An exhaustive search refused before it ran: the message names the cap
+    (``oracle_space_cap`` or ``IDEMPOTENT_CAP``), its value and what was counted."""
 
 
 class NotClosed(CnprojError):

@@ -27,8 +27,8 @@ coefficients of a map, one small matrix per (position, vertex).  On End(X), phi
 is an algebra map with nilpotent kernel, so rad End(X) is the kernel of the
 trace form tr(phi(a) phi(b)) in characteristic 0, and whether X splits is read
 off phi(End(X)): from the eigenvalues of phi-matrices over Q, from a scan for
-an idempotent over GF(p).  Fitting projections and idempotents of End(X), as
-chain maps, are built only to split; g . f is an isomorphism iff phi(g) phi(f) is.
+an idempotent over GF(p).  Either witness is lifted to an idempotent chain map
+of End(X), only to split; g . f is an isomorphism iff phi(g) phi(f) is.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .errors import (
 from .linalg import (
     SpanBasis,
     first_split,
-    has_idempotent,
+    idempotent_combination,
     identity_matrix,
     kernel,
     matmul,
@@ -76,10 +76,10 @@ from .linalg import (
     rref,
     solve,
     split_candidates,
-    split_eigenvalue,
 )
 
-# Cap on the p^m elements an idempotent scan of End(X) over GF(p) visits.
+# Cap on the p^m combinations of End(X)'s scalar images that the idempotent
+# scan over GF(p) visits.
 IDEMPOTENT_CAP = 1 << 16
 
 
@@ -276,18 +276,6 @@ def is_indecomposable(x: Complex) -> bool:
     return _split(x) is None
 
 
-def _scan_idempotent(x: Complex, end: HomSpace):
-    """First nontrivial idempotent of End(X) over GF(p), in the order of a scan
-    of all p^m elements, for m >= 2 (``_split`` has checked ``IDEMPOTENT_CAP``)."""
-    f = x.alg.field
-    ident = end._layout.vectorize(ChainMap.identity(x).comps)
-    for combo in itertools.product(f.elements(), repeat=end.dimension):
-        if not any(combo) or (vec := _combine(f, end.vectors, combo)) == ident:
-            continue
-        if compose(e := end.chain_map(vec), e).comps == e.comps:
-            return e
-
-
 def is_isomorphic(x: Complex, y: Complex) -> bool:
     """Exact isomorphism test.
 
@@ -433,17 +421,18 @@ def _split(x: Complex):
 
     Nothing splits when m = dim End(X) <= 1.  The verdict reads only the
     scalar images phi(End(X)), whose kernel is nilpotent, so phi(End(X)) has a
-    nontrivial idempotent exactly when End(X) does.  Over GF(p) all p^m
-    combinations of the images are scanned (``has_idempotent``; at most
-    ``IDEMPOTENT_CAP``), and the thunk scans End(X) itself.  Over Q a
-    candidate b splits when phi(b) has a rational eigenvalue whose Fitting
-    projection is neither 0 nor 1 (``split_eigenvalue``); that projection lies
-    in phi(End(X)), and the thunk pulls it back by one linear solve and lifts
-    it to an idempotent by e -> 3e^2 - 2e^3.  The basis images are tried
-    before the trace-form radical, as no phi(b) of a local End(X) splits: each
-    has a single eigenvalue.  A refused root search defers to the radical; the
-    candidates after it, which start with the basis images again, raise
-    CapExceeded where it was refused.  When
+    nontrivial idempotent exactly when End(X) does, and the verdict's witness
+    goes to the thunk, which lifts it (``_lift_idempotent``).  Over GF(p) all
+    p^m combinations of the images are scanned (at most ``IDEMPOTENT_CAP``),
+    and ``idempotent_combination`` gives the coefficients of the first
+    idempotent one.  Over Q a candidate b splits when phi(b) has a rational
+    eigenvalue lam whose Fitting projection is neither 0 nor 1
+    (``first_split`` gives b and lam); that projection lies in phi(End(X)),
+    and the thunk pulls it back to coefficients by one linear solve.  The
+    basis images are tried before the trace-form radical, as no phi(b) of a
+    local End(X) splits: each has a single eigenvalue.  A refused root search
+    defers to the radical; the candidates after it, which start with the
+    basis images again, raise CapExceeded where it was refused.  When
     End(X)/rad has dimension > 1 and no candidate (basis elements, then the sum
     and product of each pair) splits, DecompositionFailure is raised, as exact
     rational arithmetic cannot tell a residue field larger than Q from a split
@@ -456,46 +445,51 @@ def _split(x: Complex):
     images = _scalar_images(end)
     if f.char != 0:
         if f.char ** m > IDEMPOTENT_CAP:
-            raise SearchSpaceTooLarge(f.char ** m)
-        return functools.partial(_scan_idempotent, x, end) if has_idempotent(f, images) else None
+            raise SearchSpaceTooLarge(
+                f"idempotent scan refused: End(X) has dimension {m} over GF({f.char}), and its "
+                f"{f.char ** m:,} elements exceed IDEMPOTENT_CAP = {IDEMPOTENT_CAP:,}")
+        coeffs = idempotent_combination(f, images)
+        return None if coeffs is None else functools.partial(_lift_idempotent, end, coeffs)
     try:
-        cand = first_split(f, images)
+        found = first_split(f, images)
     except CapExceeded:
-        cand = None
-    if cand is None:
+        found = None
+    if found is None:
         if m - len(end_radical_coords(x, end, images)) == 1:
             return None
-        cand = first_split(f, split_candidates(f, images))
-    if cand is None:
+        found = first_split(f, split_candidates(f, images))
+    if found is None:
         raise DecompositionFailure(
             "End(X)/rad End(X) has dimension > 1 over Q but no candidate element produced a "
             "rational spectral split: End(X) may be local with a residue field larger "
             "than Q (X indecomposable), or split only over a field extension")
-    return functools.partial(_lift_projection, end, images, cand)
+    cand, lam = found
+    return lambda: _lift_idempotent(end, _fitting_coeffs(f, images, cand, lam))
 
 
-def _lift_projection(end: HomSpace, images, cand):
-    """The idempotent of End(X) over the Fitting projection of ``cand`` in phi(End(X))."""
-    f = end.source.alg.field
-    proj = _fitting_projection(f, cand)
+def _fitting_coeffs(f, images, cand, lam):
+    """Coordinates over End's basis, by one solve against its ``images``, of the
+    Fitting projection of ``cand`` at ``lam``, a polynomial in it, so in phi(End(X))."""
+    proj = [_fitting_part(f, blk, lam) for blk in cand]
     flat = [[v for blk in img for row in blk for v in row] for img in images]
-    coeffs = solve(f, [list(col) for col in zip(*flat)], end.dimension,
+    coeffs = solve(f, [list(col) for col in zip(*flat)], len(images),
                    [v for blk in proj for row in blk for v in row])
     assert coeffs is not None, "a polynomial in phi(b) lies in phi(End(X))"
+    return coeffs
+
+
+def _lift_idempotent(end: HomSpace, coeffs):
+    """The idempotent of End(X) over the combination of End's basis with
+    ``coeffs``, whose scalar image is idempotent, by e -> 3e^2 - 2e^3.  As
+    e'^2 - e' = (e^2 - e)^2 (4e^2 - 4e - 3) in every characteristic and
+    e^2 - e lies in the nilpotent ker phi, the lift stops."""
+    f = end.source.alg.field
     e = end.chain_map(_combine(f, end.vectors, coeffs))
     while True:
         e2 = compose(e, e)
         if e2.comps == e.comps:
             return e
         e = e2.scale(f.of(3)) + compose(e2, e).scale(f.of(-2))
-
-
-def _fitting_projection(f, blocks):
-    """Blockwise projection onto the generalised eigenspace of
-    ``split_eigenvalue(f, blocks)`` along the other ones; None when there is
-    none (CapExceeded when its root search is refused)."""
-    lam = split_eigenvalue(f, blocks)
-    return None if lam is None else [_fitting_part(f, blk, lam) for blk in blocks]
 
 
 def _fitting_part(f, blk, lam):

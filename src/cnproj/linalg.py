@@ -5,9 +5,9 @@ deterministic: pivots are chosen first-nonzero in column order, and nullspace
 bases follow the reduced-echelon free-column convention, so basis orders are
 reproducible across runs.
 
-Two decisions on square matrices cut into diagonal blocks serve the
-endomorphism rings of ``homspaces``: ``split_eigenvalue`` (over Q) and
-``has_idempotent`` (over GF(p)).
+Two searches on square matrices cut into diagonal blocks return the witness of
+a split of an endomorphism ring of ``homspaces``: ``first_split`` (over Q) and
+``idempotent_combination`` (over GF(p)).
 """
 
 from __future__ import annotations
@@ -250,17 +250,20 @@ def _divisors(n: int):
 
 
 def split_eigenvalue(field, blocks):
-    """The least rational eigenvalue lam of ``blocks`` (over Q) whose blockwise
+    """A rational eigenvalue lam of ``blocks`` (over Q) whose blockwise
     projection onto the generalised lam-eigenspace, along the other
     eigenvalues, is neither 0 nor 1: some block has lam and some block another
     eigenvalue, rational or not.  None when there is no such lam.
 
-    Read off the minimal polynomials, with no projection built.  Raises
-    CapExceeded when ``rational_roots`` refuses one, which would otherwise read
-    as "no rational eigenvalue".
+    Read off the minimal polynomials, with no projection built, until two
+    distinct rational eigenvalues show a split: lam is the least one read.
+    Raises CapExceeded when ``rational_roots`` refuses a block before that,
+    which would otherwise read as "no rational eigenvalue".
     """
     polys, eigen = [], set()
     for blk in blocks:
+        if len(eigen) > 1:
+            break  # a split is shown; the blocks left cannot undo it
         if len(blk) == 1:
             polys.append([-blk[0][0], field.one])
             eigen.add(blk[0][0])
@@ -294,14 +297,15 @@ def split_candidates(field, images):
 
 
 def first_split(field, candidates):
-    """The first of ``candidates`` with a ``split_eigenvalue``, or None."""
-    return next((c for c in candidates if split_eigenvalue(field, c) is not None), None)
+    """(c, lam) for the first of ``candidates`` c with a ``split_eigenvalue`` lam, or None."""
+    return next(((c, lam) for c in candidates if (lam := split_eigenvalue(field, c)) is not None),
+                None)
 
 
-def has_idempotent(field, images) -> bool:
-    """Whether some combination of ``images`` (over GF(p), each a list of
-    square blocks of the same shapes) is an idempotent other than 0 and 1,
-    scanning all p^m coefficient vectors."""
+def idempotent_combination(field, images):
+    """The first coefficient vector, in a scan of all p^m, whose combination of
+    ``images`` (over GF(p), each a list of square blocks of the same shapes)
+    is an idempotent other than 0 and 1; None when there is none."""
     ident = [identity_matrix(field, len(blk)) for blk in images[0]]
     zero = [[[field.zero] * len(blk) for _ in blk] for blk in images[0]]
     for combo in itertools.product(field.elements(), repeat=len(images)):
@@ -312,5 +316,5 @@ def has_idempotent(field, images) -> bool:
              for b, blk in enumerate(images[0])]
         if e != zero and e != ident and all(
                 matmul(field, blk, blk, len(blk), len(blk)) == blk for blk in e):
-            return True
-    return False
+            return combo
+    return None

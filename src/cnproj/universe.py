@@ -414,18 +414,17 @@ def brute_force_indecomposables(alg: MonomialAlgebra, n: int, bound: int, p: int
     cell_choices = []
     for size in range(bound + 1):
         cell_choices.extend(itertools.combinations_with_replacement(verts, size))
-    # estimate the search space before running
-    total = 0
-    shapes = [s for s in itertools.product(cell_choices, repeat=n) if any(s)]
-    for shape in shapes:
-        nvars = 0
-        for i in range(n - 1):
-            for tv in shape[i + 1]:
-                for sv in shape[i]:
-                    nvars += len(gf.paths_between(tv, sv))
-        total += p ** nvars
-    if total > config.oracle_space_cap:
-        raise SearchSpaceTooLarge(total)
+    # count the search space before running, refusing once it passes the cap
+    total, shapes = 0, []
+    for shape in filter(any, itertools.product(cell_choices, repeat=n)):
+        shapes.append(shape)
+        total += p ** sum(len(gf.paths_between(tv, sv))
+                          for i in range(n - 1) for tv in shape[i + 1] for sv in shape[i])
+        if total > config.oracle_space_cap:
+            raise SearchSpaceTooLarge(
+                f"brute-force search refused: over GF({p}) at window n = {n} with bound "
+                f"{bound}, the first {len(shapes):,} shapes already give {total:,} "
+                f"candidate differentials, past oracle_space_cap = {config.oracle_space_cap:,}")
     stats = {"shapes": len(shapes), "space": total, "checked": 0, "d2_ok": 0}
     uni = Universe(gf, n, _ShapeRegistry(), closed=True, stats=stats)
     elements = f.elements()

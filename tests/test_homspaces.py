@@ -407,7 +407,43 @@ def _assert_complementary(x, parts):
     assert total.comps == ChainMap.identity(x).comps
 
 
-@pytest.mark.parametrize("field_tag", ["rational", "gf2"])
+@pytest.mark.parametrize("field", ["rational", "gf2", "gf3"])
+def test_lift_idempotent_in_every_characteristic(field):
+    # End(P1^2) over k[x]/x^2 is M_2(k[x]/x^2): a basis element with an
+    # idempotent scalar image plus one in the radical, such as E11 + x E11, has
+    # an idempotent image but need not be idempotent; e -> 3e^2 - 2e^3 (e^2 in
+    # characteristic 2, e^3 in characteristic 3) lifts it over the same image
+    from cnproj.algebra import Quiver, build_algebra
+    from cnproj.homspaces import _combine, _lift_idempotent, _scalar_images, _split_by_idempotent
+    from cnproj.linalg import identity_matrix, matmul
+
+    loop = build_algebra(Quiver((1,), (("x", 1, 1),)), [("x", "x")], field)
+    f = loop.field
+    x = Complex(loop, [(1, 1)], [])
+    end = hom_basis(x, x)
+    images = [img[0] for img in _scalar_images(end)]  # one 2 x 2 block each
+    zero = [[f.zero] * 2 for _ in range(2)]
+    units = [i for i, b in enumerate(images)
+             if b not in (zero, identity_matrix(f, 2)) and matmul(f, b, b, 2, 2) == b]
+    radical = [j for j, b in enumerate(images) if b == zero]
+
+    def image_idempotent(i, j):
+        return [f.one if k in (i, j) else f.zero for k in range(end.dimension)]
+
+    def blocks(g):
+        return [s for *_, s in g.scalar_blocks()]
+
+    lifted = 0
+    for coeffs in (image_idempotent(i, j) for i in units for j in radical):
+        g = end.chain_map(_combine(f, end.vectors, coeffs))
+        e = _lift_idempotent(end, coeffs)
+        assert compose(e, e).comps == e.comps and blocks(e) == blocks(g)
+        _assert_complementary(x, _split_by_idempotent(x, e))
+        lifted += compose(g, g).comps != g.comps
+    assert lifted
+
+
+@pytest.mark.parametrize("field_tag", ["rational", "gf2", "gf3"])
 def test_split_maps_are_complementary(field_tag):
     from cnproj.complexes import direct_sum_many
     from cnproj.homspaces import _split_by_idempotent
@@ -514,7 +550,7 @@ def test_irrational_endomorphism_field_fails_loudly():
 
 def test_refused_root_search_is_a_named_cap(point_alg):
     from cnproj.errors import CapExceeded
-    from cnproj.homspaces import _fitting_projection
+    from cnproj.linalg import split_eigenvalue
 
     # diag(10^10, 10^10 + 1) has two rational eigenvalues, but its minimal
     # polynomial's constant term is past the root search's bound: the search
@@ -522,7 +558,19 @@ def test_refused_root_search_is_a_named_cap(point_alg):
     big = 10**10
     blk = [[big, 0], [0, big + 1]]
     with pytest.raises(CapExceeded, match="ROOT_SEARCH_CAP = 1,000,000,000"):
-        _fitting_projection(point_alg.field, [blk])
+        split_eigenvalue(point_alg.field, [blk])
+    # once two distinct eigenvalues have shown a split, no later block is read
+    assert split_eigenvalue(point_alg.field, [[[1]], [[2]], blk]) == 1
+
+
+def test_idempotent_scan_is_a_named_cap():
+    from cnproj.algebra import Quiver, build_algebra
+    from cnproj.errors import SearchSpaceTooLarge
+
+    # P1^5 over a point: End(X) = M_5(GF(2)) has 2^25 elements, past the cap
+    point = build_algebra(Quiver((1,), ()), [], "gf2")
+    with pytest.raises(SearchSpaceTooLarge, match="IDEMPOTENT_CAP = 65,536"):
+        is_indecomposable(Complex(point, [(1,) * 5], []))
 
 
 def test_refused_root_search_defers_to_the_radical(monkeypatch, point_alg):

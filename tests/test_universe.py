@@ -100,7 +100,8 @@ def test_brute_force_bound_zero(a2_alg):
 
 def test_brute_force_space_cap(a3_alg):
     cfg = EnumConfig(oracle_space_cap=10)
-    with pytest.raises(SearchSpaceTooLarge):
+    # refused at the 11th of the 99 shapes, as soon as the count passes the cap
+    with pytest.raises(SearchSpaceTooLarge, match="first 11 shapes .* oracle_space_cap = 10"):
         brute_force_indecomposables(a3_alg, 2, 2, 2, cfg)
 
 
